@@ -2,7 +2,8 @@
 
 An algebra is specified by the products e_i*e_j for i != j; the diagonal is
 forced to zero and e_j*e_i = -e_i*e_j is filled in automatically, so x*x = 0
-holds structurally for every element (we are over Q).
+holds structurally for every element (we are over Q). Integral structure
+constants are stored as int, which keeps products on them in int arithmetic.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Algebra:
                 if not 0 <= k < self.dim:
                     raise ValueError(f"coefficient index {k} out of range")
                 if v:
-                    row[k] = sign * v
+                    row[k] = sign * (v.numerator if v.denominator == 1 else v)
             if row:
                 rows[key] = row
         self._rows = rows

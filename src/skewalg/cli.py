@@ -1,7 +1,8 @@
 """Command-line interface; the only user-facing surface.
 
-Exit status: 0 success, 1 property or check failure, 2 usage or parse
-error. Reports go to stdout, error messages to stderr.
+Exit status: 0 success, 1 property or check failure or an exhausted
+budget, 2 usage or parse error. Reports go to stdout, error messages to
+stderr.
 """
 
 import argparse
@@ -35,7 +36,13 @@ from .freealg import (
     build_free_quotient,
     evaluate_word,
 )
-from .identities import check_identity, classify, get_variety, parse_identity
+from .identities import (
+    BudgetExceeded,
+    check_identity,
+    classify,
+    get_variety,
+    parse_identity,
+)
 from .moufang import value_text, moufang_check, render_moufang, run_conjecture
 from .reports import Report, classification_items
 
@@ -339,7 +346,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RelationBudgetExceeded as exc:
+    except (RelationBudgetExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,14 @@ from fractions import Fraction
 from math import gcd
 from string import ascii_lowercase
 
-from .identities import _flatten, get_variety, parse_identity, polarize
+from .identities import (
+    _flatten,
+    canonicalize,
+    get_variety,
+    parse_identity,
+    polarize,
+    sort_key,
+)
 
 DEFAULT_RELATION_BUDGET = 5_000_000
 
@@ -31,45 +38,12 @@ class RelationBudgetExceeded(RuntimeError):
 
 
 # --- canonical monomials ----------------------------------------------------
-
-_KEYS = {}
+# `sort_key` and `canonicalize` live in identities, which compiles identities
+# into the same form.
 
 
 def degree(m) -> int:
     return 1 if isinstance(m, int) else degree(m[0]) + degree(m[1])
-
-
-def sort_key(m):
-    """Total order token: degree first, then (left, right) recursively."""
-    k = _KEYS.get(m)
-    if k is None:
-        if isinstance(m, int):
-            k = (1, 0, m)
-        else:
-            kl = sort_key(m[0])
-            kr = sort_key(m[1])
-            k = (kl[0] + kr[0], 1, kl, kr)
-        _KEYS[m] = k
-    return k
-
-
-def canonicalize(tree):
-    """(sign, canonical monomial), or None when the tree is identically zero."""
-    if isinstance(tree, int):
-        return 1, tree
-    cl = canonicalize(tree[0])
-    if cl is None:
-        return None
-    cr = canonicalize(tree[1])
-    if cr is None:
-        return None
-    sign = cl[0] * cr[0]
-    left, right = cl[1], cr[1]
-    if left == right:
-        return None
-    if sort_key(left) > sort_key(right):
-        left, right, sign = right, left, -sign
-    return sign, (left, right)
 
 
 def mono_label(m, names) -> str:

@@ -12,15 +12,18 @@ Grammar for identity text:
 `J(t1,t2,t3)` expands to (t1*t2)*t3 + (t2*t3)*t1 + (t3*t1)*t2 at parse time.
 A bare rational term is only allowed when it is 0. Identities must be
 homogeneous in every variable; checking works by full polarization, which is
-equivalent over Q.
+equivalent over Q, and evaluates the polarized form collected over canonical
+monomials (the form `freealg` also uses), which is exact on anticommutative
+algebras.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations
 from math import comb
+from operator import itemgetter
 
 from .algebra import Algebra, Element
 
@@ -43,6 +46,46 @@ class BudgetExceeded(RuntimeError):
 
 
 # term nodes: ("var", label) | ("prod", l, r) | ("sum", ((coef, node), ...))
+
+
+# --- canonical monomials ----------------------------------------------------
+# Binary trees over int leaves (generator indices in freealg, variable
+# positions here), in the one canonical form both modules share.
+
+_KEYS = {}
+
+
+def sort_key(m):
+    """Total order token: degree first, then (left, right) recursively."""
+    k = _KEYS.get(m)
+    if k is None:
+        if isinstance(m, int):
+            k = (1, 0, m)
+        else:
+            kl = sort_key(m[0])
+            kr = sort_key(m[1])
+            k = (kl[0] + kr[0], 1, kl, kr)
+        _KEYS[m] = k
+    return k
+
+
+def canonicalize(tree):
+    """(sign, canonical monomial), or None when the tree is identically zero."""
+    if isinstance(tree, int):
+        return 1, tree
+    cl = canonicalize(tree[0])
+    if cl is None:
+        return None
+    cr = canonicalize(tree[1])
+    if cr is None:
+        return None
+    sign = cl[0] * cr[0]
+    left, right = cl[1], cr[1]
+    if left == right:
+        return None
+    if sort_key(left) > sort_key(right):
+        left, right, sign = right, left, -sign
+    return sign, (left, right)
 
 
 def _jac(t1, t2, t3):
@@ -265,31 +308,62 @@ def _replace_occurrences(tree, var, labels, pos):
 
 
 class Component:
-    """One multilinear component of a polarized identity."""
+    """One multilinear component of a polarized identity.
 
-    __slots__ = ("variables", "groups", "origin_vars", "terms", "_leaves")
+    `terms` are the raw polarized terms. `compile()` adds the canonical form
+    that checking evaluates: `poly` maps canonical monomials over variable
+    positions (see `canonicalize`) to coefficients, which is exact because
+    every Algebra is anticommutative; `key` names the polynomial up to the
+    variables' labels; `lower[q]` lists the (p, d) with p < q for which only
+    basis tuples with idx[q] >= idx[p] + d are enumerated (d = 0 between
+    copies of one polarized variable, d = 1 for a skew pair).
+    """
+
+    __slots__ = (
+        "variables", "groups", "origin_vars", "terms",
+        "poly", "key", "lower", "_nodes", "_roots",
+    )
 
     def __init__(self, variables, groups, origin_vars, terms):
         self.variables = tuple(variables)
         self.groups = tuple(tuple(g) for g in groups)
         self.origin_vars = tuple(origin_vars)
         self.terms = tuple(terms)
-        leaves = {}
 
-        def walk(t):
-            if t[0] == "var":
-                leaves[id(t)] = (t[1],)
-            else:
-                walk(t[1])
-                walk(t[2])
-                leaves[id(t)] = leaves[id(t[1])] + leaves[id(t[2])]
+    def compile(self):
+        pos = {v: i for i, v in enumerate(self.variables)}
+        self.poly = _canonical_poly(
+            (coef, _position_tree(tree, pos)) for coef, tree in self.terms
+        )
+        sizes = tuple(len(g) for g in self.groups)
+        ordered = sorted(self.poly.items(), key=lambda mc: sort_key(mc[0]))
+        self.key = (sizes, tuple(ordered))
+        self.lower = _lower_bounds(sizes, self.poly)
+        # straight-line program: proper subproducts get a slot after the k
+        # variable slots and a memo keyed by their leaves' indices; each
+        # monomial is one root product (l, r, coef) over those slots, or
+        # (variable, None, coef) in a degree-1 identity
+        k = len(self.variables)
+        slots, nodes = {}, []
 
-        for _, t in self.terms:
-            walk(t)
-        self._leaves = leaves
+        def slot(m):
+            if isinstance(m, int):
+                return m, (m,)
+            hit = slots.get(m)
+            if hit is None:
+                (l, ll), (r, lr) = slot(m[0]), slot(m[1])
+                hit = slots[m] = (k + len(nodes), ll + lr)
+                nodes.append((l, r, itemgetter(*hit[1])))
+            return hit
+
+        self._roots = tuple(
+            (m, None, c) if isinstance(m, int) else (slot(m[0])[0], slot(m[1])[0], c)
+            for m, c in self.poly.items()
+        )
+        self._nodes = tuple(nodes)
 
     def evaluate(self, A: Algebra, vectors):
-        """Dense evaluation: vectors aligned with self.variables."""
+        """Dense evaluation of the raw terms: vectors aligned with self.variables."""
         env = {
             v: {i: c for i, c in enumerate(vec) if c}
             for v, vec in zip(self.variables, vectors)
@@ -301,18 +375,80 @@ class Component:
                 out[k] += coef * x
         return out
 
-    def evaluate_on_basis(self, A: Algebra, idx_env, memo):
+    def evaluate_on_basis(self, A: Algebra, idx, memo):
+        """Sparse value of `poly` with variable q set to basis vector idx[q].
+
+        `memo` holds one dict per subproduct slot, kept across the tuples of
+        one search, so a subproduct is multiplied once per leaf assignment.
+        """
+        mul = A.mul_sparse
+        vals = [{i: 1} for i in idx]
+        for (l, r, leaves), cache in zip(self._nodes, memo):
+            key = leaves(idx)
+            v = cache.get(key)
+            if v is None:
+                v = cache[key] = mul(vals[l], vals[r])
+            vals.append(v)
         out = {}
-        leaves = self._leaves
-        for coef, tree in self.terms:
-            val = _eval_basis(A, tree, idx_env, leaves, memo)
-            for k, x in val.items():
+        for l, r, coef in self._roots:
+            for k, x in (vals[l] if r is None else mul(vals[l], vals[r])).items():
                 v = out.get(k, 0) + coef * x
                 if v:
                     out[k] = v
                 elif k in out:
                     del out[k]
         return out
+
+
+def _position_tree(tree, pos):
+    """A ("var"/"prod") term as a binary tree over variable positions."""
+    if tree[0] == "var":
+        return pos[tree[1]]
+    return (_position_tree(tree[1], pos), _position_tree(tree[2], pos))
+
+
+def _lower_bounds(sizes, poly):
+    """Component.lower: sorted copies in each polarized group, and strictly
+    increasing indices for every pair of single-copy variables whose swap
+    negates the polynomial."""
+    lower = [[] for _ in range(sum(sizes))]
+    single = []
+    start = 0
+    for size in sizes:
+        if size == 1:
+            single.append(start)
+        for q in range(start + 1, start + size):
+            lower[q].append((q - 1, 0))
+        start += size
+    negated = {m: -c for m, c in poly.items()}
+    for i, p in enumerate(single):
+        for q in single[i + 1 :]:
+            swapped = _canonical_poly((c, _swap_leaves(m, p, q)) for m, c in poly.items())
+            if swapped == negated:
+                lower[q].append((p, 1))
+    return tuple(tuple(c) for c in lower)
+
+
+def _swap_leaves(m, p, q):
+    if isinstance(m, int):
+        return q if m == p else p if m == q else m
+    return (_swap_leaves(m[0], p, q), _swap_leaves(m[1], p, q))
+
+
+def _canonical_poly(pairs):
+    """Collect (coef, tree) pairs as {canonical monomial: coefficient}."""
+    poly = {}
+    for coef, tree in pairs:
+        res = canonicalize(tree)
+        if res is None:
+            continue
+        sign, mono = res
+        v = poly.get(mono, 0) + sign * coef
+        if v:
+            poly[mono] = v
+        elif mono in poly:
+            del poly[mono]
+    return {m: c.numerator if c.denominator == 1 else c for m, c in poly.items()}
 
 
 def _eval_sparse(A, tree, env):
@@ -329,21 +465,6 @@ def _eval_sparse(A, tree, env):
             elif k in out:
                 del out[k]
     return out
-
-
-def _eval_basis(A, tree, idx_env, leaves, memo):
-    if tree[0] == "var":
-        return {idx_env[tree[1]]: 1}
-    key = (id(tree), tuple(idx_env[l] for l in leaves[id(tree)]))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    val = A.mul_sparse(
-        _eval_basis(A, tree[1], idx_env, leaves, memo),
-        _eval_basis(A, tree[2], idx_env, leaves, memo),
-    )
-    memo[key] = val
-    return val
 
 
 def evaluate_term(tree, env, A: Algebra):
@@ -416,31 +537,82 @@ def _count_evaluations(A, system):
     return total
 
 
-def check_identity(A: Algebra, idf: IdentityDef, budget=DEFAULT_EVAL_BUDGET) -> CheckResult:
-    """Exhaustively evaluate the polarized identity on basis tuples.
+_COMPILED = {}
 
-    Copies of a polarized variable only range over sorted index tuples: the
-    component is symmetric in them, so this both prunes the search and keeps
-    the reported witness the lexicographically first failing assignment.
+
+def _compiled(idf):
+    """polarize(idf) with its components compiled, once per identity text."""
+    system = _COMPILED.get(idf.text)
+    if system is None:
+        system = polarize(idf)
+        for comp in system.components:
+            comp.compile()
+        _COMPILED[idf.text] = system
+    return system
+
+
+def _basis_tuples(n, lower):
+    """Index tuples over range(n) in lexicographic order, obeying `lower`."""
+    k = len(lower)
+    idx = [0] * k
+
+    def fill(q):
+        if q == k:
+            yield tuple(idx)
+            return
+        lo = max((idx[p] + d for p, d in lower[q]), default=0)
+        for i in range(lo, n):
+            idx[q] = i
+            yield from fill(q + 1)
+
+    return fill(0)
+
+
+def _first_failure(A, comp):
+    """(per-group index picks, sparse value) of the first failing tuple, or None."""
+    if not comp.poly:
+        return None
+    memo = [{} for _ in comp._nodes]
+    for idx in _basis_tuples(A.dim, comp.lower):
+        val = comp.evaluate_on_basis(A, idx, memo)
+        if val:
+            combo, start = [], 0
+            for g in comp.groups:
+                combo.append(idx[start : start + len(g)])
+                start += len(g)
+            return tuple(combo), val
+    return None
+
+
+def check_identity(
+    A: Algebra, idf: IdentityDef, budget=DEFAULT_EVAL_BUDGET, shared=None
+) -> CheckResult:
+    """Decide idf on A by evaluating its canonical polarized form on basis tuples.
+
+    Copies of a polarized variable range over sorted index tuples (the form
+    is symmetric in them) and a skew pair of variables over strictly
+    increasing ones (swapping them negates the form; equal indices give 0).
+    Any failing tuple that breaks these orders maps to a lexicographically
+    smaller failing one, so the reported witness is the lexicographically
+    first failing assignment. The budget bounds the count of sorted tuples
+    before the skew pruning (`_count_evaluations`).
+
+    `shared` maps canonical keys to search results on this algebra; classify
+    passes one dict per call, so a polynomial several identities share is
+    evaluated once.
     """
-    system = polarize(idf)
+    system = _compiled(idf)
     required = _count_evaluations(A, system)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    n = A.dim
+    shared = {} if shared is None else shared
     for comp in system.components:
-        memo = {}
-        pools = [
-            list(combinations_with_replacement(range(n), len(g))) for g in comp.groups
-        ]
-        for combo in product(*pools):
-            idx_env = {}
-            for g, picks in zip(comp.groups, combo):
-                for label, i in zip(g, picks):
-                    idx_env[label] = i
-            val = comp.evaluate_on_basis(A, idx_env, memo)
-            if val:
-                return CheckResult(False, idf, _build_witness(A, idf, comp, combo, val))
+        if comp.key not in shared:
+            shared[comp.key] = _first_failure(A, comp)
+        found = shared[comp.key]
+        if found is not None:
+            combo, val = found
+            return CheckResult(False, idf, _build_witness(A, idf, comp, combo, val))
     return CheckResult(True, idf, None)
 
 
@@ -519,10 +691,11 @@ class Classification:
 
 def classify(A: Algebra, budget=DEFAULT_EVAL_BUDGET) -> Classification:
     verdicts = []
+    shared = {}
     for name, idfs in builtin_varieties().items():
         entry = VarietyVerdict(name, True, None, None)
         for idf in idfs:
-            res = check_identity(A, idf, budget)
+            res = check_identity(A, idf, budget, shared)
             if not res.holds:
                 entry = VarietyVerdict(name, False, idf.text, res.witness)
                 break

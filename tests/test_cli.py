@@ -327,6 +327,16 @@ def test_relation_budget_env(paper_file, capsys, monkeypatch):
     assert "SKEWALG_RELATION_BUDGET" in err
 
 
+def test_identity_budget_exceeded(tmp_path, capsys):
+    names = " ".join(f"e{i}" for i in range(60))
+    path = tmp_path / "big.alg"
+    path.write_text(f"name: big\ndim: 60\nbasis: {names}\ne0*e1 = e2\n")
+    rc, out, err = run(capsys, "check", str(path), "--identity", "J(x,y,z*t) = 0")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: identity check needs 12960000 evaluations, budget is 10000000\n"
+
+
 def test_usage_errors(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "classify")[0] == 2

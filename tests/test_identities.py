@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from skewalg.algebra import Algebra, jacobian
+from skewalg.formats import parse_algebra_file
 from skewalg.identities import (
     BudgetExceeded,
     IdentityParseError,
@@ -263,6 +264,77 @@ def test_containment_chains_on_fixtures():
             assert got["malcev"]
         if got["malcev"]:
             assert got["binary-lie"]
+
+
+# ---------- compiled canonical form ----------
+
+
+def compiled(text):
+    comp = polarize(parse_identity(text)).components[0]
+    comp.compile()
+    return comp
+
+
+def skew_pairs(comp):
+    return {
+        (comp.variables[p], comp.variables[q])
+        for q, bounds in enumerate(comp.lower)
+        for p, d in bounds
+        if d == 1
+    }
+
+
+def test_skew_pairs_detected():
+    assert skew_pairs(compiled("J(x,y,z) = 0")) == {("x", "y"), ("x", "z"), ("y", "z")}
+    assert skew_pairs(compiled("J(x,y,z*u) = 0")) == {("x", "y"), ("z", "u")}
+    assert skew_pairs(compiled("J(x,y,z)*t = 0")) == {("x", "y"), ("x", "z"), ("y", "z")}
+    assert skew_pairs(compiled("J(x,y,z)*x = 0")) == {("y", "z")}
+    assert skew_pairs(compiled("(x*y)*z = 0")) == {("x", "y")}
+
+
+def test_polarized_copies_stay_sorted():
+    comp = compiled("J(x,y,z)*x = 0")
+    assert comp.variables == ("x1", "x2", "y", "z")
+    assert comp.lower[1] == ((0, 0),)
+
+
+def test_square_compiles_to_zero():
+    comp = compiled("x*x = 0")
+    assert comp.poly == {}
+    calls = []
+
+    class Counting(Algebra):
+        __slots__ = ()
+
+        def mul_sparse(self, xs, ys):
+            calls.append(1)
+            return super().mul_sparse(xs, ys)
+
+    A = Counting("rnd", ["a", "b", "c"], {(0, 1): {2: 1}, (1, 2): {0: 1}})
+    assert check_identity(A, parse_identity("x*x = 0")).holds
+    assert calls == []
+
+
+def test_malcev_and_binary_lie_have_eight_canonical_terms():
+    for text in ("J(x,y,x*z) = J(x,y,z)*x", "J(x,y,x*y) = 0"):
+        comp = compiled(text)
+        assert len(comp.terms) == 12
+        assert len(comp.poly) == 8
+
+
+def test_renamed_identities_share_one_key():
+    w = compiled("J(x,y,z*u) = 0")
+    lam = compiled("J(x,y,z*t) = 0")
+    assert w.key == lam.key
+    assert w.key != compiled("J(x,y,z)*t = 0").key
+    assert compiled("J(x,y,x*z) = 0").key != compiled("J(x,y,z*u) = 0").key
+
+
+def test_parsed_algebra_stores_integral_constants_as_int():
+    A = parse_algebra_file("name: t\ndim: 3\nbasis: a b c\na*b = 2*c - 1/2*a\n")
+    assert type(A.c(0, 1, 2)) is int and A.c(0, 1, 2) == 2
+    assert type(A.c(1, 0, 2)) is int and A.c(1, 0, 2) == -2
+    assert A.c(0, 1, 0) == F(-1, 2) and type(A.c(0, 1, 0)) is F
 
 
 def test_polarization_agrees_with_direct_evaluation():
