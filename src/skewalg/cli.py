@@ -220,8 +220,6 @@ def cmd_free(args) -> int:
             identities, args.generators, args.max_degree, extra_relations=extra,
             budget=budget,
         )
-    except RelationBudgetExceeded:
-        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     rep = Report(_free_echo(args))

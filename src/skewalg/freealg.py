@@ -13,15 +13,15 @@ substitution step.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from string import ascii_lowercase
 
 from .identities import (
+    _compiled,
     _flatten,
     canonicalize,
     get_variety,
     parse_identity,
-    polarize,
     sort_key,
 )
 
@@ -32,14 +32,26 @@ SANITY_WORD = "J(a,b,a*c)"
 
 
 class RelationBudgetExceeded(RuntimeError):
-    def __init__(self, budget):
-        super().__init__(f"relation budget of {budget} rows exceeded")
+    def __init__(self, budget, degree):
+        super().__init__(
+            f"relation budget of {budget} rows exceeded at degree {degree}"
+        )
         self.budget = budget
+        self.degree = degree
 
 
 # --- canonical monomials ----------------------------------------------------
 # `sort_key` and `canonicalize` live in identities, which compiles identities
 # into the same form.
+
+
+def _cmul(a, b):
+    """(sign, canonical a*b) for canonical monomials a and b; None when a == b."""
+    if a == b:
+        return None
+    if sort_key(a) > sort_key(b):
+        return -1, (b, a)
+    return 1, (a, b)
 
 
 def degree(m) -> int:
@@ -137,11 +149,11 @@ class _Echelon:
         return [self.rows[p] for p in sorted(self.rows)]
 
 
-def _scale_to_int(frow):
-    denom = 1
-    for v in frow.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return {c: int(v * denom) for c, v in frow.items() if v}
+def _scale_to_int(row):
+    if all(type(v) is int for v in row.values()):
+        return row
+    denom = lcm(*(v.denominator for v in row.values()))
+    return {c: int(v * denom) for c, v in row.items()}
 
 
 def _dedupe_key(row):
@@ -169,7 +181,7 @@ class FreeQuotient:
         self.identities = tuple(identities)
         self.generators = tuple(generators)
         self.max_degree = max_degree
-        self.systems = tuple(polarize(i) for i in self.identities)
+        self.systems = tuple(_compiled(i) for i in self.identities)
         self.monomials = enumerate_monomials(len(self.generators), max_degree)
         self.col = [
             {m: i for i, m in enumerate(lst)} for lst in self.monomials
@@ -239,7 +251,7 @@ class FreeQuotient:
     def self_check(self):
         """Re-verify every defining relation vanishes under the rewrite map."""
         for d in range(2, self.max_degree + 1):
-            for desc, row in _degree_rows(self, d, descriptions=True):
+            for source, row in _degree_rows(self, d):
                 image = {}
                 for c, v in row.items():
                     for bm, bc in self.rewrite[self.monomials[d][c]].items():
@@ -249,7 +261,9 @@ class FreeQuotient:
                         elif bm in image:
                             del image[bm]
                 if image:
-                    raise ValueError(f"self-check failed at degree {d}: {desc}")
+                    raise ValueError(
+                        f"self-check failed at degree {d}: {_describe(self, source)}"
+                    )
 
 
 def _ast_degree(tree):
@@ -270,12 +284,6 @@ def parse_word(text: str):
     return parse_identity(f"{text} = 0").lhs
 
 
-def _subst(tree, env):
-    if tree[0] == "var":
-        return env[tree[1]]
-    return (_subst(tree[1], env), _subst(tree[2], env))
-
-
 def _assignments(monomials, k, d):
     if k == 1:
         yield from ((m,) for m in monomials[d]) if d < len(monomials) else ()
@@ -286,57 +294,84 @@ def _assignments(monomials, k, d):
                 yield (m,) + rest
 
 
-def _degree_rows(F, d, descriptions=False):
+def _substitute(m, combo):
+    """(sign, canonical monomial) of a monomial over variable positions with
+    position q replaced by the canonical monomial combo[q]; None if zero."""
+    if isinstance(m, int):
+        return 1, combo[m]
+    left = _substitute(m[0], combo)
+    if left is None:
+        return None
+    right = _substitute(m[1], combo)
+    if right is None:
+        return None
+    res = _cmul(left[1], right[1])
+    if res is None:
+        return None
+    return left[0] * right[0] * res[0], res[1]
+
+
+def _degree_rows(F, d):
     """Relation rows of degree d in a fixed deterministic order.
 
-    Yields (description, row) pairs; descriptions are skipped (None) unless
-    requested, since building them is pure string work.
+    Yields (source, row) pairs; `source` is (identity, component, assignment),
+    (e, index, monomial) for R_e[index] * monomial, or (text,) for an
+    adjoined word, and `_describe` renders it. Substitution instances come
+    from the compiled canonical polynomial, which is exact because the free
+    quotient is anticommutative.
     """
+    col = F.col[d]
     for idf, system in zip(F.identities, F.systems):
         for comp in system.components:
             k = len(comp.variables)
             if k > d:
                 continue
             for combo in _assignments(F.monomials, k, d):
-                env = dict(zip(comp.variables, combo))
-                frow = {}
-                for coef, tree in comp.terms:
-                    res = canonicalize(_subst(tree, env))
+                row = {}
+                for m, coef in comp.poly.items():
+                    res = _substitute(m, combo)
                     if res is None:
                         continue
-                    c = F.col[d][res[1]]
-                    nv = frow.get(c, 0) + coef * res[0]
+                    c = col[res[1]]
+                    nv = row.get(c, 0) + coef * res[0]
                     if nv:
-                        frow[c] = Fraction(nv)
-                    elif c in frow:
-                        del frow[c]
-                desc = None
-                if descriptions:
-                    assign = ", ".join(
-                        f"{v} = {F.label(m)}"
-                        for v, m in zip(comp.variables, combo)
-                    )
-                    desc = f"{idf.text} [{assign}]"
-                yield desc, _scale_to_int(frow)
+                        row[c] = nv
+                    elif c in row:
+                        del row[c]
+                yield (idf, comp, combo), _scale_to_int(row)
     for e in range(1, d):
+        lower = F.monomials[e]
         for idx, r in enumerate(F.relations_rref[e]):
             for m in F.monomials[d - e]:
                 row = {}
                 for c, v in r.items():
-                    res = canonicalize((F.monomials[e][c], m))
+                    res = _cmul(lower[c], m)
                     if res is None:
                         continue
-                    c2 = F.col[d][res[1]]
+                    c2 = col[res[1]]
                     nv = row.get(c2, 0) + v * res[0]
                     if nv:
                         row[c2] = nv
                     elif c2 in row:
                         del row[c2]
-                desc = f"R{e}[{idx}] * {F.label(m)}" if descriptions else None
-                yield desc, row
+                yield (e, idx, m), row
     for deg, text, row in F.extra:
         if deg == d:
-            yield (f"adjoined: {text}" if descriptions else None), dict(row)
+            yield (text,), dict(row)
+
+
+def _describe(F, source):
+    """The printed text of a relation row's source (see `_degree_rows`)."""
+    if len(source) == 1:
+        return f"adjoined: {source[0]}"
+    if isinstance(source[0], int):
+        e, idx, m = source
+        return f"R{e}[{idx}] * {F.label(m)}"
+    idf, comp, combo = source
+    assign = ", ".join(
+        f"{v} = {F.label(m)}" for v, m in zip(comp.variables, combo)
+    )
+    return f"{idf.text} [{assign}]"
 
 
 def build_free_quotient(
@@ -370,7 +405,7 @@ def build_free_quotient(
             c = F.col[deg][mono]
             nv = frow.get(c, 0) + coef
             if nv:
-                frow[c] = Fraction(nv)
+                frow[c] = nv
             elif c in frow:
                 del frow[c]
         text = word if isinstance(word, str) else "<word>"
@@ -379,10 +414,10 @@ def build_free_quotient(
     for d in range(1, max_degree + 1):
         ech = _Echelon()
         seen = set()
-        for _desc, row in _degree_rows(F, d):
+        for _source, row in _degree_rows(F, d):
             count += 1
             if count > budget:
-                raise RelationBudgetExceeded(budget)
+                raise RelationBudgetExceeded(budget, d)
             if not row:
                 continue
             key = _dedupe_key(row)
@@ -398,12 +433,12 @@ def build_free_quotient(
             m for i, m in enumerate(F.monomials[d]) if i not in pivots
         )
         for m in F.basis[d]:
-            F.rewrite[m] = {m: Fraction(1)}
+            F.rewrite[m] = {m: 1}
         for row in rows:
             lead = min(row)
             lv = row[lead]
             F.rewrite[F.monomials[d][lead]] = {
-                F.monomials[d][c]: Fraction(-v, lv)
+                F.monomials[d][c]: -v // lv if v % lv == 0 else Fraction(-v, lv)
                 for c, v in row.items()
                 if c != lead
             }
@@ -488,11 +523,11 @@ def relation_combination(F: FreeQuotient, word):
     d = value.degree
     originals = []
     ech_rows = {}
-    for desc, row in _degree_rows(F, d, descriptions=True):
+    for source, row in _degree_rows(F, d):
         if not row:
             continue
         tags = {len(originals): Fraction(1)}
-        originals.append((desc, row))
+        originals.append((source, row))
         row = dict(row)
         while row:
             lead = min(row)
@@ -563,7 +598,7 @@ def relation_combination(F: FreeQuotient, word):
     return [
         (
             acc[t],
-            originals[t][0],
+            _describe(F, originals[t][0]),
             {F.monomials[d][c]: val for c, val in originals[t][1].items()},
         )
         for t in sorted(acc)

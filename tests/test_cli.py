@@ -318,7 +318,7 @@ def test_relation_budget_env(paper_file, capsys, monkeypatch):
         capsys, "free", "--variety", "v", "--generators", "3", "--max-degree", "4"
     )
     assert rc == 1
-    assert "budget" in err
+    assert err == "error: relation budget of 100 rows exceeded at degree 4\n"
     monkeypatch.setenv("SKEWALG_RELATION_BUDGET", "zap")
     rc, _, err = run(
         capsys, "free", "--variety", "v", "--generators", "3", "--max-degree", "2"

@@ -1,10 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from skewalg import freealg
 from skewalg.freealg import (
+    CONJECTURE_WORD,
     RelationBudgetExceeded,
+    _assignments,
+    _degree_rows,
+    _describe,
     build_free_quotient,
     canonicalize,
     enumerate_monomials,
@@ -15,7 +21,7 @@ from skewalg.freealg import (
     relation_combination,
     sort_key,
 )
-from skewalg.identities import get_variety
+from skewalg.identities import builtin_varieties, get_variety, polarize
 
 
 # --- oracles ---------------------------------------------------------------
@@ -168,8 +174,24 @@ def test_build_deterministic():
 
 
 def test_relation_budget():
-    with pytest.raises(RelationBudgetExceeded):
+    with pytest.raises(RelationBudgetExceeded) as info:
         build_free_quotient(get_variety("lie"), 2, 3, budget=3)
+    assert info.value.degree == 2
+    assert str(info.value) == "relation budget of 3 rows exceeded at degree 2"
+
+
+def test_rewrite_coefficients_are_int_when_integral():
+    """Integral rewrite coefficients are ints; a non-integral one stays a
+    Fraction. The adjoined word below has lead coefficient 2, so its lead
+    monomial a*(b*c) rewrites to -1/2 c*(a*b); among the builtin varieties,
+    alam on 4 generators at degree 4 has such coefficients too."""
+    F = build_free_quotient(get_variety("v"), 3, 5)
+    assert all(type(c) is int for r in F.rewrite.values() for c in r.values())
+    G = build_free_quotient(
+        ["x*x = 0"], 3, 3, extra_relations=["(a*b)*c + 2*(b*c)*a"]
+    )
+    assert G.rewrite[(0, (1, 2))] == {(2, (0, 1)): Fraction(-1, 2)}
+    assert type(G.rewrite[(0, (1, 2))][(2, (0, 1))]) is Fraction
 
 
 # --- evaluation --------------------------------------------------------------
@@ -289,3 +311,115 @@ def test_relation_combination_rejects_nonzero_word():
 def test_self_check_runs_clean():
     F = build_free_quotient(get_variety("v"), 3, 4)
     F.self_check()
+
+
+@pytest.mark.parametrize(
+    "identities, g, d, extra, message",
+    [
+        (["x*x = 0", "J(x,y,z) = 0"], 3, 3, (), "J(x,y,z) = 0 [x = a, y = b, z = c]"),
+        (["x*x = 0"], 3, 3, ("J(a,b,c)",), "adjoined: J(a,b,c)"),
+        (["x*x = 0"], 3, 4, ("J(a,b,c)",), "R3[0] * a"),
+        (
+            get_variety("v"), 3, 4, (),
+            "J(x,y,x*z) = 0 [x1 = a, x2 = a, y = b, z = b]",
+        ),
+    ],
+)
+def test_self_check_reports_the_failing_row(identities, g, d, extra, message):
+    F = build_free_quotient(identities, g, d, extra_relations=extra)
+    m = next(m for m in F.monomials[d] if F.rewrite[m] != {m: 1})
+    F.rewrite[m] = {m: 1}
+    with pytest.raises(ValueError) as info:
+        F.self_check()
+    assert str(info.value) == f"self-check failed at degree {d}: {message}"
+
+
+# --- relation rows against the raw-term oracle --------------------------------
+
+
+def _subst(tree, env):
+    if tree[0] == "var":
+        return env[tree[1]]
+    return (_subst(tree[1], env), _subst(tree[2], env))
+
+
+def oracle_rows(F, d):
+    """(text, row) pairs of degree d: every raw polarized term substituted
+    and canonicalized from its leaves, rows described as they are printed."""
+    for idf in F.identities:
+        for comp in polarize(idf).components:
+            k = len(comp.variables)
+            if k > d:
+                continue
+            for combo in _assignments(F.monomials, k, d):
+                env = dict(zip(comp.variables, combo))
+                frow = {}
+                for coef, tree in comp.terms:
+                    res = canonicalize(_subst(tree, env))
+                    if res is None:
+                        continue
+                    c = F.col[d][res[1]]
+                    frow[c] = frow.get(c, 0) + coef * res[0]
+                frow = {c: v for c, v in frow.items() if v}
+                denom = 1
+                for v in frow.values():
+                    denom = denom * v.denominator // gcd(denom, v.denominator)
+                assign = ", ".join(
+                    f"{v} = {F.label(m)}" for v, m in zip(comp.variables, combo)
+                )
+                yield f"{idf.text} [{assign}]", {
+                    c: int(v * denom) for c, v in frow.items()
+                }
+    for e in range(1, d):
+        for idx, r in enumerate(F.relations_rref[e]):
+            for m in F.monomials[d - e]:
+                row = {}
+                for c, v in r.items():
+                    res = canonicalize((F.monomials[e][c], m))
+                    if res is not None:
+                        c2 = F.col[d][res[1]]
+                        row[c2] = row.get(c2, 0) + v * res[0]
+                yield f"R{e}[{idx}] * {F.label(m)}", {
+                    c: v for c, v in row.items() if v
+                }
+    for deg, text, row in F.extra:
+        if deg == d:
+            yield f"adjoined: {text}", dict(row)
+
+
+ROW_CASES = [
+    (name, g, d, ())
+    for name in builtin_varieties()
+    for g, d in [(2, 5), (3, 4), (4, 4)]
+] + [
+    ("1/2*J(x,y,z) = 0", 3, 4, ()),
+    ("J(x,y,x*z) = 0", 3, 4, ()),
+    ("(x*y)*(x*z) = 0", 3, 5, ()),
+    ("2*J(x,y,z)*x = 1/3*(x*y)*(x*z)", 3, 5, ()),
+    ("x = 0", 2, 3, ()),
+    ("w", 3, 5, ("J(a,b,c)",)),
+    ("x*x = 0", 3, 4, ("J(a,b,c)", "(a*b)*c + 2*(b*c)*a")),
+]
+
+
+@pytest.mark.parametrize("source, g, d, extra", ROW_CASES)
+def test_degree_rows_match_raw_term_oracle(source, g, d, extra):
+    identities = (
+        get_variety(source) if source in builtin_varieties() else [source]
+    )
+    F = build_free_quotient(identities, g, d, extra_relations=extra)
+    for deg in range(1, d + 1):
+        got = [(_describe(F, src), row) for src, row in _degree_rows(F, deg)]
+        want = list(oracle_rows(F, deg))
+        assert got == want
+        assert all(type(v) is int for _, row in got for v in row.values())
+
+
+def test_relation_combination_matches_oracle_rows(monkeypatch):
+    F = build_free_quotient(get_variety("v"), 3, 6)
+    got = [(c, text) for c, text, _row in relation_combination(F, CONJECTURE_WORD)]
+    monkeypatch.setattr(freealg, "_degree_rows", oracle_rows)
+    monkeypatch.setattr(freealg, "_describe", lambda F, text: text)
+    want = [(c, text) for c, text, _row in relation_combination(F, CONJECTURE_WORD)]
+    assert got == want
+    assert len(got) == 3
