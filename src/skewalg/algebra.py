@@ -9,14 +9,23 @@ constants are stored as int, which keeps products on them in int arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
-from .linalg import Matrix, format_scalar, null_space, rref_rows
+from .linalg import (
+    Echelon,
+    _scale_to_int,
+    _sparse,
+    format_scalar,
+    rref_rows,
+    sparse_kernel,
+    sparse_rref,
+)
 
 
 class Algebra:
     """Structure-constant algebra; products stored sparsely per (i<j) pair."""
 
-    __slots__ = ("name", "dim", "basis_names", "_rows")
+    __slots__ = ("name", "dim", "basis_names", "_rows", "_jacobians")
 
     def __init__(self, name, basis_names, products):
         self.name = name
@@ -43,6 +52,7 @@ class Algebra:
             if row:
                 rows[key] = row
         self._rows = rows
+        self._jacobians = None
 
     def c(self, i, j, k):
         """Structure constant: coefficient of e_k in e_i * e_j."""
@@ -103,6 +113,39 @@ class Algebra:
                         elif k in out:
                             del out[k]
         return out
+
+    def jacobians(self):
+        """Nonzero J(e_a, e_b, e_c) for a < b < c, as {(a, b, c): {k: coeff}}.
+
+        J is alternating on an anticommutative algebra, so these values fix
+        it on every basis triple. Each is (e_a e_b) e_c + (e_b e_c) e_a -
+        (e_a e_c) e_b; the table is computed once and shared, not copied.
+        """
+        if self._jacobians is not None:
+            return self._jacobians
+        rows = self._rows
+        n = self.dim
+        table = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                ab = rows.get((a, b))
+                for c in range(b + 1, n):
+                    bc, ac = rows.get((b, c)), rows.get((a, c))
+                    if not (ab or bc or ac):
+                        continue
+                    jac = {}
+                    for prod, unit in ((ab, {c: 1}), (bc, {a: 1}), (ac, {b: -1})):
+                        if prod:
+                            for k, v in self.mul_sparse(prod, unit).items():
+                                nv = jac.get(k, 0) + v
+                                if nv:
+                                    jac[k] = nv
+                                elif k in jac:
+                                    del jac[k]
+                    if jac:
+                        table[(a, b, c)] = jac
+        self._jacobians = table
+        return table
 
     def __repr__(self):
         return f"Algebra({self.name!r}, dim={self.dim})"
@@ -239,95 +282,133 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.algebra.name})"
 
 
-def _closure(algebra, start_vectors, expand):
-    """Span-closure iteration: grow by expand(basis rows) until stable."""
-    span = Subspace.from_vectors(algebra, start_vectors)
-    for _ in range(algebra.dim + 1):
-        new = expand(span.rows)
-        grown = Subspace.from_vectors(algebra, list(span.rows) + new)
-        if grown.dim == span.dim:
-            return span
-        span = grown
-    raise AssertionError("closure failed to stabilize within dim steps")
+def _subspace(A, reduced, pivots):
+    """Subspace from a sparse rref (`linalg.sparse_rref`)."""
+    n = A.dim
+    return Subspace(A, [tuple(r.get(k, 0) for k in range(n)) for r in reduced], pivots)
+
+
+def _span(A, vectors, max_rank=None):
+    """Subspace spanned by sparse vectors, read lazily until the rank reaches
+    max_rank (default A.dim; pass a smaller bound only when it must hold)."""
+    return _subspace(A, *sparse_rref(vectors, A.dim if max_rank is None else max_rank))
+
+
+def _whole(A):
+    n = A.dim
+    return Subspace(A, [tuple(int(k == i) for k in range(n)) for i in range(n)], range(n))
+
+
+def _closure(A, vectors, expand):
+    """Smallest subspace holding the sparse vectors and closed under expand.
+
+    expand(new, old) yields the products that grow the span; `new` are the
+    vectors that raised the rank in the previous round and `old` those
+    before, so every product is formed once.
+    """
+    ech = Echelon()
+    old, new = [], []
+    for v in vectors:
+        if v and ech.insert(_scale_to_int(v)) is not None:
+            new.append(v)
+    while new and len(ech.rows) < A.dim:
+        grown = []
+        for v in expand(new, old):
+            if v and ech.insert(_scale_to_int(v)) is not None:
+                grown.append(v)
+                if len(ech.rows) == A.dim:
+                    break
+        old += new
+        new = grown
+    return _subspace(A, *ech.rref())
+
+
+def _subalgebra_products(A):
+    def expand(new, old):
+        for i, v in enumerate(new):
+            for w in old:
+                yield A.mul_sparse(v, w)
+            for w in new[i + 1 :]:
+                yield A.mul_sparse(v, w)
+
+    return expand
+
+
+def _ideal_products(A):
+    units = [{u: 1} for u in range(A.dim)]
+
+    def expand(new, old):
+        for v in new:
+            for u in units:
+                yield A.mul_sparse(v, u)
+
+    return expand
 
 
 def subalgebra_generated(gens) -> Subspace:
     if not gens:
         raise ValueError("need at least one generator")
     A = gens[0].algebra
-    vectors = [g.coords for g in gens]
-
-    def expand(rows):
-        return [A.mul_coords(r, s) for ri, r in enumerate(rows) for s in rows[ri + 1 :]]
-
-    return _closure(A, vectors, expand)
+    return _closure(A, [_sparse(g.coords) for g in gens], _subalgebra_products(A))
 
 
 def ideal_generated(gens) -> Subspace:
     if not gens:
         raise ValueError("need at least one generator")
     A = gens[0].algebra
-    units = [tuple(1 if k == i else 0 for k in range(A.dim)) for i in range(A.dim)]
-
-    def expand(rows):
-        return [A.mul_coords(r, u) for r in rows for u in units]
-
-    return _closure(A, [g.coords for g in gens], expand)
+    return _closure(A, [_sparse(g.coords) for g in gens], _ideal_products(A))
 
 
 def product_space(A: Algebra) -> Subspace:
-    vecs = [
-        tuple(row.get(k, 0) for k in range(A.dim)) for _, row in A.table_pairs()
-    ]
-    return Subspace.from_vectors(A, vecs)
+    return _span(A, [row for _, row in A.table_pairs()])
+
+
+def _kernel_space(A, constraints):
+    """Subspace of x with sum_j x_j * row[j] = 0 for every sparse row."""
+    reduced, pivots = sparse_rref(constraints, A.dim)
+    return _span(A, sparse_kernel(reduced, pivots, A.dim))
 
 
 def center(A: Algebra) -> Subspace:
-    rows = []
-    for i in range(A.dim):
-        for k in range(A.dim):
-            rows.append([A.c(j, i, k) for j in range(A.dim)])
-    return Subspace.from_vectors(A, null_space(Matrix(rows, cols=A.dim)))
+    # one constraint per (i, k): the e_k coordinate of x * e_i
+    cons = {}
+    for (a, b), row in A.table_pairs():
+        for k, v in row.items():
+            cons.setdefault((b, k), {})[a] = v
+            cons.setdefault((a, k), {})[b] = -v
+    return _kernel_space(A, cons.values())
 
 
 def lie_center(A: Algebra) -> Subspace:
-    n = A.dim
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei, ej = A.basis_element(i), A.basis_element(j)
-            jess = [jacobian(A.basis_element(m), ei, ej).coords for m in range(n)]
-            for k in range(n):
-                rows.append([jess[m][k] for m in range(n)])
-    if not rows:
-        return Subspace.from_vectors(A, [A.basis_element(i).coords for i in range(n)])
-    return Subspace.from_vectors(A, null_space(Matrix(rows, cols=n)))
+    # one constraint per (i < j, k): the e_k coordinate of J(x, e_i, e_j)
+    cons = {}
+    for (a, b, c), jac in A.jacobians().items():
+        for k, v in jac.items():
+            cons.setdefault((b, c, k), {})[a] = v
+            cons.setdefault((a, c, k), {})[b] = -v
+            cons.setdefault((a, b, k), {})[c] = v
+    return _kernel_space(A, cons.values())
 
 
 def jacobian_ideal(A: Algebra) -> Subspace:
-    n = A.dim
-    gens = [
-        jacobian(A.basis_element(i), A.basis_element(j), A.basis_element(k))
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(j + 1, n)
-    ]
-    if not gens:
-        gens = [A.zero()]
-    return ideal_generated(gens)
+    return _closure(A, A.jacobians().values(), _ideal_products(A))
 
 
-def _space_product(A, S, T):
-    return [A.mul_coords(r, s) for r in S.rows for s in T.rows]
+def _products(A, S, T):
+    """Products spanning S*T (= T*S): each pair once when S is T."""
+    rs = [_sparse(r) for r in S.rows]
+    if S is T:
+        return (A.mul_sparse(r, s) for i, r in enumerate(rs) for s in rs[i + 1 :])
+    ts = [_sparse(t) for t in T.rows]
+    return (A.mul_sparse(r, t) for r in rs for t in ts)
 
 
 def derived_series(A: Algebra):
-    whole = Subspace.from_vectors(A, [tuple(1 if k == i else 0 for k in range(A.dim)) for i in range(A.dim)])
-    series = [whole]
+    # every term lies in the one before, so a term of full rank ends the series
+    series = [_whole(A)]
     while True:
         cur = series[-1]
-        vecs = [A.mul_coords(r, s) for ri, r in enumerate(cur.rows) for s in cur.rows[ri + 1 :]]
-        nxt = Subspace.from_vectors(A, vecs)
+        nxt = _span(A, _products(A, cur, cur), cur.dim)
         if nxt.dim == cur.dim:
             return series
         series.append(nxt)
@@ -336,18 +417,16 @@ def derived_series(A: Algebra):
 
 
 def lower_central_series(A: Algebra):
-    whole = Subspace.from_vectors(A, [tuple(1 if k == i else 0 for k in range(A.dim)) for i in range(A.dim)])
-    series = [whole]
+    # C_{n+1} = sum of C_i * C_{n+1-i} (1-based); it lies in C_n, and
+    # C_i * C_j = C_j * C_i, so each unordered pair of terms is taken once
+    series = [_whole(A)]
     while True:
-        vecs = []
         n = len(series)
-        # C_{n+1} = sum of C_i * C_{n+1-i}; indices here are 1-based
-        for i in range(1, n + 1):
-            j = n + 1 - i
-            if j < 1 or j > n:
-                continue
-            vecs.extend(_space_product(A, series[i - 1], series[j - 1]))
-        nxt = Subspace.from_vectors(A, vecs)
+        vecs = chain.from_iterable(
+            _products(A, series[i - 1], series[n - i])
+            for i in range(1, (n + 1) // 2 + 1)
+        )
+        nxt = _span(A, vecs, series[-1].dim)
         if nxt.dim == series[-1].dim:
             return series
         series.append(nxt)

@@ -13,8 +13,6 @@ from pathlib import Path
 from .algebra import (
     center,
     derived_series,
-    is_nilpotent,
-    is_solvable,
     jacobian_ideal,
     lie_center,
     lower_central_series,
@@ -114,12 +112,13 @@ def cmd_invariants(args) -> int:
     rep.add("product space", _space_text(product_space(A)))
     rep.add("lie center", _space_text(lie_center(A)))
     rep.add("jacobian ideal", _space_text(jacobian_ideal(A)))
+    derived, lower = derived_series(A), lower_central_series(A)
     rep.add_section("series")
-    rep.add("derived", ", ".join(str(s.dim) for s in derived_series(A)))
-    rep.add("lower central", ", ".join(str(s.dim) for s in lower_central_series(A)))
+    rep.add("derived", ", ".join(str(s.dim) for s in derived))
+    rep.add("lower central", ", ".join(str(s.dim) for s in lower))
     rep.add_section("flags")
-    rep.add("solvable", "yes" if is_solvable(A) else "no")
-    rep.add("nilpotent", "yes" if is_nilpotent(A) else "no")
+    rep.add("solvable", "yes" if derived[-1].dim == 0 else "no")
+    rep.add("nilpotent", "yes" if lower[-1].dim == 0 else "no")
     return _emit(rep)
 
 

@@ -13,7 +13,6 @@ substitution step.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from string import ascii_lowercase
 
 from .identities import (
@@ -24,6 +23,7 @@ from .identities import (
     parse_identity,
     sort_key,
 )
+from .linalg import Echelon, _row_normalize, _scale_to_int
 
 DEFAULT_RELATION_BUDGET = 5_000_000
 
@@ -86,74 +86,6 @@ def enumerate_monomials(g: int, max_degree: int):
         out.sort(key=sort_key)
         by[d] = out
     return by
-
-
-# --- integer echelon over sparse rows ----------------------------------------
-
-
-def _row_normalize(row):
-    if not row:
-        return row
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if row[min(row)] < 0:
-        g = -g
-    if g != 1:
-        row = {c: v // g for c, v in row.items()}
-    return row
-
-
-def _eliminate(row, pivot_row, col):
-    a, b = row[col], pivot_row[col]
-    g = gcd(a, b)
-    fa, fb = a // g, b // g
-    out = {c: v * fb for c, v in row.items()}
-    for c, v in pivot_row.items():
-        nv = out.get(c, 0) - fa * v
-        if nv:
-            out[c] = nv
-        elif c in out:
-            del out[c]
-    return out
-
-
-class _Echelon:
-    def __init__(self):
-        self.rows = {}
-
-    def insert(self, row):
-        row = dict(row)
-        while row:
-            lead = min(row)
-            piv = self.rows.get(lead)
-            if piv is None:
-                self.rows[lead] = _row_normalize(row)
-                return lead
-            row = _eliminate(row, piv, lead)
-        return None
-
-    def reduce_full(self):
-        """Clear pivot columns from every other row (descending pass)."""
-        for p in sorted(self.rows, reverse=True):
-            row = self.rows[p]
-            while True:
-                hits = [c for c in row if c != p and c in self.rows]
-                if not hits:
-                    break
-                c = min(hits)
-                row = _eliminate(row, self.rows[c], c)
-            self.rows[p] = _row_normalize(row)
-
-    def sorted_rows(self):
-        return [self.rows[p] for p in sorted(self.rows)]
-
-
-def _scale_to_int(row):
-    if all(type(v) is int for v in row.values()):
-        return row
-    denom = lcm(*(v.denominator for v in row.values()))
-    return {c: int(v * denom) for c, v in row.items()}
 
 
 def _dedupe_key(row):
@@ -412,7 +344,7 @@ def build_free_quotient(
         F.extra.append((deg, text, _scale_to_int(frow)))
     count = 0
     for d in range(1, max_degree + 1):
-        ech = _Echelon()
+        ech = Echelon()
         seen = set()
         for _source, row in _degree_rows(F, d):
             count += 1
@@ -522,40 +454,11 @@ def relation_combination(F: FreeQuotient, word):
         raise ValueError("word is nonzero in the quotient")
     d = value.degree
     originals = []
-    ech_rows = {}
+    ech = Echelon()
     for source, row in _degree_rows(F, d):
-        if not row:
-            continue
-        tags = {len(originals): Fraction(1)}
-        originals.append((source, row))
-        row = dict(row)
-        while row:
-            lead = min(row)
-            hit = ech_rows.get(lead)
-            if hit is None:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                if row[lead] < 0:
-                    g = -g
-                if g != 1:
-                    row = {c: v // g for c, v in row.items()}
-                    tags = {t: v / g for t, v in tags.items()}
-                ech_rows[lead] = (row, tags)
-                break
-            prow, ptags = hit
-            a, b = row[lead], prow[lead]
-            cg = gcd(a, b)
-            fa, fb = a // cg, b // cg
-            row = _eliminate(row, prow, lead)
-            ntags = {t: v * fb for t, v in tags.items()}
-            for t, v in ptags.items():
-                nv = ntags.get(t, 0) - fa * v
-                if nv:
-                    ntags[t] = nv
-                elif t in ntags:
-                    del ntags[t]
-            tags = ntags
+        if row:
+            ech.insert(row, {len(originals): Fraction(1)})
+            originals.append((source, row))
     v = {}
     for coef, mono in F.expand_to_monomials(tree):
         c = F.col[d][mono]
@@ -564,27 +467,9 @@ def relation_combination(F: FreeQuotient, word):
             v[c] = nv
         elif c in v:
             del v[c]
-    target = dict(v)
-    acc = {}
-    while v:
-        lead = min(v)
-        hit = ech_rows.get(lead)
-        if hit is None:
-            raise ValueError("reduction failed to close; quotient is inconsistent")
-        prow, ptags = hit
-        f = v[lead] / prow[lead]
-        for c, val in prow.items():
-            nv = v.get(c, 0) - f * val
-            if nv:
-                v[c] = nv
-            elif c in v:
-                del v[c]
-        for t, val in ptags.items():
-            nv = acc.get(t, 0) + f * val
-            if nv:
-                acc[t] = nv
-            elif t in acc:
-                del acc[t]
+    acc = ech.express(v)
+    if acc is None:
+        raise ValueError("reduction failed to close; quotient is inconsistent")
     check = {}
     for t, coef in acc.items():
         for c, val in originals[t][1].items():
@@ -593,7 +478,7 @@ def relation_combination(F: FreeQuotient, word):
                 check[c] = nv
             elif c in check:
                 del check[c]
-    if check != target:
+    if check != v:
         raise ValueError("relation combination does not reproduce the word")
     return [
         (

@@ -1,15 +1,28 @@
 """Exact linear algebra over the rationals.
 
 Scalars are `fractions.Fraction`; plain ints are accepted anywhere a scalar
-is and mix freely (Fraction arithmetic already interoperates with int, and
-keeping ints as ints is noticeably faster on the large eliminations).
-Everything is dense and deterministic: no floats, no pivot heuristics.
+is and mix freely. There is one elimination engine, `Echelon`: sparse rows
+(`{column: int}`) in fraction-free integer echelon form, each row divided by
+the gcd of its entries and signed so that its leading (lowest) column is
+positive. A rational row enters it scaled to integers (`_scale_to_int`).
+Rows may carry provenance tags, `{tag: coefficient}`, which follow every
+elimination step, so that a reduction can say which inserted rows it used.
+
+`Echelon.rref` fully reduces the engine and divides each row by its pivot:
+the canonical reduced row echelon form of the row space (pivots are the
+leading columns, left to right), which doubles as a normal form.
+`sparse_rref` feeds it sparse rational rows, skipping zero rows and
+stopping once the rank reaches its bound; `sparse_kernel` reads a kernel
+basis off the result. The dense entry points (`rref_rows`, `null_space`,
+`invert_rows`, `span_membership`) convert to and from sparse rows around
+them. No floats, no pivot heuristics.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 Scalar = Fraction
 
@@ -79,44 +92,197 @@ class Matrix:
         return Matrix([[0] * cols for _ in range(rows)], cols=cols)
 
 
+# --- the elimination engine ---------------------------------------------------
+
+
+def _scale_to_int(row):
+    """A sparse rational row times the lcm of its denominators."""
+    if all(type(v) is int for v in row.values()):
+        return row
+    denom = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (denom // v.denominator) for c, v in row.items()}
+
+
+def _content(row, lead):
+    """gcd of an integer row's entries, negated when row[lead] < 0."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    return -g if row[lead] < 0 else g
+
+
+def _row_normalize(row):
+    """An integer row divided by the gcd of its entries, leading entry > 0."""
+    if not row:
+        return row
+    g = _content(row, min(row))
+    if g != 1:
+        row = {c: v // g for c, v in row.items()}
+    return row
+
+
+def _combine(row, fb, other, fa):
+    """fb * row - fa * other, sparse."""
+    out = {c: v * fb for c, v in row.items()}
+    for c, v in other.items():
+        nv = out.get(c, 0) - fa * v
+        if nv:
+            out[c] = nv
+        elif c in out:
+            del out[c]
+    return out
+
+
+def _eliminate(row, pivot_row, col):
+    """Integer multiple of row minus one of pivot_row with column col cleared."""
+    a, b = row[col], pivot_row[col]
+    g = gcd(a, b)
+    return _combine(row, b // g, pivot_row, a // g)
+
+
+class Echelon:
+    """Sparse fraction-free row echelon form over the integers.
+
+    `rows` maps each pivot (leading) column to its normalized integer row.
+    Rows inserted with tags keep, in `tags` under the same pivot, the
+    combination `{tag: coefficient}` of inserted rows that they equal.
+    """
+
+    def __init__(self):
+        self.rows = {}
+        self.tags = {}
+
+    def insert(self, row, tags=None):
+        """Add an integer row; return its new pivot, or None if dependent."""
+        row = dict(row)
+        while row:
+            lead = min(row)
+            piv = self.rows.get(lead)
+            if piv is None:
+                g = _content(row, lead)
+                if g != 1:
+                    row = {c: v // g for c, v in row.items()}
+                    if tags is not None:
+                        tags = {t: v / g for t, v in tags.items()}
+                self.rows[lead] = row
+                if tags is not None:
+                    self.tags[lead] = tags
+                return lead
+            a, b = row[lead], piv[lead]
+            g = gcd(a, b)
+            row = _combine(row, b // g, piv, a // g)
+            if tags is not None:
+                tags = _combine(tags, b // g, self.tags[lead], a // g)
+        return None
+
+    def reduce_full(self):
+        """Clear pivot columns from every other row (descending pass)."""
+        for p in sorted(self.rows, reverse=True):
+            row = self.rows[p]
+            while True:
+                hits = [c for c in row if c != p and c in self.rows]
+                if not hits:
+                    break
+                c = min(hits)
+                row = _eliminate(row, self.rows[c], c)
+            self.rows[p] = _row_normalize(row)
+
+    def sorted_rows(self):
+        return [self.rows[p] for p in sorted(self.rows)]
+
+    def rref(self):
+        """Canonical rref of the row space: (rows with pivot entry 1 in pivot
+        order, pivot columns); entries are int where integral."""
+        self.reduce_full()
+        pivots = sorted(self.rows)
+        reduced = []
+        for p in pivots:
+            row = self.rows[p]
+            lv = row[p]
+            reduced.append(
+                row if lv == 1
+                else {c: v // lv if v % lv == 0 else Fraction(v, lv) for c, v in row.items()}
+            )
+        return reduced, pivots
+
+    def express(self, v):
+        """The tag combination equal to the rational row v, or None if v lies
+        outside the row space."""
+        v = dict(v)
+        acc = {}
+        while v:
+            lead = min(v)
+            prow = self.rows.get(lead)
+            if prow is None:
+                return None
+            f = v[lead] / prow[lead]
+            for c, val in prow.items():
+                nv = v.get(c, 0) - f * val
+                if nv:
+                    v[c] = nv
+                elif c in v:
+                    del v[c]
+            for t, val in self.tags[lead].items():
+                nv = acc.get(t, 0) + f * val
+                if nv:
+                    acc[t] = nv
+                elif t in acc:
+                    del acc[t]
+        return acc
+
+
+def sparse_rref(rows, max_rank):
+    """Canonical rref (`Echelon.rref`) of sparse rational rows ({column: scalar}).
+
+    Zero rows are skipped, and rows are read only until the rank reaches
+    max_rank (the column count, or any bound known to hold), so `rows` may
+    be a lazy iterable.
+    """
+    ech = Echelon()
+    for row in rows:
+        if row:
+            ech.insert(_scale_to_int(row))
+            if len(ech.rows) == max_rank:
+                break
+    return ech.rref()
+
+
+def sparse_kernel(reduced, pivots, cols):
+    """Right-kernel basis of an rref (sparse_rref's output), one vector per
+    non-pivot column: 1 there and minus that column at the pivots."""
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = {free: 1}
+        for row, p in zip(reduced, pivots):
+            x = row.get(free)
+            if x:
+                v[p] = -x
+        basis.append(v)
+    return basis
+
+
+def _sparse(row):
+    return {c: v for c, v in enumerate(row) if v}
+
+
 def rref_rows(rows, cols: int | None = None):
     """Reduced row echelon form of a list of row vectors.
 
-    Pivoting is fixed: columns left to right, first row with a nonzero
-    entry. Returns (reduced nonzero rows, pivot column indices); the result
-    is the canonical rref of the row space, so it doubles as a normal form.
+    Pivots are the leading columns, left to right. Returns (reduced nonzero
+    rows, pivot column indices); the result is the canonical rref of the row
+    space, so it doubles as a normal form. `cols` is the row length, read
+    from the first row when there is one.
     """
-    work = [list(r) for r in rows]
-    if work:
-        cols = len(work[0])
+    rows = list(rows)
+    if rows:
+        cols = len(rows[0])
     elif cols is None:
         cols = 0
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pick = None
-        for i in range(row, len(work)):
-            if work[i][col] != 0:
-                pick = i
-                break
-        if pick is None:
-            continue
-        work[row], work[pick] = work[pick], work[row]
-        piv = work[row][col]
-        if piv != 1:
-            inv = Fraction(1, 1) / piv
-            work[row] = [inv * v for v in work[row]]
-        cur = work[row]
-        for i in range(len(work)):
-            if i != row:
-                f = work[i][col]
-                if f != 0:
-                    work[i] = [a - f * b for a, b in zip(work[i], cur)]
-        pivots.append(col)
-        row += 1
-        if row == len(work):
-            break
-    return work[:row], pivots
+    reduced, pivots = sparse_rref(map(_sparse, rows), cols)
+    return [[row.get(c, 0) for c in range(cols)] for row in reduced], pivots
 
 
 def rref(m: Matrix):
@@ -128,18 +294,11 @@ def rref(m: Matrix):
 
 def null_space(m: Matrix):
     """Basis of the right kernel, one vector per non-pivot column."""
-    reduced, pivots = rref_rows(m.entries, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -Fraction(reduced[i][free])
-        basis.append(tuple(v))
-    return basis
+    reduced, pivots = sparse_rref(map(_sparse, m.entries), m.cols)
+    return [
+        tuple(Fraction(v.get(c, 0)) for c in range(m.cols))
+        for v in sparse_kernel(reduced, pivots, m.cols)
+    ]
 
 
 def invert_rows(rows):

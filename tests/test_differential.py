@@ -1,28 +1,59 @@
-"""The canonical-form identity checker against the raw-term exhaustive oracle.
+"""Fast routes against the direct implementations they replaced.
 
-The oracle is the direct reading of the definition: every sorted index tuple
-of every polarized variable group, in lexicographic order, evaluated on the
-raw polarized terms with no symmetry pruning and no shared results. The
-checker must reach the same verdict and report the same witness.
+* The canonical-form identity checker against the raw-term exhaustive
+  oracle: every sorted index tuple of every polarized variable group, in
+  lexicographic order, evaluated on the raw polarized terms with no symmetry
+  pruning and no shared results. The checker must reach the same verdict and
+  report the same witness.
+* The sparse echelon engine behind `rref_rows`, `null_space`, `invert_rows`
+  and `span_membership` against dense `Fraction` Gauss-Jordan elimination:
+  the same rows, pivots, kernels, inverses and coefficients.
+* The invariants built on the Jacobian table and the engine (`center`,
+  `lie_center`, `jacobian_ideal`, the series, `product_space`,
+  `subalgebra_generated`) against their `Element`-based definitions over the
+  dense elimination: the same canonical subspaces.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewalg.algebra import Algebra
-from skewalg.catalog import get_catalog, lie_catalog
+from skewalg.algebra import (
+    Algebra,
+    Subspace,
+    center,
+    change_basis,
+    derived_series,
+    jacobian,
+    jacobian_ideal,
+    lie_center,
+    lower_central_series,
+    product_space,
+    subalgebra_generated,
+)
+from skewalg.catalog import get_catalog, iter_catalog, lie_catalog
 from skewalg.construction import random_w_algebra
+from skewalg.freealg import build_free_quotient
 from skewalg.identities import (
     CheckResult,
     _build_witness,
     builtin_varieties,
     check_identity,
     classify,
+    get_variety,
     parse_identity,
     polarize,
+)
+from skewalg.linalg import (
+    Matrix,
+    invert_rows,
+    null_space,
+    rref_rows,
+    span_membership,
+    sparse_rref,
 )
 
 CUSTOM = (
@@ -108,3 +139,298 @@ def test_checker_matches_exhaustive_oracle_on_catalog_and_w_members():
     for s in (2, 14):
         L = entries[s % len(entries)].algebra
         assert_agrees(random_w_algebra(L, p_dim=1 + s % 3, seed=s))
+
+
+# --- the echelon engine against dense elimination ---------------------------
+
+
+def dense_rref_rows(rows, cols=None):
+    """Dense Gauss-Jordan rref: columns left to right, first nonzero row."""
+    work = [list(r) for r in rows]
+    if work:
+        cols = len(work[0])
+    elif cols is None:
+        cols = 0
+    pivots = []
+    row = 0
+    for col in range(cols):
+        pick = None
+        for i in range(row, len(work)):
+            if work[i][col] != 0:
+                pick = i
+                break
+        if pick is None:
+            continue
+        work[row], work[pick] = work[pick], work[row]
+        piv = work[row][col]
+        if piv != 1:
+            inv = Fraction(1, 1) / piv
+            work[row] = [inv * v for v in work[row]]
+        cur = work[row]
+        for i in range(len(work)):
+            if i != row:
+                f = work[i][col]
+                if f != 0:
+                    work[i] = [a - f * b for a, b in zip(work[i], cur)]
+        pivots.append(col)
+        row += 1
+        if row == len(work):
+            break
+    return work[:row], pivots
+
+
+def dense_null_space(rows, cols):
+    reduced, pivots = dense_rref_rows(rows, cols)
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -Fraction(reduced[i][free])
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_invert_rows(rows):
+    n = len(rows)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    reduced, pivots = dense_rref_rows(aug, 2 * n)
+    if pivots[:n] != list(range(n)) or len(pivots) < n:
+        return None
+    return [row[n:] for row in reduced]
+
+
+def dense_span_membership(basis, v):
+    n = len(v)
+    if not basis:
+        return [] if all(x == 0 for x in v) else None
+    aug = [[basis[j][i] for j in range(len(basis))] + [v[i]] for i in range(n)]
+    reduced, pivots = dense_rref_rows(aug, len(basis) + 1)
+    if len(basis) in pivots:
+        return None
+    coeffs = [Fraction(0)] * len(basis)
+    for i, c in enumerate(pivots):
+        coeffs[c] = Fraction(reduced[i][-1])
+    return coeffs
+
+
+SCALARS = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+)
+
+
+@st.composite
+def matrices(draw):
+    """Rows of mixed int/Fraction entries: random rows, zero rows, and
+    combinations of earlier rows (rank deficiency); often more rows than
+    columns, so that full rank is reached before the last row."""
+    cols = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combination"]))
+        if kind == "zero" or (kind == "combination" and not rows):
+            rows.append([0] * cols)
+        elif kind == "random":
+            rows.append([draw(SCALARS) for _ in range(cols)])
+        else:
+            coefs = [draw(SCALARS) for _ in rows]
+            rows.append([sum(c * r[k] for c, r in zip(coefs, rows)) for k in range(cols)])
+    return rows, cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matrices(), st.lists(SCALARS, min_size=8, max_size=8), st.lists(SCALARS, min_size=6, max_size=6))
+def test_engine_matches_dense_elimination(case, coefs, outside):
+    rows, cols = case
+    assert rref_rows(rows, cols) == dense_rref_rows(rows, cols)
+    assert rref_rows(iter(rows), cols) == dense_rref_rows(rows, cols)
+    assert null_space(Matrix(rows, cols=cols)) == dense_null_space(rows, cols)
+    k = min(len(rows), cols)
+    square = [r[:k] for r in rows[:k]]
+    assert invert_rows(square) == dense_invert_rows(square)
+    inside = [sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(cols)]
+    for v in (inside, outside[:cols]):
+        assert span_membership(rows, v) == dense_span_membership(rows, v)
+
+
+def test_engine_edge_cases():
+    assert rref_rows([], 3) == ([], [])
+    assert rref_rows([]) == ([], [])
+    assert null_space(Matrix([], cols=2)) == dense_null_space([], 2)
+    assert rref_rows([[0, 0], [0, 0]]) == ([], [])
+    rows = [[2, 1], [Fraction(1, 3), 1], [5, Fraction(-7, 2)]]
+    assert rref_rows(rows) == dense_rref_rows(rows) == ([[1, 0], [0, 1]], [0, 1])
+
+    def full_after_two():
+        yield {0: 2, 1: 1}
+        yield {0: Fraction(1, 3), 1: 1}
+        raise AssertionError("rows read past full rank")
+
+    assert sparse_rref(full_after_two(), 2) == ([{0: 1}, {1: 1}], [0, 1])
+    assert invert_rows([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+    assert invert_rows([[1, 2], [2, 4]]) is None
+
+
+# --- invariants against their Element-based definitions ---------------------
+
+
+def dense_space(A, vectors):
+    rows, pivots = dense_rref_rows(list(vectors), A.dim)
+    return Subspace(A, rows, pivots)
+
+
+def dense_closure(A, start, expand):
+    span = dense_space(A, start)
+    while True:
+        grown = dense_space(A, list(span.rows) + expand(span.rows))
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+def oracle_center(A):
+    rows = [[A.c(j, i, k) for j in range(A.dim)] for i in range(A.dim) for k in range(A.dim)]
+    return dense_space(A, dense_null_space(rows, A.dim))
+
+
+def oracle_lie_center(A):
+    n = A.dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            ei, ej = A.basis_element(i), A.basis_element(j)
+            jess = [jacobian(A.basis_element(m), ei, ej).coords for m in range(n)]
+            for k in range(n):
+                rows.append([jess[m][k] for m in range(n)])
+    if not rows:
+        return dense_space(A, [A.basis_element(i).coords for i in range(n)])
+    return dense_space(A, dense_null_space(rows, n))
+
+
+def oracle_jacobian_ideal(A):
+    n = A.dim
+    gens = [
+        jacobian(A.basis_element(i), A.basis_element(j), A.basis_element(k)).coords
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(j + 1, n)
+    ]
+    units = [A.basis_element(u).coords for u in range(n)]
+    return dense_closure(
+        A, gens, lambda rows: [A.mul_coords(r, u) for r in rows for u in units]
+    )
+
+
+def oracle_subalgebra(A, gens):
+    return dense_closure(
+        A,
+        gens,
+        lambda rows: [A.mul_coords(r, s) for i, r in enumerate(rows) for s in rows[i + 1 :]],
+    )
+
+
+def oracle_derived_series(A):
+    series = [dense_space(A, [A.basis_element(i).coords for i in range(A.dim)])]
+    while True:
+        cur = series[-1]
+        vecs = [A.mul_coords(r, s) for i, r in enumerate(cur.rows) for s in cur.rows[i + 1 :]]
+        nxt = dense_space(A, vecs)
+        if nxt.dim == cur.dim:
+            return series
+        series.append(nxt)
+        if nxt.dim == 0:
+            return series
+
+
+def oracle_lower_central_series(A):
+    series = [dense_space(A, [A.basis_element(i).coords for i in range(A.dim)])]
+    while True:
+        n = len(series)
+        vecs = [
+            A.mul_coords(r, s)
+            for i in range(1, n + 1)
+            for r in series[i - 1].rows
+            for s in series[n - i].rows
+        ]
+        nxt = dense_space(A, vecs)
+        if nxt.dim == series[-1].dim:
+            return series
+        series.append(nxt)
+        if nxt.dim == 0:
+            return series
+
+
+def free_quotient_algebra(identities, g, d):
+    """A truncated free quotient as a concrete algebra, basis by degree."""
+    F = build_free_quotient(identities, g, d)
+    flat = [(deg, m) for deg in range(1, d + 1) for m in F.basis[deg]]
+    index = {m: i for i, (_, m) in enumerate(flat)}
+    products = {}
+    for i, (di, mi) in enumerate(flat):
+        for j in range(i + 1, len(flat)):
+            dj, mj = flat[j]
+            _, coords = F.product(di, {mi: 1}, dj, {mj: 1})
+            if coords:
+                products[(i, j)] = {index[m]: c for m, c in coords.items()}
+    return Algebra(f"free-{g}-{d}", [f"e{i}" for i in range(len(flat))], products)
+
+
+def seeded_rational_algebra(seed):
+    rng = random.Random(f"differential-{seed}")
+    n = 5 + seed % 6
+    density = (0.2, 0.4, 0.6)[seed % 3]
+    products = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                row = {rng.randrange(n): Fraction(rng.randint(-5, 5), rng.randint(1, 4))}
+                row[rng.randrange(n)] = rng.randint(-2, 2)
+                row = {k: c for k, c in row.items() if c}
+                if row:
+                    products[(i, j)] = row
+    return Algebra(f"rational-{seed}", [f"e{k}" for k in range(n)], products)
+
+
+def rebased(A, seed):
+    """A in a seeded random integer basis, so that its distinguished
+    subspaces are not spanned by basis vectors."""
+    rng = random.Random(f"rebase-{seed}")
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(A.dim)] for _ in range(A.dim)]
+        if dense_invert_rows(rows) is not None:
+            return change_basis(A, rows, [f"f{i}" for i in range(A.dim)], name=f"{A.name}|rebased")
+
+
+def invariant_algebras():
+    out = [e.algebra for e in iter_catalog()]
+    entries = lie_catalog()
+    for s in range(21):
+        L = entries[s % len(entries)].algebra
+        out.append(random_w_algebra(L, p_dim=1 + s % 3, seed=s))
+    out += [seeded_rational_algebra(s) for s in range(18)]
+    out.append(free_quotient_algebra(get_variety("lie"), 2, 5))
+    out += [rebased(A, s) for s, A in enumerate(out) if 2 < A.dim <= 6]
+    return out
+
+
+def test_invariants_match_element_definitions():
+    verdicts = set()
+    for A in invariant_algebras():
+        units = [A.basis_element(i).coords for i in range(A.dim)]
+        assert center(A) == oracle_center(A), A.name
+        LC = lie_center(A)
+        assert LC == oracle_lie_center(A), A.name
+        assert jacobian_ideal(A) == oracle_jacobian_ideal(A), A.name
+        assert derived_series(A) == oracle_derived_series(A), A.name
+        assert lower_central_series(A) == oracle_lower_central_series(A), A.name
+        PS = product_space(A)
+        assert PS == dense_space(A, [A.mul_coords(r, s) for r in units for s in units]), A.name
+        gens = units[: min(2, A.dim)]
+        assert subalgebra_generated([A.element(g) for g in gens]) == oracle_subalgebra(A, gens), A.name
+        # structure theorem: w holds iff the product space lies in the Lie center
+        in_w = all(check_identity(A, idf).holds for idf in get_variety("w"))
+        assert in_w == all(LC.contains(r) for r in PS.rows), A.name
+        verdicts.add(in_w)
+    assert verdicts == {True, False}
