@@ -6,6 +6,7 @@ stderr.
 """
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -272,7 +273,9 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="skewalg",
         description="exact-arithmetic workbench for anticommutative algebras",

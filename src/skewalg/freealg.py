@@ -3,19 +3,27 @@
 Monomials are binary trees over generator indices kept in a canonical form
 that realizes anticommutativity: at every node the left subtree strictly
 precedes the right in the degree-then-structure order, one sign per swap,
-equal children collapsing to zero.  A FreeQuotient records, degree by
-degree up to a cap, the surviving monomial basis and a rewrite map sending
-every canonical monomial into it.  Relations come from substitution
-instances of the polarized defining identities plus monomial multiples of
-lower-degree relations; adjoined words enter the ideal without the
-substitution step.
+equal children collapsing to zero.  A FreeQuotient ranks its monomials in
+that order (`FreeQuotient.rank`) and records, degree by degree up to a cap,
+the surviving monomial basis and a rewrite map sending every canonical
+monomial into it.  Relations come from substitution instances of the
+polarized defining identities plus monomial multiples of lower-degree
+relations; adjoined words enter the ideal without the substitution step.
+
+Substitution instances are generated once per orbit of the identity's
+symmetries: copies of a polarized variable take sorted values and a skew
+pair of variables strictly increasing ones (`Component.lower`).  Every
+other instance is +1 or -1 times the lexicographically first member of its
+orbit, which comes earlier in the same stream, or zero, so the pruning
+changes neither the row space nor the first occurrence of any row.  The
+relation budget still counts every instance (`_row_count`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from string import ascii_lowercase
 
-from .identities import (
+from .identities import (  # noqa: F401  (canonicalize, sort_key: re-exported)
     _compiled,
     _flatten,
     canonicalize,
@@ -42,20 +50,19 @@ class RelationBudgetExceeded(RuntimeError):
 
 # --- canonical monomials ----------------------------------------------------
 # `sort_key` and `canonicalize` live in identities, which compiles identities
-# into the same form.
+# into the same form; a quotient orders its own monomials by `rank`, their
+# position in that order.
 
 
-def _cmul(a, b):
-    """(sign, canonical a*b) for canonical monomials a and b; None when a == b."""
-    if a == b:
+def _cmul(rank, a, b):
+    """(sign, canonical a*b) for canonical monomials a and b ranked by
+    `rank`; None when a == b."""
+    ra, rb = rank[a], rank[b]
+    if ra == rb:
         return None
-    if sort_key(a) > sort_key(b):
+    if ra > rb:
         return -1, (b, a)
     return 1, (a, b)
-
-
-def degree(m) -> int:
-    return 1 if isinstance(m, int) else degree(m[0]) + degree(m[1])
 
 
 def mono_label(m, names) -> str:
@@ -65,7 +72,12 @@ def mono_label(m, names) -> str:
 
 
 def enumerate_monomials(g: int, max_degree: int):
-    """Canonical monomials per degree, index d of the result holding degree d."""
+    """Canonical monomials per degree, index d of the result holding degree d,
+    each list in the canonical order (`sort_key`).
+
+    The products come out already ordered: by left factor, each degree's
+    block after the lower ones, then by right factor.
+    """
     if g < 1 or max_degree < 1:
         raise ValueError("need g >= 1 and max_degree >= 1")
     by = [[] for _ in range(max_degree + 1)]
@@ -83,7 +95,6 @@ def enumerate_monomials(g: int, max_degree: int):
                     for i in range(len(half))
                     for j in range(i + 1, len(half))
                 )
-        out.sort(key=sort_key)
         by[d] = out
     return by
 
@@ -118,6 +129,9 @@ class FreeQuotient:
         self.col = [
             {m: i for i, m in enumerate(lst)} for lst in self.monomials
         ]
+        self.rank = {
+            m: r for r, m in enumerate(m for lst in self.monomials for m in lst)
+        }
         self.basis = [()] * (max_degree + 1)
         self.rewrite = {}
         self.relations_rref = [[] for _ in range(max_degree + 1)]
@@ -134,7 +148,7 @@ class FreeQuotient:
         """Rewrite image of the product of two canonical monomials."""
         cached = self._pair_cache.get((m1, m2))
         if cached is None:
-            res = canonicalize((m1, m2))
+            res = _cmul(self.rank, m1, m2)
             if res is None:
                 cached = {}
             else:
@@ -165,8 +179,9 @@ class FreeQuotient:
     def expand_to_monomials(self, tree):
         """Distribute a word AST into (coefficient, canonical monomial) pairs."""
         out = []
+        leaves = self.monomials[1]
         for coef, prod_tree in _flatten(tree):
-            res = canonicalize(self._to_leaf_tree(prod_tree))
+            res = _substitute(self._to_leaf_tree(prod_tree), leaves, self.rank)
             if res is not None:
                 out.append((coef * res[0], res[1]))
         return out
@@ -181,21 +196,10 @@ class FreeQuotient:
         return (self._to_leaf_tree(tree[1]), self._to_leaf_tree(tree[2]))
 
     def self_check(self):
-        """Re-verify every defining relation vanishes under the rewrite map."""
+        """Regenerate every defining relation and verify that it vanishes
+        under the rewrite map (the build checks the rows it used)."""
         for d in range(2, self.max_degree + 1):
-            for source, row in _degree_rows(self, d):
-                image = {}
-                for c, v in row.items():
-                    for bm, bc in self.rewrite[self.monomials[d][c]].items():
-                        nv = image.get(bm, 0) + v * bc
-                        if nv:
-                            image[bm] = nv
-                        elif bm in image:
-                            del image[bm]
-                if image:
-                    raise ValueError(
-                        f"self-check failed at degree {d}: {_describe(self, source)}"
-                    )
+            _check_rows(self, d, _degree_rows(self, d))
 
 
 def _ast_degree(tree):
@@ -216,31 +220,84 @@ def parse_word(text: str):
     return parse_identity(f"{text} = 0").lhs
 
 
-def _assignments(monomials, k, d):
-    if k == 1:
-        yield from ((m,) for m in monomials[d]) if d < len(monomials) else ()
+def _assignments(monomials, k, d, lower=None):
+    """k-tuples of monomials of total degree d in lexicographic rank order,
+    rank = (degree, index in monomials[degree]).
+
+    With `lower` (a component's `Component.lower`), only the tuples with
+    rank[q] >= rank[p] + (0, s) for every (p, s) in lower[q] are yielded:
+    sorted copies of a polarized variable (s = 0), strictly increasing
+    values on a skew pair (s = 1).  This is exact for relation rows.  A
+    tuple that breaks a bound becomes lexicographically smaller when the
+    pair is swapped, and its row is the same (copies), minus the same (skew
+    pair) or zero (equal values on a skew pair).  So each orbit's
+    lexicographically first tuple is kept, and every dropped row is +1 or
+    -1 times a row yielded before it, or zero.
+    """
+    if k == 0:
+        if d == 0:
+            yield ()
         return
-    for first in range(1, d - k + 2):
-        for m in monomials[first]:
-            for rest in _assignments(monomials, k - 1, d - first):
-                yield (m,) + rest
+    bounds = lower or ((),) * k
+    top = len(monomials) - 1
+    rank = [None] * k
+    combo = [None] * k
+
+    def fill(q, left):
+        lo_e, lo_i = max(
+            ((rank[p][0], rank[p][1] + s) for p, s in bounds[q]), default=(1, 0)
+        )
+        last = q == k - 1
+        hi = min(left - (k - 1 - q), top)
+        for e in range(max(left if last else 1, lo_e), hi + 1):
+            mons = monomials[e]
+            for i in range(lo_i if e == lo_e else 0, len(mons)):
+                rank[q] = (e, i)
+                combo[q] = mons[i]
+                if last:
+                    yield tuple(combo)
+                else:
+                    yield from fill(q + 1, left - e)
+
+    yield from fill(0, d)
 
 
-def _substitute(m, combo):
+def _substitute(m, combo, rank):
     """(sign, canonical monomial) of a monomial over variable positions with
     position q replaced by the canonical monomial combo[q]; None if zero."""
     if isinstance(m, int):
         return 1, combo[m]
-    left = _substitute(m[0], combo)
+    left = _substitute(m[0], combo, rank)
     if left is None:
         return None
-    right = _substitute(m[1], combo)
+    right = _substitute(m[1], combo, rank)
     if right is None:
         return None
-    res = _cmul(left[1], right[1])
+    res = _cmul(rank, left[1], right[1])
     if res is None:
         return None
     return left[0] * right[0] * res[0], res[1]
+
+
+def _row_count(F, d):
+    """How many rows `_degree_rows(F, d)` would yield without the orbit
+    pruning: every k-tuple of total degree d for each identity component
+    with k variables, each R_e row times each monomial of degree d - e, and
+    the adjoined words of degree d."""
+    sizes = [len(F.monomials[e]) for e in range(d + 1)]
+    count = 0
+    # tuples[t]: k-tuples of monomials of total degree t, for k = 0, 1, ...
+    tuples = [1] + [0] * d
+    ks = [len(comp.variables) for system in F.systems for comp in system.components]
+    for k in range(max(ks, default=0) + 1):
+        count += tuples[d] * ks.count(k)
+        tuples = [
+            sum(tuples[t - e] * sizes[e] for e in range(1, t + 1))
+            for t in range(d + 1)
+        ]
+    count += sum(len(F.relations_rref[e]) * sizes[d - e] for e in range(1, d))
+    count += sum(1 for deg, _text, _row in F.extra if deg == d)
+    return count
 
 
 def _degree_rows(F, d):
@@ -250,18 +307,20 @@ def _degree_rows(F, d):
     (e, index, monomial) for R_e[index] * monomial, or (text,) for an
     adjoined word, and `_describe` renders it. Substitution instances come
     from the compiled canonical polynomial, which is exact because the free
-    quotient is anticommutative.
+    quotient is anticommutative, one per orbit of its symmetries
+    (`_assignments`).
     """
     col = F.col[d]
+    rank = F.rank
     for idf, system in zip(F.identities, F.systems):
         for comp in system.components:
             k = len(comp.variables)
             if k > d:
                 continue
-            for combo in _assignments(F.monomials, k, d):
+            for combo in _assignments(F.monomials, k, d, comp.lower):
                 row = {}
                 for m, coef in comp.poly.items():
-                    res = _substitute(m, combo)
+                    res = _substitute(m, combo, rank)
                     if res is None:
                         continue
                     c = col[res[1]]
@@ -277,7 +336,7 @@ def _degree_rows(F, d):
             for m in F.monomials[d - e]:
                 row = {}
                 for c, v in r.items():
-                    res = _cmul(lower[c], m)
+                    res = _cmul(rank, lower[c], m)
                     if res is None:
                         continue
                     c2 = col[res[1]]
@@ -290,6 +349,23 @@ def _degree_rows(F, d):
     for deg, text, row in F.extra:
         if deg == d:
             yield (text,), dict(row)
+
+
+def _check_rows(F, d, rows):
+    """Raise if a (source, row) pair of degree d does not vanish under the
+    rewrite map; the message names the first such row's source."""
+    rewrite = [F.rewrite[m] for m in F.monomials[d]]
+    for source, row in rows:
+        image = {}
+        for c, v in row.items():
+            for bm, bc in rewrite[c].items():
+                nv = image.get(bm, 0) + v * bc
+                if nv:
+                    image[bm] = nv
+                elif bm in image:
+                    del image[bm]
+        if image:
+            raise ValueError(f"self-check failed at degree {d}: {_describe(F, source)}")
 
 
 def _describe(F, source):
@@ -314,7 +390,13 @@ def build_free_quotient(
     budget=DEFAULT_RELATION_BUDGET,
     self_check=True,
 ) -> FreeQuotient:
-    """Construct the truncated free algebra of the given variety, degreewise."""
+    """Construct the truncated free algebra of the given variety, degreewise.
+
+    Before a degree's rows are generated, the relation budget is charged
+    with their unpruned count (`_row_count`). With `self_check`, each
+    degree's distinct relation rows are checked against its final rewrite
+    map; a duplicate or pruned row is a multiple of one of them.
+    """
     idfs = tuple(
         parse_identity(t) if isinstance(t, str) else t for t in identities
     )
@@ -344,19 +426,20 @@ def build_free_quotient(
         F.extra.append((deg, text, _scale_to_int(frow)))
     count = 0
     for d in range(1, max_degree + 1):
+        generated = _row_count(F, d)
+        count += generated
+        # as if counted row by row: a degree without rows never aborts
+        if generated and count > budget:
+            raise RelationBudgetExceeded(budget, d)
         ech = Echelon()
-        seen = set()
-        for _source, row in _degree_rows(F, d):
-            count += 1
-            if count > budget:
-                raise RelationBudgetExceeded(budget, d)
+        kept = {}
+        for source, row in _degree_rows(F, d):
             if not row:
                 continue
             key = _dedupe_key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            ech.insert(row)
+            if key not in kept:
+                kept[key] = source, row
+                ech.insert(row)
         ech.reduce_full()
         rows = ech.sorted_rows()
         F.relations_rref[d] = rows
@@ -374,8 +457,8 @@ def build_free_quotient(
                 for c, v in row.items()
                 if c != lead
             }
-    if self_check:
-        F.self_check()
+        if self_check and d > 1:
+            _check_rows(F, d, kept.values())
     return F
 
 

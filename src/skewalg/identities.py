@@ -52,21 +52,14 @@ class BudgetExceeded(RuntimeError):
 # Binary trees over int leaves (generator indices in freealg, variable
 # positions here), in the one canonical form both modules share.
 
-_KEYS = {}
-
 
 def sort_key(m):
     """Total order token: degree first, then (left, right) recursively."""
-    k = _KEYS.get(m)
-    if k is None:
-        if isinstance(m, int):
-            k = (1, 0, m)
-        else:
-            kl = sort_key(m[0])
-            kr = sort_key(m[1])
-            k = (kl[0] + kr[0], 1, kl, kr)
-        _KEYS[m] = k
-    return k
+    if isinstance(m, int):
+        return (1, 0, m)
+    kl = sort_key(m[0])
+    kr = sort_key(m[1])
+    return (kl[0] + kr[0], 1, kl, kr)
 
 
 def canonicalize(tree):

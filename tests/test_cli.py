@@ -343,6 +343,25 @@ def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+def test_parser_reuse_after_usage_error(capsys):
+    """main builds its parser once per process: a call after a usage error
+    prints what a fresh process prints."""
+    rc, out, err = run(capsys, "check", "x.alg", "--identity", "x*x = 0", "--variety", "v")
+    assert rc == 2
+    assert out == "" and "not allowed with argument" in err
+    argv = [
+        "free", "--variety", "w", "--generators", "3", "--max-degree", "3",
+        "--extra-relation", "J(a,b,c)", "--extra-relation", "J(a,b,c)",
+        "--eval", "J(a,b,c)",
+    ]
+    rc, out, err = run(capsys, *argv)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "skewalg.cli", *argv], capture_output=True, text=True
+    )
+    assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert rc == 0 and "extra relations: J(a,b,c); J(a,b,c)\n" in out
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "skewalg.cli", "catalog", "paper-L"],

@@ -1,6 +1,9 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,9 @@ from skewalg.freealg import (
     RelationBudgetExceeded,
     _assignments,
     _degree_rows,
+    _dedupe_key,
     _describe,
+    _row_count,
     build_free_quotient,
     canonicalize,
     enumerate_monomials,
@@ -21,7 +26,8 @@ from skewalg.freealg import (
     relation_combination,
     sort_key,
 )
-from skewalg.identities import builtin_varieties, get_variety, polarize
+from skewalg.identities import _compiled, builtin_varieties, get_variety, polarize
+from skewalg.linalg import Echelon
 
 
 # --- oracles ---------------------------------------------------------------
@@ -402,8 +408,23 @@ ROW_CASES = [
 ]
 
 
+def _first_occurrences(stream):
+    """The nonzero (text, row) pairs whose row is the first of its key."""
+    seen = set()
+    out = []
+    for text, row in stream:
+        key = _dedupe_key(row)
+        if row and key not in seen:
+            seen.add(key)
+            out.append((text, row))
+    return out
+
+
 @pytest.mark.parametrize("source, g, d, extra", ROW_CASES)
 def test_degree_rows_match_raw_term_oracle(source, g, d, extra):
+    """The orbit-pruned rows are a subsequence of the unpruned oracle rows,
+    every row first occurs at the same place, and the budget counts the
+    oracle's rows."""
     identities = (
         get_variety(source) if source in builtin_varieties() else [source]
     )
@@ -411,8 +432,143 @@ def test_degree_rows_match_raw_term_oracle(source, g, d, extra):
     for deg in range(1, d + 1):
         got = [(_describe(F, src), row) for src, row in _degree_rows(F, deg)]
         want = list(oracle_rows(F, deg))
-        assert got == want
+        rest = iter(want)
+        assert all(pair in rest for pair in got)
+        assert _first_occurrences(got) == _first_occurrences(want)
+        assert _row_count(F, deg) == len(want)
         assert all(type(v) is int for _, row in got for v in row.values())
+
+
+def _rank_bounds_hold(ranks, lower):
+    return all(
+        ranks[q] >= (ranks[p][0], ranks[p][1] + s)
+        for q, bounds in enumerate(lower)
+        for p, s in bounds
+    )
+
+
+ASSIGNMENT_BOUNDS = [
+    ((),),
+    ((), ((0, 1),)),
+    ((), ((0, 0),)),
+    ((), ((0, 1),), ((0, 1), (1, 1))),
+    ((), ((0, 0),), ((1, 0),)),
+    ((), ((0, 0),), ((1, 0),), ((2, 0),)),
+    ((), ((0, 1),), (), ((2, 1),)),
+    ((), ((0, 0),), (), ((2, 1),)),
+    ((), (), ((1, 1),), ((1, 1), (2, 1))),
+    ((), (), (), ()),
+] + sorted(
+    {
+        comp.lower
+        for idfs in builtin_varieties().values()
+        for idf in idfs
+        for comp in _compiled(idf).components
+    }
+)
+
+
+@pytest.mark.parametrize("lower", ASSIGNMENT_BOUNDS)
+def test_pruned_assignments_filter_the_full_enumeration(lower):
+    k = len(lower)
+    for g in (1, 2, 3):
+        monomials = enumerate_monomials(g, 6)
+        rank = {m: (e, i) for e, lst in enumerate(monomials) for i, m in enumerate(lst)}
+        for d in range(0, 7):
+            full = list(_assignments(monomials, k, d))
+            assert len(full) == len(set(full))
+            want = [
+                combo for combo in full
+                if _rank_bounds_hold([rank[m] for m in combo], lower)
+            ]
+            assert list(_assignments(monomials, k, d, lower)) == want
+    assert list(_assignments(enumerate_monomials(2, 3), 0, 0)) == [()]
+    assert list(_assignments(enumerate_monomials(2, 3), 0, 2)) == []
+
+
+def test_identity_without_variables_adds_no_rows():
+    F = build_free_quotient(["0 = 0"], 2, 4)
+    assert F.dims() == [2, 1, 2, 4]
+    assert all(_row_count(F, d) == 0 for d in range(1, 5))
+
+
+@pytest.mark.parametrize("name", list(builtin_varieties()))
+def test_budget_abort_matches_the_unpruned_row_count(name):
+    """A budget aborts at the degree of the row that exceeds it, counting
+    every unpruned row, with the same message as a row-by-row count."""
+    F = build_free_quotient(get_variety(name), 3, 5)
+    degrees = [d for d in range(1, 6) for _ in oracle_rows(F, d)]
+    cumulative = [degrees.count(d) for d in range(1, 6)]
+    for d in range(1, 6):
+        total = sum(cumulative[:d])
+        for budget in (total, total - 1):
+            over = max(budget, 0)
+            if over >= len(degrees):
+                assert build_free_quotient(get_variety(name), 3, 5, budget=budget).dims() == F.dims()
+                continue
+            with pytest.raises(RelationBudgetExceeded) as info:
+                build_free_quotient(get_variety(name), 3, 5, budget=budget)
+            assert info.value.degree == degrees[over]
+            assert str(info.value) == (
+                f"relation budget of {budget} rows exceeded at degree {degrees[over]}"
+            )
+
+
+@pytest.mark.parametrize("last", [False, True])
+@pytest.mark.parametrize(
+    "identities, g, d, extra",
+    [
+        (get_variety("v"), 3, 5, ()),
+        (get_variety("lie"), 3, 5, ()),
+        (get_variety("malcev"), 2, 6, ()),
+        (["x*x = 0"], 3, 4, ("J(a,b,c)",)),
+    ],
+)
+def test_build_self_check_reports_what_self_check_reports(
+    monkeypatch, identities, g, d, extra, last
+):
+    """With a fault in the elimination (an entry dropped from the first or
+    the last reduced row that has two), the build's check of its own rows
+    fails with the text that regenerating every row gives."""
+    reduce_full = Echelon.reduce_full
+
+    def faulty(self):
+        reduce_full(self)
+        for p in sorted(self.rows, reverse=last):
+            if len(self.rows[p]) > 1:
+                del self.rows[p][max(self.rows[p])]
+                return
+
+    monkeypatch.setattr(Echelon, "reduce_full", faulty)
+    F = build_free_quotient(identities, g, d, extra_relations=extra, self_check=False)
+    with pytest.raises(ValueError) as regenerated:
+        F.self_check()
+    with pytest.raises(ValueError) as inline:
+        build_free_quotient(identities, g, d, extra_relations=extra)
+    assert str(inline.value) == str(regenerated.value)
+    assert str(inline.value).startswith("self-check failed at degree ")
+
+
+def test_freed_build_leaves_no_skewalg_memory():
+    build_free_quotient(["x*x = 0"], 3, 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        F = build_free_quotient(["x*x = 0"], 3, 7)
+        assert F.dims()[-1] == len(F.monomials[7])
+        del F
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    src = str(Path(freealg.__file__).parent)
+    kept = sum(
+        stat.size_diff
+        for stat in after.compare_to(before, "filename")
+        if stat.traceback[0].filename.startswith(src)
+    )
+    assert kept < 64 * 1024
 
 
 def test_relation_combination_matches_oracle_rows(monkeypatch):
