@@ -8,14 +8,14 @@ constants are stored as int, which keeps products on them in int arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 
 from .linalg import (
     Echelon,
     _scale_to_int,
     _sparse,
-    format_scalar,
+    add_scaled,
+    render_terms,
     rref_rows,
     sparse_kernel,
     sparse_rref,
@@ -106,6 +106,7 @@ class Algebra:
                 key, f = ((i, j), xi * yj) if i < j else ((j, i), -(xi * yj))
                 row = rows.get(key)
                 if row:
+                    # inline, not add_scaled: the innermost loop of every product
                     for k, ck in row.items():
                         v = out.get(k, 0) + f * ck
                         if v:
@@ -136,12 +137,7 @@ class Algebra:
                     jac = {}
                     for prod, unit in ((ab, {c: 1}), (bc, {a: 1}), (ac, {b: -1})):
                         if prod:
-                            for k, v in self.mul_sparse(prod, unit).items():
-                                nv = jac.get(k, 0) + v
-                                if nv:
-                                    jac[k] = nv
-                                elif k in jac:
-                                    del jac[k]
+                            add_scaled(jac, self.mul_sparse(prod, unit))
                     if jac:
                         table[(a, b, c)] = jac
         self._jacobians = table
@@ -205,22 +201,7 @@ class Element:
 
 def render_coords(coords, names):
     """Linear combination as text: "a + 2*b - 1/2*d", zero as "0"."""
-    parts = []
-    for v, name in zip(coords, names):
-        if v == 0:
-            continue
-        v = Fraction(v)
-        mag = format_scalar(abs(v))
-        body = name if mag == "1" else f"{mag}*{name}"
-        if not parts:
-            parts.append(body if v > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if v > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
-
-
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
+    return render_terms(zip(names, coords))
 
 
 def jacobian(x: Element, y: Element, z: Element) -> Element:
@@ -432,14 +413,6 @@ def lower_central_series(A: Algebra):
         series.append(nxt)
         if nxt.dim == 0:
             return series
-
-
-def is_solvable(A: Algebra) -> bool:
-    return derived_series(A)[-1].dim == 0
-
-
-def is_nilpotent(A: Algebra) -> bool:
-    return lower_central_series(A)[-1].dim == 0
 
 
 def restrict(A: Algebra, S: Subspace, name=None) -> Algebra:

@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Algebra, Subspace, center, jacobian, lie_center, restrict
+from .algebra import Algebra, center, lie_center, restrict
 from .identities import check_identity, get_variety
-from .linalg import Matrix, invert_rows, null_space, rref_rows, span_membership
+from .linalg import null_space, rref_rows, span_membership
 
 
 def _mat_mul(A, B):
@@ -69,17 +69,10 @@ def _is_derivation(L, M):
 
 
 def _check_lie(A):
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            for k in range(j + 1, A.dim):
-                if not jacobian(
-                    A.basis_element(i), A.basis_element(j), A.basis_element(k)
-                ).is_zero():
-                    names = A.basis_names
-                    raise ValueError(
-                        f"base algebra is not Lie: "
-                        f"J({names[i]},{names[j]},{names[k]}) != 0"
-                    )
+    # the table's keys run in lexicographic order: name the first failing triple
+    for triple in A.jacobians():
+        i, j, k = (A.basis_names[t] for t in triple)
+        raise ValueError(f"base algebra is not Lie: J({i},{j},{k}) != 0")
 
 
 def derivations(A: Algebra) -> list:
@@ -95,10 +88,8 @@ def derivations(A: Algebra) -> list:
                     row[i * n + m] -= A.c(m, j, k)
                     row[j * n + m] -= A.c(i, m, k)
                 rows.append(row)
-    if not rows:
-        rows = [[Fraction(0)] * (n * n)]
     basis = []
-    for v in null_space(Matrix(rows, cols=n * n)):
+    for v in null_space(rows, n * n):
         M = tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n))
         if not _is_derivation(A, M):
             raise ValueError("derivation solver produced a non-derivation")
@@ -299,29 +290,6 @@ def decompose(B: Algebra, name=None) -> ConstructionData:
     return ConstructionData(
         L=L, p_names=p_names, psi=tuple(psi), lam=lam, L0=L0, ambient_basis=ambient
     )
-
-
-def verify_isomorphism(A: Algebra, B: Algebra, rows) -> bool:
-    """Check that the linear map sending e_i to rows[i] is multiplicative."""
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
-    if len(rows) != A.dim or any(len(r) != A.dim for r in rows):
-        raise ValueError("map must be a square matrix over the common dimension")
-    if invert_rows([list(r) for r in rows]) is None:
-        raise ValueError("map is singular")
-    n = A.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = B.mul_coords(list(rows[i]), list(rows[j]))
-            rhs = [Fraction(0)] * n
-            for k in range(n):
-                ck = A.c(i, j, k)
-                if ck:
-                    for m in range(n):
-                        rhs[m] += ck * rows[k][m]
-            if any(a != b for a, b in zip(lhs, rhs)):
-                return False
-    return True
 
 
 def random_w_algebra(L: Algebra, p_dim: int, seed: int, name=None) -> Algebra:

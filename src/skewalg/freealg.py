@@ -23,15 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from string import ascii_lowercase
 
-from .identities import (  # noqa: F401  (canonicalize, sort_key: re-exported)
+from .identities import (  # noqa: F401  (canonicalize: re-exported)
     _compiled,
     _flatten,
     canonicalize,
     get_variety,
     parse_identity,
-    sort_key,
 )
-from .linalg import Echelon, _row_normalize, _scale_to_int
+from .linalg import Echelon, _row_normalize, _scale_to_int, add_scaled
 
 DEFAULT_RELATION_BUDGET = 5_000_000
 
@@ -168,6 +167,7 @@ class FreeQuotient:
         for m1, c1 in v1.items():
             for m2, c2 in v2.items():
                 f = c1 * c2
+                # inline, not add_scaled: runs per pair of monomials
                 for bm, bc in self._pair_product(m1, m2).items():
                     nv = out.get(bm, 0) + f * bc
                     if nv:
@@ -185,6 +185,15 @@ class FreeQuotient:
             if res is not None:
                 out.append((coef * res[0], res[1]))
         return out
+
+    def expand_to_row(self, tree, d):
+        """A degree-d word's full expansion as a sparse row over the
+        columns of `monomials[d]`."""
+        col = self.col[d]
+        row = {}
+        for coef, mono in self.expand_to_monomials(tree):
+            add_scaled(row, {col[mono]: coef})
+        return row
 
     def _to_leaf_tree(self, tree):
         if tree[0] == "var":
@@ -319,6 +328,7 @@ def _degree_rows(F, d):
                 continue
             for combo in _assignments(F.monomials, k, d, comp.lower):
                 row = {}
+                # inline, not add_scaled: runs per term of every relation row
                 for m, coef in comp.poly.items():
                     res = _substitute(m, combo, rank)
                     if res is None:
@@ -335,6 +345,7 @@ def _degree_rows(F, d):
         for idx, r in enumerate(F.relations_rref[e]):
             for m in F.monomials[d - e]:
                 row = {}
+                # inline, not add_scaled: runs per entry of every multiple
                 for c, v in r.items():
                     res = _cmul(rank, lower[c], m)
                     if res is None:
@@ -357,6 +368,7 @@ def _check_rows(F, d, rows):
     rewrite = [F.rewrite[m] for m in F.monomials[d]]
     for source, row in rows:
         image = {}
+        # inline, not add_scaled: runs per entry of every checked row
         for c, v in row.items():
             for bm, bc in rewrite[c].items():
                 nv = image.get(bm, 0) + v * bc
@@ -414,16 +426,8 @@ def build_free_quotient(
             raise ValueError(
                 f"adjoined relation has degree {deg} above the cap {max_degree}"
             )
-        frow = {}
-        for coef, mono in F.expand_to_monomials(tree):
-            c = F.col[deg][mono]
-            nv = frow.get(c, 0) + coef
-            if nv:
-                frow[c] = nv
-            elif c in frow:
-                del frow[c]
         text = word if isinstance(word, str) else "<word>"
-        F.extra.append((deg, text, _scale_to_int(frow)))
+        F.extra.append((deg, text, _scale_to_int(F.expand_to_row(tree, deg))))
     count = 0
     for d in range(1, max_degree + 1):
         generated = _row_count(F, d)
@@ -482,43 +486,33 @@ def _eval_ast(F, tree):
     for coef, term in tree[1]:
         dt, vt = _eval_ast(F, term)
         deg = dt if deg is None else deg
-        for m, v in vt.items():
-            nv = out.get(m, 0) + coef * v
-            if nv:
-                out[m] = nv
-            elif m in out:
-                del out[m]
+        add_scaled(out, vt, coef)
     return deg, out
 
 
-def evaluate_word(F: FreeQuotient, word) -> WordValue:
-    """Value of a word in the quotient, computed bottom-up through products."""
+def _word(F, word):
+    """(AST, degree) of a word (text or AST) within the quotient's cap."""
     tree = parse_word(word) if isinstance(word, str) else word
     d = _ast_degree(tree)
     if d > F.max_degree:
         raise ValueError(
             f"degree overflow: word degree {d} exceeds max degree {F.max_degree}"
         )
-    deg, coords = _eval_ast(F, tree)
+    return tree, d
+
+
+def evaluate_word(F: FreeQuotient, word) -> WordValue:
+    """Value of a word in the quotient, computed bottom-up through products."""
+    deg, coords = _eval_ast(F, _word(F, word)[0])
     return WordValue(deg, coords)
 
 
 def expand_evaluate(F: FreeQuotient, word) -> WordValue:
     """Value of a word by full distribution first, one rewrite at the top."""
-    tree = parse_word(word) if isinstance(word, str) else word
-    d = _ast_degree(tree)
-    if d > F.max_degree:
-        raise ValueError(
-            f"degree overflow: word degree {d} exceeds max degree {F.max_degree}"
-        )
+    tree, d = _word(F, word)
     out = {}
     for coef, mono in F.expand_to_monomials(tree):
-        for bm, bc in F.rewrite[mono].items():
-            nv = out.get(bm, 0) + coef * bc
-            if nv:
-                out[bm] = nv
-            elif bm in out:
-                del out[bm]
+        add_scaled(out, F.rewrite[mono], coef)
     return WordValue(d, out)
 
 
@@ -540,27 +534,15 @@ def relation_combination(F: FreeQuotient, word):
     ech = Echelon()
     for source, row in _degree_rows(F, d):
         if row:
-            ech.insert(row, {len(originals): Fraction(1)})
+            ech.insert(row, {len(originals): 1})
             originals.append((source, row))
-    v = {}
-    for coef, mono in F.expand_to_monomials(tree):
-        c = F.col[d][mono]
-        nv = v.get(c, 0) + Fraction(coef)
-        if nv:
-            v[c] = nv
-        elif c in v:
-            del v[c]
+    v = F.expand_to_row(tree, d)
     acc = ech.express(v)
     if acc is None:
         raise ValueError("reduction failed to close; quotient is inconsistent")
     check = {}
     for t, coef in acc.items():
-        for c, val in originals[t][1].items():
-            nv = check.get(c, 0) + coef * val
-            if nv:
-                check[c] = nv
-            elif c in check:
-                del check[c]
+        add_scaled(check, originals[t][1], coef)
     if check != v:
         raise ValueError("relation combination does not reproduce the word")
     return [

@@ -26,6 +26,7 @@ from math import comb
 from operator import itemgetter
 
 from .algebra import Algebra, Element
+from .linalg import add_scaled
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 
@@ -355,19 +356,6 @@ class Component:
         )
         self._nodes = tuple(nodes)
 
-    def evaluate(self, A: Algebra, vectors):
-        """Dense evaluation of the raw terms: vectors aligned with self.variables."""
-        env = {
-            v: {i: c for i, c in enumerate(vec) if c}
-            for v, vec in zip(self.variables, vectors)
-        }
-        out = [0] * A.dim
-        for coef, tree in self.terms:
-            val = _eval_sparse(A, tree, env)
-            for k, x in val.items():
-                out[k] += coef * x
-        return out
-
     def evaluate_on_basis(self, A: Algebra, idx, memo):
         """Sparse value of `poly` with variable q set to basis vector idx[q].
 
@@ -383,6 +371,7 @@ class Component:
                 v = cache[key] = mul(vals[l], vals[r])
             vals.append(v)
         out = {}
+        # inline, not add_scaled: runs per monomial of every evaluation
         for l, r, coef in self._roots:
             for k, x in (vals[l] if r is None else mul(vals[l], vals[r])).items():
                 v = out.get(k, 0) + coef * x
@@ -436,11 +425,7 @@ def _canonical_poly(pairs):
         if res is None:
             continue
         sign, mono = res
-        v = poly.get(mono, 0) + sign * coef
-        if v:
-            poly[mono] = v
-        elif mono in poly:
-            del poly[mono]
+        add_scaled(poly, {mono: coef}, sign)
     return {m: c.numerator if c.denominator == 1 else c for m, c in poly.items()}
 
 
@@ -451,12 +436,7 @@ def _eval_sparse(A, tree, env):
         return A.mul_sparse(_eval_sparse(A, tree[1], env), _eval_sparse(A, tree[2], env))
     out = {}
     for c, t in tree[1]:
-        for k, x in _eval_sparse(A, t, env).items():
-            v = out.get(k, 0) + c * x
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+        add_scaled(out, _eval_sparse(A, t, env), c)
     return out
 
 

@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Scalars are `fractions.Fraction`; plain ints are accepted anywhere a scalar
-is and mix freely. There is one elimination engine, `Echelon`: sparse rows
+is and mix freely. A sparse vector is a dict `{key: scalar}` without zero
+entries; `add_scaled` is its accumulator, and `render_terms` prints one as
+a linear combination. There is one elimination engine, `Echelon`: sparse rows
 (`{column: int}`) in fraction-free integer echelon form, each row divided by
 the gcd of its entries and signed so that its leading (lowest) column is
 positive. A rational row enters it scaled to integers (`_scale_to_int`).
@@ -13,9 +15,10 @@ the canonical reduced row echelon form of the row space (pivots are the
 leading columns, left to right), which doubles as a normal form.
 `sparse_rref` feeds it sparse rational rows, skipping zero rows and
 stopping once the rank reaches its bound; `sparse_kernel` reads a kernel
-basis off the result. The dense entry points (`rref_rows`, `null_space`,
-`invert_rows`, `span_membership`) convert to and from sparse rows around
-them. No floats, no pivot heuristics.
+basis off the result. The dense entry points take lists of equal-length
+rows and convert to and from sparse rows around them: `rref_rows(rows,
+cols)`, `null_space(rows, cols)`, `invert_rows(rows)` and
+`span_membership(basis, v)`. No floats, no pivot heuristics.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-
-Scalar = Fraction
 
 _SCALAR_RE = re.compile(r"-?\d+(/\d+)?\Z")
 
@@ -49,47 +50,32 @@ def format_scalar(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-class Matrix:
-    """Immutable rectangular grid of exact scalars."""
+def render_terms(terms):
+    """(label, coefficient) pairs as text: "a + 2*b - 1/2*d". Zero
+    coefficients are skipped; no term left reads "0"."""
+    parts = []
+    for label, v in terms:
+        if v == 0:
+            continue
+        v = Fraction(v)
+        mag = format_scalar(abs(v))
+        body = label if mag == "1" else f"{mag}*{label}"
+        if not parts:
+            parts.append(body if v > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if v > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
 
-    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, cols: int | None = None):
-        entries = tuple(tuple(row) for row in entries)
-        if entries:
-            cols = len(entries[0])
-            if any(len(row) != cols for row in entries):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            cols = 0
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.cols == other.cols
-            and len(self.entries) == len(other.entries)
-            and all(
-                all(a == b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
-
-    def __hash__(self):
-        return hash((self.cols, self.entries))
-
-    def __repr__(self):
-        body = "; ".join(" ".join(format_scalar(v) for v in row) for row in self.entries)
-        return f"Matrix({self.rows}x{self.cols}: {body})"
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([[0] * cols for _ in range(rows)], cols=cols)
+def add_scaled(out, row, f=1):
+    """out += f * row on sparse vectors, in place; returns out."""
+    for k, v in row.items():
+        nv = out.get(k, 0) + f * v
+        if nv:
+            out[k] = nv
+        elif k in out:
+            del out[k]
+    return out
 
 
 # --- the elimination engine ---------------------------------------------------
@@ -124,6 +110,7 @@ def _row_normalize(row):
 def _combine(row, fb, other, fa):
     """fb * row - fa * other, sparse."""
     out = {c: v * fb for c, v in row.items()}
+    # inline, not add_scaled: one call per elimination step costs time everywhere
     for c, v in other.items():
         nv = out.get(c, 0) - fa * v
         if nv:
@@ -163,7 +150,7 @@ class Echelon:
                 if g != 1:
                     row = {c: v // g for c, v in row.items()}
                     if tags is not None:
-                        tags = {t: v / g for t, v in tags.items()}
+                        tags = {t: Fraction(v, g) for t, v in tags.items()}
                 self.rows[lead] = row
                 if tags is not None:
                     self.tags[lead] = tags
@@ -215,19 +202,9 @@ class Echelon:
             prow = self.rows.get(lead)
             if prow is None:
                 return None
-            f = v[lead] / prow[lead]
-            for c, val in prow.items():
-                nv = v.get(c, 0) - f * val
-                if nv:
-                    v[c] = nv
-                elif c in v:
-                    del v[c]
-            for t, val in self.tags[lead].items():
-                nv = acc.get(t, 0) + f * val
-                if nv:
-                    acc[t] = nv
-                elif t in acc:
-                    del acc[t]
+            f = Fraction(v[lead], prow[lead])
+            add_scaled(v, prow, -f)
+            add_scaled(acc, self.tags[lead], f)
         return acc
 
 
@@ -285,19 +262,13 @@ def rref_rows(rows, cols: int | None = None):
     return [[row.get(c, 0) for c in range(cols)] for row in reduced], pivots
 
 
-def rref(m: Matrix):
-    """rref of a Matrix; keeps the original row count (zero rows trail)."""
-    reduced, pivots = rref_rows(m.entries, m.cols)
-    pad = [[0] * m.cols for _ in range(m.rows - len(reduced))]
-    return Matrix(reduced + pad, cols=m.cols), pivots
-
-
-def null_space(m: Matrix):
-    """Basis of the right kernel, one vector per non-pivot column."""
-    reduced, pivots = sparse_rref(map(_sparse, m.entries), m.cols)
+def null_space(rows, cols):
+    """Basis of the right kernel of the rows (each of length cols), one
+    vector per non-pivot column."""
+    reduced, pivots = sparse_rref(map(_sparse, rows), cols)
     return [
-        tuple(Fraction(v.get(c, 0)) for c in range(m.cols))
-        for v in sparse_kernel(reduced, pivots, m.cols)
+        tuple(Fraction(v.get(c, 0)) for c in range(cols))
+        for v in sparse_kernel(reduced, pivots, cols)
     ]
 
 

@@ -10,7 +10,15 @@ reported, never asserted, since the underlying question is open.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, Element, Subspace, jacobian, restrict, subalgebra_generated
+from .algebra import (
+    Algebra,
+    Element,
+    Subspace,
+    _kernel_space,
+    jacobian,
+    restrict,
+    subalgebra_generated,
+)
 from .freealg import (
     CONJECTURE_WORD,
     DEFAULT_RELATION_BUDGET,
@@ -20,10 +28,9 @@ from .freealg import (
     build_free_quotient,
     conjecture_certificate,
     evaluate_word,
-    sort_key,
 )
 from .identities import Classification, classify, get_variety
-from .linalg import Matrix, format_scalar, null_space
+from .linalg import format_scalar, render_terms
 from .reports import Report, classification_items
 
 
@@ -56,23 +63,7 @@ def moufang_check(A: Algebra, x1, x2, x3, classification=None) -> MoufangReport:
     if hypothesis:
         generated = subalgebra_generated([x1, x2, x3])
         restricted = restrict(A, generated, name=f"{A.name}|gen")
-        conclusion = True
-        n = restricted.dim
-        for i in range(n):
-            for jj in range(i + 1, n):
-                for k in range(jj + 1, n):
-                    val = jacobian(
-                        restricted.basis_element(i),
-                        restricted.basis_element(jj),
-                        restricted.basis_element(k),
-                    )
-                    if not val.is_zero():
-                        conclusion = False
-                        break
-                if conclusion is False:
-                    break
-            if conclusion is False:
-                break
+        conclusion = not restricted.jacobians()
     if classification is None:
         classification = classify(A)
     return MoufangReport(
@@ -89,13 +80,13 @@ def moufang_check(A: Algebra, x1, x2, x3, classification=None) -> MoufangReport:
 
 def solve_null_triples(A: Algebra, x1, x2) -> Subspace:
     """All x3 with J(x1,x2,x3) = 0: the null space of a linear map."""
-    images = [jacobian(x1, x2, A.basis_element(k)).coords for k in range(A.dim)]
-    # constraint per output coordinate: transpose of the image rows
-    constraints = [
-        tuple(images[k][m] for k in range(A.dim)) for m in range(A.dim)
-    ]
-    kernel = null_space(Matrix(constraints, cols=A.dim))
-    return Subspace.from_vectors(A, kernel)
+    # one constraint per output coordinate m: the e_m coordinate of J(x1, x2, e_k)
+    cons = {}
+    for k in range(A.dim):
+        for m, v in enumerate(jacobian(x1, x2, A.basis_element(k)).coords):
+            if v:
+                cons.setdefault(m, {})[k] = v
+    return _kernel_space(A, cons.values())
 
 
 def sample_null_triples(A: Algebra, rng, count):
@@ -140,48 +131,10 @@ def render_moufang(report: MoufangReport, command) -> Report:
     return rep
 
 
-def _quotient_jacobian(F: FreeQuotient, t1, t2, t3):
-    """J over homogeneous coordinate dicts, multiplied inside the quotient."""
-    out = {}
-    for (da, va), (db, vb), (dc, vc) in ((t1, t2, t3), (t2, t3, t1), (t3, t1, t2)):
-        dp, vp = F.product(da, va, db, vb)
-        _, vq = F.product(dp, vp, dc, vc)
-        for m, v in vq.items():
-            nv = out.get(m, 0) + v
-            if nv:
-                out[m] = nv
-            elif m in out:
-                del out[m]
-    return t1[0] + t2[0] + t3[0], out
-
-
-def jacobi_on_quotient_basis(F: FreeQuotient):
-    """Basis monomial triples of a free quotient with nonzero Jacobian."""
-    flat = [(d, m) for d in range(1, F.max_degree + 1) for m in F.basis[d]]
-    witnesses = []
-    for i in range(len(flat)):
-        for j in range(i + 1, len(flat)):
-            for k in range(j + 1, len(flat)):
-                packs = [(flat[p][0], {flat[p][1]: Fraction(1)}) for p in (i, j, k)]
-                _, coords = _quotient_jacobian(F, *packs)
-                if coords:
-                    witnesses.append(tuple(F.label(flat[p][1]) for p in (i, j, k)))
-    return witnesses
-
-
 def value_text(F: FreeQuotient, value: WordValue):
-    if not value.coords:
-        return "0"
-    parts = []
-    for m in sorted(value.coords, key=sort_key):
-        v = Fraction(value.coords[m])
-        mag = format_scalar(abs(v))
-        body = F.label(m) if mag == "1" else f"{mag}*{F.label(m)}"
-        if not parts:
-            parts.append(body if v > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if v > 0 else f"- {body}")
-    return " ".join(parts)
+    return render_terms(
+        (F.label(m), value.coords[m]) for m in sorted(value.coords, key=F.rank.get)
+    )
 
 
 def run_conjecture(variant_generators=False, budget=DEFAULT_RELATION_BUDGET) -> Report:
@@ -216,25 +169,20 @@ def run_conjecture(variant_generators=False, budget=DEFAULT_RELATION_BUDGET) -> 
             rep.add(idx, f"{format_scalar(coef)} * {desc}")
     else:
         rep.add("status", "nonzero value; coordinates below")
-        for m in sorted(cert.value.coords, key=sort_key):
+        for m in sorted(cert.value.coords, key=F.rank.get):
             rep.add(F.label(m), format_scalar(cert.value.coords[m]))
     if variant_generators:
-        x1 = evaluate_word(F, "a")
-        x2 = evaluate_word(F, "b")
-        x3 = evaluate_word(F, "a*c")
-        p = F.product(x1.degree, x1.coords, x2.degree, x2.coords)
-        q = F.product(p[0], p[1], x3.degree, x3.coords)
-        deg, coords = _quotient_jacobian(
-            F, (x1.degree, x1.coords), (x2.degree, x2.coords), q
-        )
+        # J(x1,x2,(x1*x2)*x3) at x1 = a, x2 = b, x3 = a*c is the word itself,
+        # with the same products in the same order
+        variant = evaluate_word(F, CONJECTURE_WORD)
         rep.add_section("variant a, b, a*c")
         rep.add("atoms", "x1 = a, x2 = b, x3 = a*c")
         rep.add("word over atoms", "J(x1,x2,(x1*x2)*x3)")
-        rep.add("value", value_text(F, WordValue(deg, coords)))
-        rep.add("verdict", "zero" if not coords else "nonzero")
+        rep.add("value", value_text(F, variant))
+        rep.add("verdict", "zero" if variant.is_zero() else "nonzero")
         rep.add(
             "agrees with primary framing",
-            "yes" if coords == cert.value.coords else "NO",
+            "yes" if variant.coords == cert.value.coords else "NO",
         )
     rep.add_section("contrast")
     if cert.verdict == "zero":

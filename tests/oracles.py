@@ -1,0 +1,83 @@
+"""Reference routes that only tests use.
+
+Direct, unoptimized definitions that the fast routes in `skewalg` are held
+equal to:
+
+* `verify_isomorphism`: a linear map is multiplicative on every basis pair;
+* `component_evaluate`: a polarized component evaluated on its raw terms;
+* `jacobi_on_quotient_basis`: every basis triple of a free quotient with
+  nonzero Jacobian, multiplied inside the quotient.
+"""
+
+from fractions import Fraction
+
+from skewalg.algebra import Algebra
+from skewalg.freealg import FreeQuotient
+from skewalg.identities import _eval_sparse
+from skewalg.linalg import invert_rows
+
+
+def verify_isomorphism(A: Algebra, B: Algebra, rows) -> bool:
+    """Check that the linear map sending e_i to rows[i] is multiplicative."""
+    if A.dim != B.dim:
+        raise ValueError("dimension mismatch")
+    if len(rows) != A.dim or any(len(r) != A.dim for r in rows):
+        raise ValueError("map must be a square matrix over the common dimension")
+    if invert_rows([list(r) for r in rows]) is None:
+        raise ValueError("map is singular")
+    n = A.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = B.mul_coords(list(rows[i]), list(rows[j]))
+            rhs = [Fraction(0)] * n
+            for k in range(n):
+                ck = A.c(i, j, k)
+                if ck:
+                    for m in range(n):
+                        rhs[m] += ck * rows[k][m]
+            if any(a != b for a, b in zip(lhs, rhs)):
+                return False
+    return True
+
+
+def component_evaluate(comp, A: Algebra, vectors):
+    """Dense evaluation of the raw terms: vectors aligned with comp.variables."""
+    env = {
+        v: {i: c for i, c in enumerate(vec) if c}
+        for v, vec in zip(comp.variables, vectors)
+    }
+    out = [0] * A.dim
+    for coef, tree in comp.terms:
+        val = _eval_sparse(A, tree, env)
+        for k, x in val.items():
+            out[k] += coef * x
+    return out
+
+
+def _quotient_jacobian(F: FreeQuotient, t1, t2, t3):
+    """J over homogeneous coordinate dicts, multiplied inside the quotient."""
+    out = {}
+    for (da, va), (db, vb), (dc, vc) in ((t1, t2, t3), (t2, t3, t1), (t3, t1, t2)):
+        dp, vp = F.product(da, va, db, vb)
+        _, vq = F.product(dp, vp, dc, vc)
+        for m, v in vq.items():
+            nv = out.get(m, 0) + v
+            if nv:
+                out[m] = nv
+            elif m in out:
+                del out[m]
+    return t1[0] + t2[0] + t3[0], out
+
+
+def jacobi_on_quotient_basis(F: FreeQuotient):
+    """Basis monomial triples of a free quotient with nonzero Jacobian."""
+    flat = [(d, m) for d in range(1, F.max_degree + 1) for m in F.basis[d]]
+    witnesses = []
+    for i in range(len(flat)):
+        for j in range(i + 1, len(flat)):
+            for k in range(j + 1, len(flat)):
+                packs = [(flat[p][0], {flat[p][1]: Fraction(1)}) for p in (i, j, k)]
+                _, coords = _quotient_jacobian(F, *packs)
+                if coords:
+                    witnesses.append(tuple(F.label(flat[p][1]) for p in (i, j, k)))
+    return witnesses

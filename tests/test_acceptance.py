@@ -15,7 +15,6 @@ from skewalg.construction import (
     build_from_construction,
     decompose,
     random_w_algebra,
-    verify_isomorphism,
 )
 from skewalg.formats import emit_algebra
 from skewalg.freealg import (
@@ -28,11 +27,12 @@ from skewalg.freealg import (
 )
 from skewalg.identities import check_identity, classify, get_variety
 from skewalg.moufang import (
-    jacobi_on_quotient_basis,
     moufang_check,
     run_conjecture,
     sample_null_triples,
 )
+
+from oracles import jacobi_on_quotient_basis, verify_isomorphism
 
 
 def _finish(n, t0, limit, summary):

@@ -9,8 +9,6 @@ from skewalg.algebra import (
     change_basis,
     derived_series,
     ideal_generated,
-    is_nilpotent,
-    is_solvable,
     jacobian,
     jacobian_ideal,
     lie_center,
@@ -191,16 +189,16 @@ def test_fixture_L_equalities():
 
 def test_series_and_flags():
     L = make_L()
-    assert is_solvable(L) is True
-    assert is_nilpotent(L) is False
+    assert derived_series(L)[-1].dim == 0
+    assert lower_central_series(L)[-1].dim != 0
     ds = derived_series(L)
     assert [s.dim for s in ds] == [4, 1, 0]
     lcs = lower_central_series(L)
     # stabilizes at span{d} since da=d
     assert lcs[-1].dim == 1 and lcs[-1].contains(L.basis_element(3))
     ab = make_abelian(2)
-    assert is_solvable(ab) and is_nilpotent(ab)
-    assert is_nilpotent(make_heisenberg())
+    assert derived_series(ab)[-1].dim == 0 and lower_central_series(ab)[-1].dim == 0
+    assert lower_central_series(make_heisenberg())[-1].dim == 0
 
 
 def test_restrict():

@@ -233,6 +233,21 @@ def test_construct_semantic_error_is_exit_one(tmp_path, capsys):
     assert "derivation" in err
 
 
+def test_construct_names_first_failing_triple_of_non_lie_base(tmp_path, capsys):
+    # J(a,b,d) = a and J(b,c,d) = c; every other basis triple has J = 0
+    path = tmp_path / "nonlie.cons"
+    path.write_text(
+        "[P]\nbasis: p\n"
+        "[L]\nname: nl\ndim: 4\nbasis: a b c d\na*b = c\nc*d = a\n"
+        "[psi p]\n"
+        "[lambda]\n[L0]\n"
+    )
+    rc, out, err = run(capsys, "construct", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err == "error: base algebra is not Lie: J(a,b,d) != 0\n"
+
+
 def test_construct_parse_error_is_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.cons"
     path.write_text("basis: p\n")

@@ -12,10 +12,11 @@ from skewalg.construction import (
     derivations,
     inner_derivations,
     random_w_algebra,
-    verify_isomorphism,
 )
 from skewalg.identities import classify
 from skewalg.linalg import rref_rows
+
+from oracles import verify_isomorphism
 
 
 def one_dim():

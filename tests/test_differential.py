@@ -8,6 +8,8 @@
 * The sparse echelon engine behind `rref_rows`, `null_space`, `invert_rows`
   and `span_membership` against dense `Fraction` Gauss-Jordan elimination:
   the same rows, pivots, kernels, inverses and coefficients.
+* The Jacobian table `Algebra.jacobians()`, the one place that decides
+  Jacobi on a basis, against `jacobian` on basis `Element`s.
 * The invariants built on the Jacobian table and the engine (`center`,
   `lie_center`, `jacobian_ideal`, the series, `product_space`,
   `subalgebra_generated`) against their `Element`-based definitions over the
@@ -16,7 +18,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,13 +50,14 @@ from skewalg.identities import (
     polarize,
 )
 from skewalg.linalg import (
-    Matrix,
     invert_rows,
     null_space,
     rref_rows,
     span_membership,
     sparse_rref,
 )
+
+from oracles import component_evaluate
 
 CUSTOM = (
     "x = 0",
@@ -88,7 +91,7 @@ def exhaustive_check(A, idf):
         ]
         for combo in product(*pools):
             vectors = [A.basis_element(i).coords for picks in combo for i in picks]
-            value = comp.evaluate(A, vectors)
+            value = component_evaluate(comp, A, vectors)
             if any(value):
                 sparse = {k: x for k, x in enumerate(value) if x}
                 return CheckResult(False, idf, _build_witness(A, idf, comp, combo, sparse))
@@ -246,7 +249,7 @@ def test_engine_matches_dense_elimination(case, coefs, outside):
     rows, cols = case
     assert rref_rows(rows, cols) == dense_rref_rows(rows, cols)
     assert rref_rows(iter(rows), cols) == dense_rref_rows(rows, cols)
-    assert null_space(Matrix(rows, cols=cols)) == dense_null_space(rows, cols)
+    assert null_space(rows, cols) == dense_null_space(rows, cols)
     k = min(len(rows), cols)
     square = [r[:k] for r in rows[:k]]
     assert invert_rows(square) == dense_invert_rows(square)
@@ -258,7 +261,7 @@ def test_engine_matches_dense_elimination(case, coefs, outside):
 def test_engine_edge_cases():
     assert rref_rows([], 3) == ([], [])
     assert rref_rows([]) == ([], [])
-    assert null_space(Matrix([], cols=2)) == dense_null_space([], 2)
+    assert null_space([], 2) == dense_null_space([], 2)
     assert rref_rows([[0, 0], [0, 0]]) == ([], [])
     rows = [[2, 1], [Fraction(1, 3), 1], [5, Fraction(-7, 2)]]
     assert rref_rows(rows) == dense_rref_rows(rows) == ([[1, 0], [0, 1]], [0, 1])
@@ -413,6 +416,25 @@ def invariant_algebras():
     out.append(free_quotient_algebra(get_variety("lie"), 2, 5))
     out += [rebased(A, s) for s, A in enumerate(out) if 2 < A.dim <= 6]
     return out
+
+
+def test_jacobian_table_matches_element_jacobians():
+    algebras = invariant_algebras()
+    for A in algebras:
+        want = {}
+        for triple in combinations(range(A.dim), 3):
+            value = jacobian(*(A.basis_element(i) for i in triple))
+            if not value.is_zero():
+                want[triple] = {k: x for k, x in enumerate(value.coords) if x}
+        assert A.jacobians() == want, A.name
+        # the table runs in lexicographic order: construct names its first key
+        assert list(A.jacobians()) == sorted(want), A.name
+    lie = set()
+    for s, A in enumerate(algebras):
+        if 2 < A.dim <= 6:
+            assert (not rebased(A, s).jacobians()) == (not A.jacobians()), A.name
+            lie.add(not A.jacobians())
+    assert lie == {True, False}
 
 
 def test_invariants_match_element_definitions():

@@ -24,9 +24,8 @@ from skewalg.freealg import (
     mono_label,
     parse_word,
     relation_combination,
-    sort_key,
 )
-from skewalg.identities import _compiled, builtin_varieties, get_variety, polarize
+from skewalg.identities import _compiled, builtin_varieties, get_variety, polarize, sort_key
 from skewalg.linalg import Echelon
 
 

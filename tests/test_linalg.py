@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from skewalg.linalg import (
-    Matrix,
+    Echelon,
     format_scalar,
     null_space,
     parse_scalar,
-    rref,
+    rref_rows,
     span_membership,
 )
 
@@ -57,24 +57,22 @@ def oracle_in_row_space(rows, v):
 
 
 def random_matrix(rng, nrows, ncols, span=9):
-    return Matrix(
-        [
-            [F(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-    )
+    return [
+        [F(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
 
 
 def test_rref_identity_fixed():
-    m = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    r, pivots = rref(m)
-    assert r.entries == m.entries
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    r, pivots = rref_rows(m)
+    assert r == m
     assert pivots == [0, 1, 2]
 
 
 def test_rref_rank_one_fixed():
-    r, pivots = rref(Matrix([[2, 4], [1, 2]]))
-    assert r.entries == ((1, 2), (0, 0))
+    r, pivots = rref_rows([[2, 4], [1, 2]])
+    assert r == [[1, 2]]
     assert pivots == [0]
 
 
@@ -82,23 +80,23 @@ def test_rref_matches_oracle_on_random_matrices():
     rng = random.Random(20260819)
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        r, pivots = rref(m)
-        assert len(pivots) == oracle_rank(m.entries)
+        r, pivots = rref_rows(m)
+        assert len(pivots) == oracle_rank(m)
         # both row spaces contained in each other
-        for row in r.entries:
+        for row in r:
             if any(v != 0 for v in row):
-                assert oracle_in_row_space(m.entries, row)
-        for row in m.entries:
-            assert oracle_in_row_space(r.entries, row)
+                assert oracle_in_row_space(m, row)
+        for row in m:
+            assert oracle_in_row_space(r, row)
 
 
 def test_rref_idempotent():
     rng = random.Random(7)
     for _ in range(25):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        r, p = rref(m)
-        r2, p2 = rref(r)
-        assert r2.entries == r.entries
+        r, p = rref_rows(m)
+        r2, p2 = rref_rows(r, len(m[0]))
+        assert r2 == r
         assert p2 == p
 
 
@@ -106,45 +104,62 @@ def test_rref_pivot_entries_are_unit_columns():
     rng = random.Random(11)
     for _ in range(20):
         m = random_matrix(rng, 4, 5)
-        r, pivots = rref(m)
+        r, pivots = rref_rows(m)
         for i, c in enumerate(pivots):
-            col = [r.entries[k][c] for k in range(r.rows)]
+            col = [r[k][c] for k in range(len(r))]
             assert col[i] == 1
             assert all(v == 0 for k, v in enumerate(col) if k != i)
 
 
 def test_null_space_zero_matrix():
-    basis = null_space(Matrix.zero(2, 3))
+    basis = null_space([[0, 0, 0], [0, 0, 0]], 3)
     assert len(basis) == 3
 
 
 def test_null_space_identity():
-    assert null_space(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []
+    assert null_space([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == []
 
 
 def test_null_space_single_row():
-    m = Matrix([[1, 1, 0]])
-    basis = null_space(m)
+    m = [[1, 1, 0]]
+    basis = null_space(m, 3)
     assert len(basis) == 2
     for v in basis:
-        assert all(sum(row[j] * v[j] for j in range(3)) == 0 for row in m.entries)
+        assert all(sum(row[j] * v[j] for j in range(3)) == 0 for row in m)
 
 
 def test_rank_nullity_on_random_matrices():
     rng = random.Random(99)
     for _ in range(30):
-        m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        _, pivots = rref(m)
-        assert len(pivots) + len(null_space(m)) == m.cols
+        cols = rng.randint(1, 6)
+        m = random_matrix(rng, rng.randint(1, 6), cols)
+        _, pivots = rref_rows(m)
+        assert len(pivots) + len(null_space(m, cols)) == cols
 
 
 def test_null_space_vectors_annihilate():
     rng = random.Random(123)
     for _ in range(30):
-        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-        for v in null_space(m):
-            for row in m.entries:
-                assert sum(row[j] * v[j] for j in range(m.cols)) == 0
+        cols = rng.randint(1, 6)
+        m = random_matrix(rng, rng.randint(1, 5), cols)
+        for v in null_space(m, cols):
+            for row in m:
+                assert sum(row[j] * v[j] for j in range(cols)) == 0
+
+
+def test_echelon_tags_and_express_stay_exact_on_int_input():
+    ech = Echelon()
+    assert ech.insert({0: 2, 1: 6}, {"r": 1}) == 0
+    assert ech.rows[0] == {0: 1, 1: 3}
+    tags = ech.tags[0]
+    assert tags == {"r": F(1, 2)} and type(tags["r"]) is F
+    assert ech.insert({1: 4}, {"s": 2}) == 1
+    acc = ech.express({0: 1, 1: 3})
+    assert acc == {"r": F(1, 2)} and type(acc["r"]) is F
+    acc = ech.express({0: 3, 1: 1})
+    assert acc == {"r": F(3, 2), "s": F(-4)}
+    assert all(type(v) is F for v in acc.values())
+    assert ech.express({2: 1}) is None
 
 
 def test_span_membership_trivial_cases():
@@ -200,8 +215,3 @@ def test_parse_scalar_rejects_junk():
     for bad in ["", " 1", "1 ", "1/ 2", "1//2", "a", "1/0", "2/-3", "+-1"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
-
-
-def test_matrix_requires_rectangular():
-    with pytest.raises(ValueError):
-        Matrix([[1, 2], [3]])
