@@ -81,19 +81,9 @@ class Algebra:
         return Element(self, (0,) * self.dim)
 
     def mul_coords(self, xc, yc):
-        out = [0] * self.dim
-        for i, xi in enumerate(xc):
-            if not xi:
-                continue
-            for j, yj in enumerate(yc):
-                if not yj or i == j:
-                    continue
-                key, f = ((i, j), xi * yj) if i < j else ((j, i), -(xi * yj))
-                row = self._rows.get(key)
-                if row:
-                    for k, ck in row.items():
-                        out[k] += f * ck
-        return tuple(out)
+        """Product on dense coordinate sequences, through `mul_sparse`."""
+        prod = self.mul_sparse(_sparse(xc), _sparse(yc))
+        return tuple(prod.get(k, 0) for k in range(self.dim))
 
     def mul_sparse(self, xs, ys):
         """Product on sparse {index: coeff} vectors; much faster near the basis."""

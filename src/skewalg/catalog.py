@@ -120,16 +120,6 @@ _BUILDERS = {
     "free-anti-2-4": _free_anti_2_4,
 }
 
-_LIE_NAMES = (
-    "abelian1",
-    "abelian2",
-    "abelian3",
-    "affine2",
-    "heisenberg3",
-    "sl2",
-    "free-anti-2-3",
-)
-
 _B_PATTERN = re.compile(r"B\((.*)\)\Z")
 
 _cache = {}
@@ -170,4 +160,5 @@ def iter_catalog() -> list:
 
 
 def lie_catalog() -> list:
-    return [get_catalog(n) for n in _LIE_NAMES]
+    """The catalog entries that are Lie algebras, in catalog order."""
+    return [e for e in iter_catalog() if not e.algebra.jacobians()]

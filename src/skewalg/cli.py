@@ -169,7 +169,8 @@ def cmd_moufang(args) -> int:
         raise _UsageError("--elements must assign exactly x1, x2, x3")
     x1, x2, x3 = (A.element(assigns[k]) for k in ("x1", "x2", "x3"))
     report = moufang_check(A, x1, x2, x3)
-    _emit(render_moufang(report, f"moufang {args.file} --elements {args.elements!r}"))
+    command = f"moufang {args.file} --elements {args.elements!r}"
+    _emit(render_moufang(report, classify(A), command))
     if report.hypothesis_holds and report.conclusion_holds is False:
         return 1
     return 0

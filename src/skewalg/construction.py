@@ -226,7 +226,7 @@ def build_from_construction(data: ConstructionData, name=None) -> Algebra:
     return Algebra(name or f"ext({L.name})", names, products)
 
 
-def decompose(B: Algebra, name=None) -> ConstructionData:
+def decompose(B: Algebra) -> ConstructionData:
     """Recover construction data from a member of the x*x, J(x,y,z*u) variety."""
     for idf in get_variety("w"):
         res = check_identity(B, idf)
@@ -238,7 +238,7 @@ def decompose(B: Algebra, name=None) -> ConstructionData:
     pivot_set = set(LC.pivots)
     p_cols = [c for c in range(B.dim) if c not in pivot_set]
     p_names = tuple(B.basis_names[c] for c in p_cols)
-    L = restrict(B, LC, name=name or f"{B.name}|L")
+    L = restrict(B, LC, name=f"{B.name}|L")
     n_l = L.dim
 
     def unit(col):
@@ -292,7 +292,7 @@ def decompose(B: Algebra, name=None) -> ConstructionData:
     )
 
 
-def random_w_algebra(L: Algebra, p_dim: int, seed: int, name=None) -> Algebra:
+def random_w_algebra(L: Algebra, p_dim: int, seed: int) -> Algebra:
     """Seeded random member of the variety built over the Lie algebra L.
 
     Draws p_dim derivations of L; if after a few attempts their pairwise
@@ -355,4 +355,4 @@ def random_w_algebra(L: Algebra, p_dim: int, seed: int, name=None) -> Algebra:
         lam=lam,
         L0=L0,
     )
-    return build_from_construction(data, name=name or f"w[{L.name};p{p_dim};s{seed}]")
+    return build_from_construction(data, name=f"w[{L.name};p{p_dim};s{seed}]")

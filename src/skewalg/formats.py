@@ -10,6 +10,7 @@ from fractions import Fraction
 from .algebra import Algebra, render_coords
 from .construction import ConstructionData
 from .identities import parse_identity
+from .linalg import parse_scalar
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"\d+(?:/\d+)?")
@@ -43,7 +44,10 @@ def parse_element(text, names):
         coef = Fraction(1)
         mnum = _NUMBER_RE.match(s, pos)
         if mnum:
-            coef = Fraction(mnum.group(0))
+            try:
+                coef = parse_scalar(mnum.group(0))
+            except ValueError as exc:
+                raise ValueError(f"col {pos + 1}: {exc}") from None
             pos = mnum.end()
             skip_ws()
             if pos < end and s[pos] == "*":

@@ -70,32 +70,35 @@ def mono_label(m, names) -> str:
     return f"({mono_label(m[0], names)}*{mono_label(m[1], names)})"
 
 
-def enumerate_monomials(g: int, max_degree: int):
-    """Canonical monomials per degree, index d of the result holding degree d,
-    each list in the canonical order (`sort_key`).
+def monomials_of_degree(by, d):
+    """Canonical monomials of degree d >= 2 in the canonical order
+    (`sort_key`), from the lists `by[e]` of the lower degrees e.
 
     The products come out already ordered: by left factor, each degree's
     block after the lower ones, then by right factor.
     """
-    if g < 1 or max_degree < 1:
-        raise ValueError("need g >= 1 and max_degree >= 1")
-    by = [[] for _ in range(max_degree + 1)]
-    by[1] = list(range(g))
-    for d in range(2, max_degree + 1):
-        out = []
-        for e in range(1, d // 2 + 1):
-            f = d - e
-            if e < f:
-                out.extend((l, r) for l in by[e] for r in by[f])
-            else:
-                half = by[e]
-                out.extend(
-                    (half[i], half[j])
-                    for i in range(len(half))
-                    for j in range(i + 1, len(half))
-                )
-        by[d] = out
-    return by
+    out = []
+    for e in range(1, d // 2 + 1):
+        f = d - e
+        if e < f:
+            out.extend((l, r) for l in by[e] for r in by[f])
+        else:
+            half = by[e]
+            out.extend(
+                (half[i], half[j])
+                for i in range(len(half))
+                for j in range(i + 1, len(half))
+            )
+    return out
+
+
+def _monomial_count(sizes, d):
+    """len(monomials_of_degree(by, d)) from sizes[e] = len(by[e]), e < d,
+    so that the budget can be charged before degree d is enumerated."""
+    return sum(
+        sizes[e] * sizes[d - e] if 2 * e < d else sizes[e] * (sizes[e] - 1) // 2
+        for e in range(1, d // 2 + 1)
+    )
 
 
 def _dedupe_key(row):
@@ -117,25 +120,41 @@ class WordValue:
 
 
 class FreeQuotient:
-    """Degree-truncated free algebra of a variety; built by build_free_quotient."""
+    """Degree-truncated free algebra of a variety; built by build_free_quotient.
+
+    The build adds degree d (its monomials, by `add_degree`, then its
+    relation rows, basis and rewrites) only after charging the relation
+    budget for it, so an abort enumerates nothing of the degree it stops at.
+    """
 
     def __init__(self, identities, generators, max_degree):
+        if not generators or max_degree < 1:
+            raise ValueError("need g >= 1 and max_degree >= 1")
         self.identities = tuple(identities)
         self.generators = tuple(generators)
         self.max_degree = max_degree
-        self.systems = tuple(_compiled(i) for i in self.identities)
-        self.monomials = enumerate_monomials(len(self.generators), max_degree)
-        self.col = [
-            {m: i for i, m in enumerate(lst)} for lst in self.monomials
-        ]
-        self.rank = {
-            m: r for r, m in enumerate(m for lst in self.monomials for m in lst)
-        }
-        self.basis = [()] * (max_degree + 1)
+        self.components = tuple(_compiled(i) for i in self.identities)
+        self.monomials = [[]]
+        self.col = [{}]
+        self.rank = {}
+        self.basis = [()]
         self.rewrite = {}
-        self.relations_rref = [[] for _ in range(max_degree + 1)]
+        self.relations_rref = [[]]
         self.extra = []
         self._pair_cache = {}
+        self.add_degree()
+
+    def add_degree(self):
+        """Enumerate, index and rank the monomials of the next degree."""
+        d = len(self.monomials)
+        if d == 1:
+            mons = list(range(len(self.generators)))
+        else:
+            mons = monomials_of_degree(self.monomials, d)
+        self.monomials.append(mons)
+        self.col.append({m: i for i, m in enumerate(mons)})
+        start = len(self.rank)
+        self.rank.update((m, start + i) for i, m in enumerate(mons))
 
     def dims(self):
         return [len(self.basis[d]) for d in range(1, self.max_degree + 1)]
@@ -290,14 +309,15 @@ def _substitute(m, combo, rank):
 
 def _row_count(F, d):
     """How many rows `_degree_rows(F, d)` would yield without the orbit
-    pruning: every k-tuple of total degree d for each identity component
-    with k variables, each R_e row times each monomial of degree d - e, and
+    pruning: every k-tuple of total degree d for each identity with k
+    variables, each R_e row times each monomial of degree d - e, and
     the adjoined words of degree d."""
-    sizes = [len(F.monomials[e]) for e in range(d + 1)]
+    sizes = [len(F.monomials[e]) for e in range(d)]
+    sizes.append(len(F.monomials[d]) if d < len(F.monomials) else _monomial_count(sizes, d))
     count = 0
     # tuples[t]: k-tuples of monomials of total degree t, for k = 0, 1, ...
     tuples = [1] + [0] * d
-    ks = [len(comp.variables) for system in F.systems for comp in system.components]
+    ks = [len(comp.variables) for comp in F.components]
     for k in range(max(ks, default=0) + 1):
         count += tuples[d] * ks.count(k)
         tuples = [
@@ -305,7 +325,7 @@ def _row_count(F, d):
             for t in range(d + 1)
         ]
     count += sum(len(F.relations_rref[e]) * sizes[d - e] for e in range(1, d))
-    count += sum(1 for deg, _text, _row in F.extra if deg == d)
+    count += sum(1 for deg, _text, _tree in F.extra if deg == d)
     return count
 
 
@@ -321,25 +341,24 @@ def _degree_rows(F, d):
     """
     col = F.col[d]
     rank = F.rank
-    for idf, system in zip(F.identities, F.systems):
-        for comp in system.components:
-            k = len(comp.variables)
-            if k > d:
-                continue
-            for combo in _assignments(F.monomials, k, d, comp.lower):
-                row = {}
-                # inline, not add_scaled: runs per term of every relation row
-                for m, coef in comp.poly.items():
-                    res = _substitute(m, combo, rank)
-                    if res is None:
-                        continue
-                    c = col[res[1]]
-                    nv = row.get(c, 0) + coef * res[0]
-                    if nv:
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
-                yield (idf, comp, combo), _scale_to_int(row)
+    for idf, comp in zip(F.identities, F.components):
+        k = len(comp.variables)
+        if k > d:
+            continue
+        for combo in _assignments(F.monomials, k, d, comp.lower):
+            row = {}
+            # inline, not add_scaled: runs per term of every relation row
+            for m, coef in comp.poly.items():
+                res = _substitute(m, combo, rank)
+                if res is None:
+                    continue
+                c = col[res[1]]
+                nv = row.get(c, 0) + coef * res[0]
+                if nv:
+                    row[c] = nv
+                elif c in row:
+                    del row[c]
+            yield (idf, comp, combo), _scale_to_int(row)
     for e in range(1, d):
         lower = F.monomials[e]
         for idx, r in enumerate(F.relations_rref[e]):
@@ -357,9 +376,9 @@ def _degree_rows(F, d):
                     elif c2 in row:
                         del row[c2]
                 yield (e, idx, m), row
-    for deg, text, row in F.extra:
+    for deg, text, tree in F.extra:
         if deg == d:
-            yield (text,), dict(row)
+            yield (text,), _scale_to_int(F.expand_to_row(tree, d))
 
 
 def _check_rows(F, d, rows):
@@ -400,14 +419,13 @@ def build_free_quotient(
     max_degree,
     extra_relations=(),
     budget=DEFAULT_RELATION_BUDGET,
-    self_check=True,
 ) -> FreeQuotient:
     """Construct the truncated free algebra of the given variety, degreewise.
 
-    Before a degree's rows are generated, the relation budget is charged
-    with their unpruned count (`_row_count`). With `self_check`, each
-    degree's distinct relation rows are checked against its final rewrite
-    map; a duplicate or pruned row is a multiple of one of them.
+    Before a degree's monomials are enumerated and its rows generated, the
+    relation budget is charged with their unpruned count (`_row_count`).
+    Each degree's distinct relation rows are checked against its final
+    rewrite map; a duplicate or pruned row is a multiple of one of them.
     """
     idfs = tuple(
         parse_identity(t) if isinstance(t, str) else t for t in identities
@@ -426,8 +444,9 @@ def build_free_quotient(
             raise ValueError(
                 f"adjoined relation has degree {deg} above the cap {max_degree}"
             )
-        text = word if isinstance(word, str) else "<word>"
-        F.extra.append((deg, text, _scale_to_int(F.expand_to_row(tree, deg))))
+        for _coef, prod_tree in _flatten(tree):
+            F._to_leaf_tree(prod_tree)  # names an unknown generator now
+        F.extra.append((deg, word if isinstance(word, str) else "<word>", tree))
     count = 0
     for d in range(1, max_degree + 1):
         generated = _row_count(F, d)
@@ -435,6 +454,8 @@ def build_free_quotient(
         # as if counted row by row: a degree without rows never aborts
         if generated and count > budget:
             raise RelationBudgetExceeded(budget, d)
+        if d > 1:
+            F.add_degree()
         ech = Echelon()
         kept = {}
         for source, row in _degree_rows(F, d):
@@ -446,11 +467,11 @@ def build_free_quotient(
                 ech.insert(row)
         ech.reduce_full()
         rows = ech.sorted_rows()
-        F.relations_rref[d] = rows
+        F.relations_rref.append(rows)
         pivots = set(ech.rows)
-        F.basis[d] = tuple(
+        F.basis.append(tuple(
             m for i, m in enumerate(F.monomials[d]) if i not in pivots
-        )
+        ))
         for m in F.basis[d]:
             F.rewrite[m] = {m: 1}
         for row in rows:
@@ -461,7 +482,7 @@ def build_free_quotient(
                 for c, v in row.items()
                 if c != lead
             }
-        if self_check and d > 1:
+        if d > 1:
             _check_rows(F, d, kept.values())
     return F
 
@@ -569,19 +590,14 @@ class ConjectureCertificate:
     quotient: FreeQuotient
 
 
-def conjecture_certificate(
-    g=3, max_degree=6, budget=DEFAULT_RELATION_BUDGET, self_check=True
-) -> ConjectureCertificate:
-    """Evaluate the degree-6 test word in the truncated free algebra of v.
+def conjecture_certificate(budget=DEFAULT_RELATION_BUDGET) -> ConjectureCertificate:
+    """Evaluate the degree-6 test word in the truncated free algebra of v on
+    the generators a, b, c.
 
     The verdict reports what the computation found; neither outcome is
     asserted as ground truth.
     """
-    if g < 3:
-        raise ValueError("the test word needs the generators a, b, c")
-    F = build_free_quotient(
-        get_variety("v"), g, max_degree, budget=budget, self_check=self_check
-    )
+    F = build_free_quotient(get_variety("v"), 3, 6, budget=budget)
     sanity = evaluate_word(F, SANITY_WORD)
     via_products = evaluate_word(F, CONJECTURE_WORD)
     via_expansion = expand_evaluate(F, CONJECTURE_WORD)
@@ -591,7 +607,7 @@ def conjecture_certificate(
     )
     return ConjectureCertificate(
         generators=F.generators,
-        max_degree=max_degree,
+        max_degree=F.max_degree,
         dims=F.dims(),
         word_text=CONJECTURE_WORD,
         value=via_products,

@@ -14,7 +14,16 @@ A bare rational term is only allowed when it is 0. Identities must be
 homogeneous in every variable; checking works by full polarization, which is
 equivalent over Q, and evaluates the polarized form collected over canonical
 monomials (the form `freealg` also uses), which is exact on anticommutative
-algebras.
+algebras. That compiled `Component` is the only form an identity is
+evaluated in.
+
+A failing check reports the lexicographically first failing basis tuple.
+When every polarized group of copies sits on one basis vector (a collapsed
+witness), the assignment names the identity's own variables and the value is
+the identity's: the compiled value at that tuple divided by the product of
+m_i! over the groups, since polarization sums m! copies of each term and at
+such a tuple all of them are equal. Otherwise the assignment names the
+copies and the value is the compiled value itself.
 """
 
 from __future__ import annotations
@@ -22,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, factorial, prod
 from operator import itemgetter
 
 from .algebra import Algebra, Element
-from .linalg import add_scaled
+from .linalg import add_scaled, parse_scalar
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 
@@ -118,7 +127,6 @@ class _Parser:
         start = self.i
         while self.peek().isdigit():
             self.i += 1
-        num = int(self.text[start : self.i])
         if self.peek() == "/":
             self.i += 1
             dstart = self.i
@@ -126,11 +134,10 @@ class _Parser:
                 self.i += 1
             if dstart == self.i:
                 self.error("expected digits after '/'")
-            den = int(self.text[dstart : self.i])
-            if den == 0:
-                self.error("zero denominator", start)
-            return Fraction(num, den)
-        return Fraction(num)
+        try:
+            return parse_scalar(self.text[start : self.i])
+        except ValueError:
+            self.error("zero denominator", start)
 
     def factor(self):
         self.ws()
@@ -257,10 +264,6 @@ class IdentityDef:
     rhs: tuple
     profile: dict
 
-    def lhs_minus_rhs(self):
-        items = list(self.lhs[1]) + [(-c, t) for c, t in self.rhs[1]]
-        return ("sum", tuple(items))
-
     def __repr__(self):
         return f"IdentityDef({self.text!r})"
 
@@ -302,7 +305,7 @@ def _replace_occurrences(tree, var, labels, pos):
 
 
 class Component:
-    """One multilinear component of a polarized identity.
+    """The polarized form of an identity: one multilinear polynomial.
 
     `terms` are the raw polarized terms. `compile()` adds the canonical form
     that checking evaluates: `poly` maps canonical monomials over variable
@@ -429,34 +432,8 @@ def _canonical_poly(pairs):
     return {m: c.numerator if c.denominator == 1 else c for m, c in poly.items()}
 
 
-def _eval_sparse(A, tree, env):
-    if tree[0] == "var":
-        return env[tree[1]]
-    if tree[0] == "prod":
-        return A.mul_sparse(_eval_sparse(A, tree[1], env), _eval_sparse(A, tree[2], env))
-    out = {}
-    for c, t in tree[1]:
-        add_scaled(out, _eval_sparse(A, t, env), c)
-    return out
-
-
-def evaluate_term(tree, env, A: Algebra):
-    """Evaluate any term tree on dense coordinate vectors; returns a list."""
-    sparse_env = {v: {i: c for i, c in enumerate(vec) if c} for v, vec in env.items()}
-    val = _eval_sparse(A, tree, sparse_env)
-    out = [0] * A.dim
-    for k, x in val.items():
-        out[k] = x
-    return out
-
-
-@dataclass(frozen=True)
-class MultilinearSystem:
-    parent: IdentityDef
-    components: tuple
-
-
-def polarize(idf: IdentityDef) -> MultilinearSystem:
+def polarize(idf: IdentityDef) -> Component:
+    """The fully polarized form of idf, one multilinear Component (uncompiled)."""
     terms = _flatten(idf.lhs) + [(-c, t) for c, t in _flatten(idf.rhs)]
     groups = []
     variables = []
@@ -477,8 +454,7 @@ def polarize(idf: IdentityDef) -> MultilinearSystem:
                     nxt.append((c, _replace_occurrences(t, v, perm, [0])))
             expansions = nxt
         new_terms.extend(expansions)
-    component = Component(variables, groups, idf.variables, new_terms)
-    return MultilinearSystem(idf, (component,))
+    return Component(variables, groups, idf.variables, new_terms)
 
 
 @dataclass(frozen=True)
@@ -499,14 +475,10 @@ class CheckResult:
     witness: Witness | None
 
 
-def _count_evaluations(A, system):
-    n = A.dim
-    total = 0
-    for comp in system.components:
-        cnt = 1
-        for g in comp.groups:
-            cnt *= comb(n + len(g) - 1, len(g))
-        total += cnt
+def _count_evaluations(A, comp):
+    total = 1
+    for g in comp.groups:
+        total *= comb(A.dim + len(g) - 1, len(g))
     return total
 
 
@@ -514,14 +486,12 @@ _COMPILED = {}
 
 
 def _compiled(idf):
-    """polarize(idf) with its components compiled, once per identity text."""
-    system = _COMPILED.get(idf.text)
-    if system is None:
-        system = polarize(idf)
-        for comp in system.components:
-            comp.compile()
-        _COMPILED[idf.text] = system
-    return system
+    """polarize(idf), compiled, once per identity text."""
+    comp = _COMPILED.get(idf.text)
+    if comp is None:
+        comp = _COMPILED[idf.text] = polarize(idf)
+        comp.compile()
+    return comp
 
 
 def _basis_tuples(n, lower):
@@ -574,40 +544,39 @@ def check_identity(
     passes one dict per call, so a polynomial several identities share is
     evaluated once.
     """
-    system = _compiled(idf)
-    required = _count_evaluations(A, system)
+    comp = _compiled(idf)
+    required = _count_evaluations(A, comp)
     if required > budget:
         raise BudgetExceeded(required, budget)
     shared = {} if shared is None else shared
-    for comp in system.components:
-        if comp.key not in shared:
-            shared[comp.key] = _first_failure(A, comp)
-        found = shared[comp.key]
-        if found is not None:
-            combo, val = found
-            return CheckResult(False, idf, _build_witness(A, idf, comp, combo, val))
-    return CheckResult(True, idf, None)
+    if comp.key not in shared:
+        shared[comp.key] = _first_failure(A, comp)
+    found = shared[comp.key]
+    if found is None:
+        return CheckResult(True, idf, None)
+    return CheckResult(False, idf, _build_witness(A, comp, *found))
 
 
-def _build_witness(A, idf, comp, combo, sparse_value):
+def _build_witness(A, comp, combo, sparse_value):
+    """The witness for a failing tuple; see the module docstring."""
     collapsed = all(len(set(picks)) == 1 for picks in combo)
     if collapsed:
         assignment = tuple(
             (v, A.basis_element(picks[0]))
             for v, picks in zip(comp.origin_vars, combo)
         )
-        env = {v: e.coords for v, e in assignment}
-        value = A.element(evaluate_term(idf.lhs_minus_rhs(), env, A))
+        copies = prod(factorial(len(g)) for g in comp.groups)
+        sparse_value = {
+            k: x // copies if x % copies == 0 else Fraction(x, copies)
+            for k, x in sparse_value.items()
+        }
     else:
         assignment = tuple(
             (label, A.basis_element(i))
             for g, picks in zip(comp.groups, combo)
             for label, i in zip(g, picks)
         )
-        dense = [0] * A.dim
-        for k, x in sparse_value.items():
-            dense[k] = x
-        value = A.element(dense)
+    value = A.element(sparse_value.get(k, 0) for k in range(A.dim))
     return Witness(assignment, value, collapsed)
 
 

@@ -29,7 +29,7 @@ from .freealg import (
     conjecture_certificate,
     evaluate_word,
 )
-from .identities import Classification, classify, get_variety
+from .identities import Classification, get_variety
 from .linalg import format_scalar, render_terms
 from .reports import Report, classification_items
 
@@ -49,10 +49,9 @@ class MoufangReport:
     generated: Subspace | None
     restricted: Algebra | None
     conclusion_holds: bool | None
-    classification: Classification
 
 
-def moufang_check(A: Algebra, x1, x2, x3, classification=None) -> MoufangReport:
+def moufang_check(A: Algebra, x1, x2, x3) -> MoufangReport:
     """Check the triple: J = 0 implies the generated subalgebra is Lie."""
     for x in (x1, x2, x3):
         if x.algebra is not A:
@@ -64,8 +63,6 @@ def moufang_check(A: Algebra, x1, x2, x3, classification=None) -> MoufangReport:
         generated = subalgebra_generated([x1, x2, x3])
         restricted = restrict(A, generated, name=f"{A.name}|gen")
         conclusion = not restricted.jacobians()
-    if classification is None:
-        classification = classify(A)
     return MoufangReport(
         algebra=A,
         triple=(x1, x2, x3),
@@ -74,7 +71,6 @@ def moufang_check(A: Algebra, x1, x2, x3, classification=None) -> MoufangReport:
         generated=generated,
         restricted=restricted,
         conclusion_holds=conclusion,
-        classification=classification,
     )
 
 
@@ -103,7 +99,8 @@ def sample_null_triples(A: Algebra, rng, count):
     return triples
 
 
-def render_moufang(report: MoufangReport, command) -> Report:
+def render_moufang(report: MoufangReport, classification: Classification, command) -> Report:
+    """The moufang report; `classification` is the ambient algebra's."""
     rep = Report(command)
     rep.add_section("input")
     rep.add("algebra", report.algebra.name)
@@ -126,7 +123,7 @@ def render_moufang(report: MoufangReport, command) -> Report:
     else:
         rep.add("status", "not evaluated (hypothesis fails)")
     rep.add_section("ambient memberships")
-    for variety, verdict in classification_items(report.classification):
+    for variety, verdict in classification_items(classification):
         rep.add(variety, verdict)
     return rep
 

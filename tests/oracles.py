@@ -4,6 +4,8 @@ Direct, unoptimized definitions that the fast routes in `skewalg` are held
 equal to:
 
 * `verify_isomorphism`: a linear map is multiplicative on every basis pair;
+* `evaluate_term`: any identity term tree evaluated directly, product by
+  product, and `lhs_minus_rhs`, an identity as one such tree;
 * `component_evaluate`: a polarized component evaluated on its raw terms;
 * `jacobi_on_quotient_basis`: every basis triple of a free quotient with
   nonzero Jacobian, multiplied inside the quotient.
@@ -13,8 +15,8 @@ from fractions import Fraction
 
 from skewalg.algebra import Algebra
 from skewalg.freealg import FreeQuotient
-from skewalg.identities import _eval_sparse
-from skewalg.linalg import invert_rows
+from skewalg.identities import IdentityDef
+from skewalg.linalg import add_scaled, invert_rows
 
 
 def verify_isomorphism(A: Algebra, B: Algebra, rows) -> bool:
@@ -38,6 +40,33 @@ def verify_isomorphism(A: Algebra, B: Algebra, rows) -> bool:
             if any(a != b for a, b in zip(lhs, rhs)):
                 return False
     return True
+
+
+def lhs_minus_rhs(idf: IdentityDef):
+    """The identity as one term tree whose value must vanish."""
+    items = list(idf.lhs[1]) + [(-c, t) for c, t in idf.rhs[1]]
+    return ("sum", tuple(items))
+
+
+def _eval_sparse(A, tree, env):
+    if tree[0] == "var":
+        return env[tree[1]]
+    if tree[0] == "prod":
+        return A.mul_sparse(_eval_sparse(A, tree[1], env), _eval_sparse(A, tree[2], env))
+    out = {}
+    for c, t in tree[1]:
+        add_scaled(out, _eval_sparse(A, t, env), c)
+    return out
+
+
+def evaluate_term(tree, env, A: Algebra):
+    """Evaluate any term tree on dense coordinate vectors; returns a list."""
+    sparse_env = {v: {i: c for i, c in enumerate(vec) if c} for v, vec in env.items()}
+    val = _eval_sparse(A, tree, sparse_env)
+    out = [0] * A.dim
+    for k, x in val.items():
+        out[k] = x
+    return out
 
 
 def component_evaluate(comp, A: Algebra, vectors):

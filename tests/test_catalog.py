@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -69,6 +70,21 @@ def test_lie_catalog_entries_are_lie():
                     assert jacobian(
                         A.basis_element(i), A.basis_element(j), A.basis_element(k)
                     ).is_zero()
+
+
+def test_lie_catalog_is_every_lie_entry_in_catalog_order():
+    assert [e.name for e in lie_catalog()] == [
+        "abelian1", "abelian2", "abelian3", "affine2", "heisenberg3", "sl2",
+        "free-anti-2-3",
+    ]
+    lie = {e.name for e in lie_catalog()}
+    for entry in iter_catalog():
+        if entry.name not in lie:
+            A = entry.algebra
+            assert any(
+                not jacobian(*(A.basis_element(i) for i in triple)).is_zero()
+                for triple in combinations(range(A.dim), 3)
+            ), entry.name
 
 
 def test_entries_have_provenance():

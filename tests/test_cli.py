@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import random
+import re
 import subprocess
 import sys
 
@@ -385,3 +387,106 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("name: paper-L\n")
+
+
+# --- rational literals and malformed input -----------------------------------
+
+
+def test_zero_denominator_in_algebra_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "z.alg"
+    path.write_text("name: t\ndim: 2\nbasis: a b\na*b = 1/0*b\n")
+    rc, out, err = run(capsys, "classify", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: line 4: col 1: zero denominator: '1/0'\n"
+
+
+def test_zero_denominator_in_elements_is_a_parse_error(paper_file, capsys):
+    rc, out, err = run(
+        capsys, "moufang", paper_file, "--elements", "x1 = 1/0*a; x2 = b; x3 = c"
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: col 2: zero denominator: '1/0'\n"
+
+
+def test_zero_denominator_in_construction_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "z.cons"
+    path.write_text(
+        "[P]\nbasis: p\n"
+        "[L]\nname: k2\ndim: 2\nbasis: a b\n"
+        "[psi p]\na -> 3/0*b\n"
+        "[lambda]\n[L0]\n"
+    )
+    rc, out, err = run(capsys, "construct", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: line 8: col 1: zero denominator: '3/0'\n"
+
+
+FUZZ_ALGEBRA = "name: t\ndim: 4\nbasis: a b c d\nb*c = 1/2*d - a\nd*a = 2*d\n"
+FUZZ_IDENTITIES = "x*x = 0\nJ(x,y,x*z) = 1/2*J(x,y,z)*x\n"
+FUZZ_TOKEN = re.compile(r"\d+(?:/\d+)?|\w+|\s+|.")
+FUZZ_LITERALS = ("0", "7", "1/3", "1/0", "0/0", "3/00")
+FUZZ_TOKENS = ("a", "b", "x", "y", "*", "+", "-", "=", ":", "#", ";", ",", "(", ")",
+               "J(", "[", " ", "\n")
+
+
+def mutated(rng, text):
+    """text with one or two of its tokens replaced, deleted or preceded by
+    another; a number is replaced by a rational literal, zero denominators
+    among them."""
+    tokens = FUZZ_TOKEN.findall(text)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(tokens))
+        op = rng.choice(("replace", "replace", "delete", "insert"))
+        if op == "delete":
+            del tokens[i]
+        elif op == "insert":
+            tokens.insert(i, rng.choice(FUZZ_TOKENS))
+        else:
+            tokens[i] = rng.choice(FUZZ_LITERALS if tokens[i][0].isdigit() else FUZZ_TOKENS)
+    return "".join(tokens)
+
+
+def _fuzz_argv(rng, tmp_path):
+    """One CLI call with one mutated input: a file or an argument."""
+    alg, cons, ids = tmp_path / "m.alg", tmp_path / "m.cons", tmp_path / "m.ids"
+    alg.write_text(FUZZ_ALGEBRA)
+    kind = rng.choice(
+        ("classify", "invariants", "decompose", "check", "moufang",
+         "construct", "eval", "extra", "identities")
+    )
+    free = ["--generators", "3", "--max-degree", "4"]
+    if kind in ("classify", "invariants", "decompose"):
+        alg.write_text(mutated(rng, FUZZ_ALGEBRA))
+        return [kind, str(alg)]
+    if kind == "check":
+        return ["check", str(alg), "--identity", mutated(rng, "J(x,y,x*z) = 1/2*J(x,y,z)*x")]
+    if kind == "moufang":
+        elements = mutated(rng, "x1 = a + 1/2*b; x2 = b; x3 = 2*c")
+        return ["moufang", str(alg), "--elements", elements]
+    if kind == "construct":
+        B = get_catalog("B(1/2,0,1)").algebra
+        cons.write_text(mutated(rng, emit_construction(decompose(B))))
+        return ["construct", str(cons)]
+    if kind == "eval":
+        return ["free", "--variety", "v", *free, "--eval", mutated(rng, "J(a,b,a*c)")]
+    if kind == "extra":
+        word = mutated(rng, "J(a,b,c) - 1/2*J(a,c,b)")
+        return ["free", "--variety", "w", *free, "--extra-relation", word]
+    ids.write_text(mutated(rng, FUZZ_IDENTITIES))
+    return ["free", "--identities", str(ids), *free]
+
+
+def test_no_input_ends_in_a_traceback(tmp_path, capsys):
+    """Mutated files and arguments, drawn from fixed seeds, end in exit
+    status 0, 1 or 2, never in an exception."""
+    outcomes = set()
+    for seed in range(1000):
+        argv = _fuzz_argv(random.Random(seed), tmp_path)
+        try:
+            rc = main(argv)
+        except Exception as exc:  # noqa: BLE001 -- the property under test
+            pytest.fail(f"seed {seed}: {argv!r} raised {exc!r}")
+        capsys.readouterr()
+        assert rc in (0, 1, 2), (seed, argv)
+        outcomes.add(rc)
+    assert outcomes == {0, 1, 2}

@@ -41,7 +41,7 @@ from skewalg.construction import random_w_algebra
 from skewalg.freealg import build_free_quotient
 from skewalg.identities import (
     CheckResult,
-    _build_witness,
+    Witness,
     builtin_varieties,
     check_identity,
     classify,
@@ -57,7 +57,7 @@ from skewalg.linalg import (
     sparse_rref,
 )
 
-from oracles import component_evaluate
+from oracles import component_evaluate, evaluate_term, lhs_minus_rhs
 
 CUSTOM = (
     "x = 0",
@@ -84,22 +84,40 @@ NONZERO = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
 
 
 def exhaustive_check(A, idf):
-    system = polarize(idf)
-    for comp in system.components:
-        pools = [
-            list(combinations_with_replacement(range(A.dim), len(g))) for g in comp.groups
-        ]
-        for combo in product(*pools):
-            vectors = [A.basis_element(i).coords for picks in combo for i in picks]
-            value = component_evaluate(comp, A, vectors)
-            if any(value):
-                sparse = {k: x for k, x in enumerate(value) if x}
-                return CheckResult(False, idf, _build_witness(A, idf, comp, combo, sparse))
+    """Verdict and witness from the raw polarized terms on every sorted tuple.
+
+    A collapsed witness (each group of copies on one basis vector) is
+    evaluated on the unpolarized identity, independently of the checker.
+    """
+    comp = polarize(idf)
+    pools = [
+        list(combinations_with_replacement(range(A.dim), len(g))) for g in comp.groups
+    ]
+    for combo in product(*pools):
+        vectors = [A.basis_element(i).coords for picks in combo for i in picks]
+        value = component_evaluate(comp, A, vectors)
+        if any(value):
+            collapsed = all(len(set(picks)) == 1 for picks in combo)
+            if collapsed:
+                assignment = tuple(
+                    (v, A.basis_element(picks[0]))
+                    for v, picks in zip(comp.origin_vars, combo)
+                )
+                env = {v: e.coords for v, e in assignment}
+                value = evaluate_term(lhs_minus_rhs(idf), env, A)
+            else:
+                assignment = tuple(
+                    (label, A.basis_element(i))
+                    for g, picks in zip(comp.groups, combo)
+                    for label, i in zip(g, picks)
+                )
+            return CheckResult(False, idf, Witness(assignment, A.element(value), collapsed))
     return CheckResult(True, idf, None)
 
 
 def summary(res):
-    return res.holds, None if res.witness is None else res.witness.describe()
+    w = res.witness
+    return res.holds, None if w is None else (w.describe(), w.collapsed)
 
 
 @st.composite

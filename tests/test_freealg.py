@@ -15,21 +15,38 @@ from skewalg.freealg import (
     _degree_rows,
     _dedupe_key,
     _describe,
+    _monomial_count,
     _row_count,
     build_free_quotient,
     canonicalize,
-    enumerate_monomials,
     evaluate_word,
     expand_evaluate,
     mono_label,
+    monomials_of_degree,
     parse_word,
     relation_combination,
 )
-from skewalg.identities import _compiled, builtin_varieties, get_variety, polarize, sort_key
+from skewalg.identities import (
+    _compiled,
+    _flatten,
+    builtin_varieties,
+    get_variety,
+    polarize,
+    sort_key,
+)
 from skewalg.linalg import Echelon
 
 
 # --- oracles ---------------------------------------------------------------
+
+
+def enumerate_monomials(g, max_degree):
+    """Canonical monomials per degree, index d holding degree d, as a free
+    quotient enumerates them degree by degree."""
+    by = [[], list(range(g))]
+    for d in range(2, max_degree + 1):
+        by.append(monomials_of_degree(by, d))
+    return by
 
 
 def brute_monomials(g, d):
@@ -110,6 +127,32 @@ def test_enumeration_counts():
     assert len(enumerate_monomials(1, 2)[2]) == 0
     by2 = enumerate_monomials(2, 5)
     assert [len(by2[d]) for d in range(1, 6)] == [2, 1, 2, 4, 10]
+
+
+def test_monomial_count_matches_enumeration():
+    for g in (1, 2, 3, 4):
+        by_degree = enumerate_monomials(g, 7)
+        sizes = [len(lst) for lst in by_degree]
+        for d in range(2, 8):
+            assert _monomial_count(sizes[:d], d) == sizes[d]
+
+
+@pytest.mark.parametrize("cap", [8, 12])
+def test_budget_abort_enumerates_no_degree_it_does_not_reach(monkeypatch, cap):
+    """The budget is charged before a degree's monomials are enumerated, so
+    an abort at degree 6 enumerates degrees 2 to 5 only, whatever the cap."""
+    enumerated = []
+    monomials_of_degree = freealg.monomials_of_degree
+
+    def spy(by, d):
+        enumerated.append(d)
+        return monomials_of_degree(by, d)
+
+    monkeypatch.setattr(freealg, "monomials_of_degree", spy)
+    with pytest.raises(RelationBudgetExceeded) as info:
+        build_free_quotient(get_variety("lie"), 3, cap, budget=1000)
+    assert str(info.value) == "relation budget of 1000 rows exceeded at degree 6"
+    assert enumerated == [2, 3, 4, 5]
 
 
 def test_enumeration_sorted_strictly():
@@ -352,29 +395,23 @@ def oracle_rows(F, d):
     """(text, row) pairs of degree d: every raw polarized term substituted
     and canonicalized from its leaves, rows described as they are printed."""
     for idf in F.identities:
-        for comp in polarize(idf).components:
-            k = len(comp.variables)
-            if k > d:
-                continue
-            for combo in _assignments(F.monomials, k, d):
-                env = dict(zip(comp.variables, combo))
-                frow = {}
-                for coef, tree in comp.terms:
-                    res = canonicalize(_subst(tree, env))
-                    if res is None:
-                        continue
-                    c = F.col[d][res[1]]
-                    frow[c] = frow.get(c, 0) + coef * res[0]
-                frow = {c: v for c, v in frow.items() if v}
-                denom = 1
-                for v in frow.values():
-                    denom = denom * v.denominator // gcd(denom, v.denominator)
-                assign = ", ".join(
-                    f"{v} = {F.label(m)}" for v, m in zip(comp.variables, combo)
-                )
-                yield f"{idf.text} [{assign}]", {
-                    c: int(v * denom) for c, v in frow.items()
-                }
+        comp = polarize(idf)
+        k = len(comp.variables)
+        if k > d:
+            continue
+        for combo in _assignments(F.monomials, k, d):
+            env = dict(zip(comp.variables, combo))
+            frow = {}
+            for coef, tree in comp.terms:
+                res = canonicalize(_subst(tree, env))
+                if res is None:
+                    continue
+                c = F.col[d][res[1]]
+                frow[c] = frow.get(c, 0) + coef * res[0]
+            assign = ", ".join(
+                f"{v} = {F.label(m)}" for v, m in zip(comp.variables, combo)
+            )
+            yield f"{idf.text} [{assign}]", _int_row(frow)
     for e in range(1, d):
         for idx, r in enumerate(F.relations_rref[e]):
             for m in F.monomials[d - e]:
@@ -387,9 +424,25 @@ def oracle_rows(F, d):
                 yield f"R{e}[{idx}] * {F.label(m)}", {
                     c: v for c, v in row.items() if v
                 }
-    for deg, text, row in F.extra:
+    generator = {name: i for i, name in enumerate(F.generators)}
+    for deg, text, tree in F.extra:
         if deg == d:
-            yield f"adjoined: {text}", dict(row)
+            frow = {}
+            for coef, term in _flatten(tree):
+                res = canonicalize(_subst(term, generator))
+                if res is not None:
+                    c = F.col[d][res[1]]
+                    frow[c] = frow.get(c, 0) + coef * res[0]
+            yield f"adjoined: {text}", _int_row(frow)
+
+
+def _int_row(frow):
+    """A rational row without its zeros, times the lcm of its denominators."""
+    frow = {c: v for c, v in frow.items() if v}
+    denom = 1
+    for v in frow.values():
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    return {c: int(v * denom) for c, v in frow.items()}
 
 
 ROW_CASES = [
@@ -459,10 +512,9 @@ ASSIGNMENT_BOUNDS = [
     ((), (), (), ()),
 ] + sorted(
     {
-        comp.lower
+        _compiled(idf).lower
         for idfs in builtin_varieties().values()
         for idf in idfs
-        for comp in _compiled(idf).components
     }
 )
 
@@ -539,7 +591,9 @@ def test_build_self_check_reports_what_self_check_reports(
                 return
 
     monkeypatch.setattr(Echelon, "reduce_full", faulty)
-    F = build_free_quotient(identities, g, d, extra_relations=extra, self_check=False)
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(freealg, "_check_rows", lambda F, d, rows: None)
+        F = build_free_quotient(identities, g, d, extra_relations=extra)
     with pytest.raises(ValueError) as regenerated:
         F.self_check()
     with pytest.raises(ValueError) as inline:

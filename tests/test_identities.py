@@ -11,13 +11,12 @@ from skewalg.identities import (
     builtin_varieties,
     check_identity,
     classify,
-    evaluate_term,
     get_variety,
     parse_identity,
     polarize,
 )
 
-from oracles import component_evaluate
+from oracles import component_evaluate, evaluate_term, lhs_minus_rhs
 
 F = Fraction
 
@@ -74,7 +73,7 @@ def test_parse_coefficients_and_parens():
     # semantics: x*y/2 + 3*x*y - 2*x*y = 3/2*x*y; check by evaluation
     A = make_heisenberg()
     x, y = A.basis_element(0), A.basis_element(1)
-    val = evaluate_term(idf.lhs_minus_rhs(), {"x": x.coords, "y": y.coords}, A)
+    val = evaluate_term(lhs_minus_rhs(idf), {"x": x.coords, "y": y.coords}, A)
     assert tuple(val) == tuple((F(3, 2) * (x * y)).coords)
 
 
@@ -105,9 +104,8 @@ def test_parse_rejects_nonhomogeneous():
 
 
 def test_polarize_multilinear_identity_unchanged():
-    system = polarize(parse_identity("J(x,y,z*u) = 0"))
-    assert len(system.components) == 1
-    comp = system.components[0]
+    comp = polarize(parse_identity("J(x,y,z*u) = 0"))
+    assert comp.groups == (("x",), ("y",), ("z",), ("u",))
     assert comp.variables == ("x", "y", "z", "u")
     rng = random.Random(3)
     A = random_anticommutative(rng, 4)
@@ -118,8 +116,7 @@ def test_polarize_multilinear_identity_unchanged():
 
 
 def test_polarize_square():
-    system = polarize(parse_identity("x*x = 0"))
-    comp = system.components[0]
+    comp = polarize(parse_identity("x*x = 0"))
     assert comp.variables == ("x1", "x2")
     rng = random.Random(4)
     A = random_anticommutative(rng, 4)
@@ -130,8 +127,7 @@ def test_polarize_square():
 
 
 def test_polarize_malcev_component():
-    system = polarize(parse_identity("J(x,y,x*z) = J(x,y,z)*x"))
-    comp = system.components[0]
+    comp = polarize(parse_identity("J(x,y,x*z) = J(x,y,z)*x"))
     assert comp.variables == ("x1", "x2", "y", "z")
     rng = random.Random(5)
     A = random_anticommutative(rng, 5)
@@ -147,8 +143,7 @@ def test_polarize_malcev_component():
 
 
 def test_polarized_component_is_multilinear():
-    system = polarize(parse_identity("J(x,y,x*y) = 0"))
-    comp = system.components[0]
+    comp = polarize(parse_identity("J(x,y,x*y) = 0"))
     rng = random.Random(6)
     A = random_anticommutative(rng, 4)
     for slot in range(len(comp.variables)):
@@ -270,11 +265,27 @@ def test_containment_chains_on_fixtures():
             assert got["binary-lie"]
 
 
+def test_collapsed_witness_value_is_the_identitys_own():
+    """Each polarized group on one basis vector: the witness names the
+    identity's variables and gives its value, int where integral."""
+    A = make_L()
+    w = check_identity(A, parse_identity("J(x,y,x*z) = J(x,y,z)*x")).witness
+    assert w.collapsed
+    assert [name for name, _ in w.assignment] == ["x", "y", "z"]
+    assert w.value.coords == (0, 0, 0, -1)
+    assert all(type(c) is int for c in w.value.coords)
+    idf = parse_identity("1/3*((x*y)*x)*x = 0")
+    w = check_identity(A, idf).witness
+    assert w.collapsed and w.describe() == "x = a, y = d gives -1/3*d"
+    env = {name: e.coords for name, e in w.assignment}
+    assert list(w.value.coords) == evaluate_term(lhs_minus_rhs(idf), env, A)
+
+
 # ---------- compiled canonical form ----------
 
 
 def compiled(text):
-    comp = polarize(parse_identity(text)).components[0]
+    comp = polarize(parse_identity(text))
     comp.compile()
     return comp
 
@@ -354,7 +365,7 @@ def test_polarization_agrees_with_direct_evaluation():
     for A in fixtures:
         for idf in idfs:
             verdict = check_identity(A, idf).holds
-            diff = idf.lhs_minus_rhs()
+            diff = lhs_minus_rhs(idf)
             seen_nonzero = False
             for _ in range(200):
                 env = {v: rand_elt(rng, A).coords for v in idf.variables}
