@@ -45,21 +45,41 @@ def _apply(M, v):
     return [sum(v[j] * M[j][k] for j in range(n)) for k in range(n)]
 
 
+def _unit(k, n):
+    """The k-th unit vector of length n (int entries)."""
+    return [int(m == k) for m in range(n)]
+
+
+def _complement(Z, n):
+    """Unit vectors off the pivots of the subspace Z: a complement of Z in k^n."""
+    pivots = set(Z.pivots)
+    return tuple(tuple(_unit(c, n)) for c in range(n) if c not in pivots)
+
+
 def _ad_matrix(L, x):
     """Left multiplication by x as a matrix, one row per basis vector."""
-    rows = []
-    for k in range(L.dim):
-        unit = [Fraction(int(m == k)) for m in range(L.dim)]
-        rows.append(tuple(L.mul_coords(x, unit)))
-    return tuple(rows)
+    return tuple(L.mul_coords(x, _unit(k, L.dim)) for k in range(L.dim))
+
+
+def _inner_parts(L, L0, psi):
+    """Yield ((i, j), x) for each pair i < j: x in span(L0) with
+    ad(x) = [psi_i, psi_j], or None if there is none.  When L0 complements
+    the center, ad(L0) is a basis of Inn(L) and x is unique."""
+    flat_ads = [list(_flatten(_ad_matrix(L, v))) for v in L0]
+    for i in range(len(psi)):
+        for j in range(i + 1, len(psi)):
+            comm = _flatten(_commutator(psi[i], psi[j]))
+            coeffs = span_membership(flat_ads, list(comm))
+            yield (i, j), None if coeffs is None else [
+                sum(c * v[k] for c, v in zip(coeffs, L0)) for k in range(L.dim)
+            ]
 
 
 def _is_derivation(L, M):
     n = L.dim
     for i in range(n):
         for j in range(i + 1, n):
-            ei = [Fraction(int(k == i)) for k in range(n)]
-            ej = [Fraction(int(k == j)) for k in range(n)]
+            ei, ej = _unit(i, n), _unit(j, n)
             lhs = _apply(M, L.mul_coords(ei, ej))
             left = L.mul_coords(list(M[i]), ej)
             right = L.mul_coords(ei, list(M[j]))
@@ -101,10 +121,7 @@ def inner_derivations(A: Algebra) -> list:
     """Basis of the span of the left multiplications; requires a Lie algebra."""
     _check_lie(A)
     n = A.dim
-    flats = []
-    for i in range(n):
-        unit = [Fraction(int(m == i)) for m in range(n)]
-        flats.append(list(_flatten(_ad_matrix(A, unit))))
+    flats = [list(_flatten(_ad_matrix(A, _unit(i, n)))) for i in range(n)]
     reduced, _ = rref_rows(flats, n * n)
     return [tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n)) for v in reduced]
 
@@ -143,6 +160,8 @@ class ConstructionData:
             )
 
     def validate(self):
+        """Raise ValueError on inconsistent data; else return {(i, j): x},
+        the inner part x in span(L0) of each P-product (ad(x) = [psi_i, psi_j])."""
         L = self.L
         n = L.dim
         _check_lie(L)
@@ -168,54 +187,32 @@ class ConstructionData:
                 raise ValueError("L0 vector has the wrong length")
         stacked = [list(r) for r in Z.rows] + [list(v) for v in self.L0]
         reduced, _ = rref_rows(stacked, n)
-        own, _ = rref_rows([list(v) for v in self.L0], n)
-        if (
-            len(own) != len(self.L0)
-            or len(reduced) != n
-            or len(self.L0) != n - Z.dim
-        ):
+        # n - dim Z vectors that span L together with Z are independent
+        if len(reduced) != n or len(self.L0) != n - Z.dim:
             raise ValueError("L0 is not a complement of the center of the base algebra")
-        inn_flat = [list(_flatten(M)) for M in inner_derivations(L)]
-        for i in range(len(self.psi)):
-            for j in range(i + 1, len(self.psi)):
-                comm = _flatten(_commutator(self.psi[i], self.psi[j]))
-                if span_membership(inn_flat, list(comm)) is None:
-                    raise ValueError(
-                        f"[psi[{i}], psi[{j}]] is not an inner derivation"
-                    )
+        parts = {}
+        for (i, j), x in _inner_parts(L, self.L0, self.psi):
+            if x is None:
+                raise ValueError(f"[psi[{i}], psi[{j}]] is not an inner derivation")
+            parts[(i, j)] = x
+        return parts
 
 
 def build_from_construction(data: ConstructionData, name=None) -> Algebra:
     """Assemble the algebra P + L described by the construction data."""
-    data.validate()
+    parts = data.validate()
     L = data.L
     n_p = len(data.p_names)
     n_l = L.dim
     names = list(data.p_names) + list(L.basis_names)
     if len(set(names)) != len(names):
         raise ValueError("p_names collide with base algebra basis names")
-    ads = [_ad_matrix(L, list(v)) for v in data.L0]
-    flat_ads = [list(_flatten(M)) for M in ads]
     products = {}
-    for i in range(n_p):
-        for j in range(i + 1, n_p):
-            comm = _commutator(data.psi[i], data.psi[j])
-            coeffs = span_membership(flat_ads, list(_flatten(comm)))
-            if coeffs is None:
-                raise ValueError(
-                    f"[psi[{i}], psi[{j}]] is not expressible over ad(L0)"
-                )
-            total = [Fraction(0)] * n_l
-            for c, v in zip(coeffs, data.L0):
-                for k in range(n_l):
-                    total[k] += c * v[k]
-            lam = data.lam.get((i, j))
-            if lam is not None:
-                for k in range(n_l):
-                    total[k] += lam[k]
-            combo = {n_p + k: val for k, val in enumerate(total) if val}
-            if combo:
-                products[(i, j)] = combo
+    for pair, inner in parts.items():
+        lam = data.lam.get(pair, (0,) * n_l)
+        combo = {n_p + k: x + z for k, (x, z) in enumerate(zip(inner, lam)) if x + z}
+        if combo:
+            products[pair] = combo
     for i in range(n_p):
         for j in range(n_l):
             combo = {n_p + k: -v for k, v in enumerate(data.psi[i][j]) if v}
@@ -240,55 +237,38 @@ def decompose(B: Algebra) -> ConstructionData:
     p_names = tuple(B.basis_names[c] for c in p_cols)
     L = restrict(B, LC, name=f"{B.name}|L")
     n_l = L.dim
-
-    def unit(col):
-        return [Fraction(int(m == col)) for m in range(B.dim)]
-
+    units = [_unit(pc, B.dim) for pc in p_cols]
     psi = []
-    for pc in p_cols:
+    for unit in units:
         rows = []
         for j in range(n_l):
-            image = B.mul_coords(list(LC.rows[j]), unit(pc))
-            coeffs = LC.coords_of(list(image))
+            coeffs = LC.coords_of(B.mul_coords(LC.rows[j], unit))
             if coeffs is None:
                 raise ValueError("Lie center is not stable under multiplication")
             rows.append(tuple(coeffs))
         psi.append(tuple(rows))
     Z = center(L)
-    z_pivots = set(Z.pivots)
-    L0 = tuple(
-        tuple(Fraction(int(m == c)) for m in range(n_l))
-        for c in range(n_l)
-        if c not in z_pivots
-    )
-    ads = [_ad_matrix(L, list(v)) for v in L0]
-    split_basis = [list(v) for v in L0] + [list(r) for r in Z.rows]
     lam = {}
     for a in range(len(p_cols)):
         for b in range(a + 1, len(p_cols)):
-            prod = B.mul_coords(unit(p_cols[a]), unit(p_cols[b]))
-            v = LC.coords_of(list(prod))
+            v = LC.coords_of(B.mul_coords(units[a], units[b]))
             if v is None:
                 raise ValueError("products of complement vectors leave the Lie center")
-            coeffs = span_membership(split_basis, list(v))
-            l0_part = [
-                sum(coeffs[t] * L0[t][k] for t in range(len(L0)))
-                for k in range(n_l)
-            ]
+            # L0's unit vectors vanish at Z's pivots: there v is its center part
             z_part = tuple(
-                sum(coeffs[len(L0) + t] * Z.rows[t][k] for t in range(Z.dim))
-                for k in range(n_l)
+                sum(v[p] * r[k] for p, r in zip(Z.pivots, Z.rows)) for k in range(n_l)
             )
-            ad_part = _ad_matrix(L, l0_part)
-            if ad_part != _commutator(psi[a], psi[b]):
+            l0_part = [x - z for x, z in zip(v, z_part)]
+            if _ad_matrix(L, l0_part) != _commutator(psi[a], psi[b]):
                 raise ValueError(
                     "inner part of a P-product does not match [psi, psi]"
                 )
             if any(z_part):
                 lam[(a, b)] = z_part
-    ambient = tuple(tuple(unit(pc)) for pc in p_cols) + tuple(LC.rows)
+    ambient = tuple(map(tuple, units)) + tuple(LC.rows)
     return ConstructionData(
-        L=L, p_names=p_names, psi=tuple(psi), lam=lam, L0=L0, ambient_basis=ambient
+        L=L, p_names=p_names, psi=tuple(psi), lam=lam, L0=_complement(Z, n_l),
+        ambient_basis=ambient,
     )
 
 
@@ -304,35 +284,24 @@ def random_w_algebra(L: Algebra, p_dim: int, seed: int) -> Algebra:
         return L
     rng = random.Random(seed)
     ders = derivations(L)
-    inn = inner_derivations(L)
-    inn_flat = [list(_flatten(M)) for M in inn]
     n = L.dim
+    Z = center(L)
+    L0 = _complement(Z, n)
 
     def draw(basis):
         coeffs = [rng.randint(-2, 2) for _ in basis]
         return tuple(
-            tuple(
-                sum(c * M[r][k] for c, M in zip(coeffs, basis))
-                for k in range(n)
-            )
+            tuple(sum(c * M[r][k] for c, M in zip(coeffs, basis)) for k in range(n))
             for r in range(n)
-        ) if basis else tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-
-    chosen = None
-    for _ in range(5):
-        cand = [draw(ders) for _ in range(p_dim)]
-        ok = all(
-            span_membership(inn_flat, list(_flatten(_commutator(cand[i], cand[j]))))
-            is not None
-            for i in range(p_dim)
-            for j in range(i + 1, p_dim)
         )
-        if ok:
-            chosen = cand
+
+    for _ in range(5):
+        chosen = [draw(ders) for _ in range(p_dim)]
+        if all(x is not None for _, x in _inner_parts(L, L0, chosen)):
             break
-    if chosen is None:
+    else:
+        inn = inner_derivations(L)
         chosen = [draw(inn) for _ in range(p_dim)]
-    Z = center(L)
     lam = {}
     for i in range(p_dim):
         for j in range(i + 1, p_dim):
@@ -342,12 +311,6 @@ def random_w_algebra(L: Algebra, p_dim: int, seed: int) -> Algebra:
             )
             if any(vec):
                 lam[(i, j)] = vec
-    z_pivots = set(Z.pivots)
-    L0 = tuple(
-        tuple(Fraction(int(m == c)) for m in range(n))
-        for c in range(n)
-        if c not in z_pivots
-    )
     data = ConstructionData(
         L=L,
         p_names=tuple(f"p{i}" for i in range(p_dim)),

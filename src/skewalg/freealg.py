@@ -430,13 +430,9 @@ def build_free_quotient(
     idfs = tuple(
         parse_identity(t) if isinstance(t, str) else t for t in identities
     )
-    if isinstance(generators, int):
-        if not 1 <= generators <= 26:
-            raise ValueError("generator count must be between 1 and 26")
-        names = tuple(ascii_lowercase[:generators])
-    else:
-        names = tuple(generators)
-    F = FreeQuotient(idfs, names, max_degree)
+    if not 1 <= generators <= 26:
+        raise ValueError("generator count must be between 1 and 26")
+    F = FreeQuotient(idfs, ascii_lowercase[:generators], max_degree)
     for word in extra_relations:
         tree = parse_word(word) if isinstance(word, str) else word
         deg = _ast_degree(tree)
@@ -447,8 +443,18 @@ def build_free_quotient(
         for _coef, prod_tree in _flatten(tree):
             F._to_leaf_tree(prod_tree)  # names an unknown generator now
         F.extra.append((deg, word if isinstance(word, str) else "<word>", tree))
+    # with one generator every degree from 2 on has no monomials; rows reach
+    # them only from a k-variable identity (degree k), R_1 multiples (degree 2)
+    # and adjoined words (their degree), so past those the degrees stay empty
+    reach = max([2, *(len(c.variables) for c in F.components), *(e for e, _, _ in F.extra)])
     count = 0
     for d in range(1, max_degree + 1):
+        if d > reach and not F.monomials[d - 1]:
+            F.monomials.append([])
+            F.col.append({})
+            F.relations_rref.append([])
+            F.basis.append(())
+            continue
         generated = _row_count(F, d)
         count += generated
         # as if counted row by row: a degree without rows never aborts
@@ -492,12 +498,7 @@ def build_free_quotient(
 
 def _eval_ast(F, tree):
     if tree[0] == "var":
-        label = tree[1]
-        try:
-            idx = F.generators.index(label)
-        except ValueError:
-            raise ValueError(f"unknown generator {label!r}") from None
-        return 1, dict(F.rewrite[idx])
+        return 1, dict(F.rewrite[F._to_leaf_tree(tree)])
     if tree[0] == "prod":
         dl, vl = _eval_ast(F, tree[1])
         dr, vr = _eval_ast(F, tree[2])
@@ -578,13 +579,11 @@ def relation_combination(F: FreeQuotient, word):
 
 @dataclass
 class ConjectureCertificate:
-    generators: tuple
-    max_degree: int
-    dims: list
-    word_text: str
+    """CONJECTURE_WORD's value in `quotient`, with SANITY_WORD's value."""
+
     value: WordValue
+    sanity: WordValue
     verdict: str
-    sanity_zero: bool
     routes_agree: bool
     zero_combination: list | None
     quotient: FreeQuotient
@@ -598,7 +597,6 @@ def conjecture_certificate(budget=DEFAULT_RELATION_BUDGET) -> ConjectureCertific
     asserted as ground truth.
     """
     F = build_free_quotient(get_variety("v"), 3, 6, budget=budget)
-    sanity = evaluate_word(F, SANITY_WORD)
     via_products = evaluate_word(F, CONJECTURE_WORD)
     via_expansion = expand_evaluate(F, CONJECTURE_WORD)
     verdict = "zero" if via_products.is_zero() else "nonzero"
@@ -606,13 +604,9 @@ def conjecture_certificate(budget=DEFAULT_RELATION_BUDGET) -> ConjectureCertific
         relation_combination(F, CONJECTURE_WORD) if verdict == "zero" else None
     )
     return ConjectureCertificate(
-        generators=F.generators,
-        max_degree=F.max_degree,
-        dims=F.dims(),
-        word_text=CONJECTURE_WORD,
         value=via_products,
+        sanity=evaluate_word(F, SANITY_WORD),
         verdict=verdict,
-        sanity_zero=sanity.is_zero(),
         routes_agree=via_products == via_expansion,
         zero_combination=combination,
         quotient=F,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewalg import construction
 from skewalg.algebra import Algebra, center, change_basis
 from skewalg.catalog import get_catalog, lie_catalog
 from skewalg.construction import (
@@ -215,6 +216,68 @@ def test_build_rejects_non_inner_commutator():
     )
     with pytest.raises(ValueError, match="inner"):
         build_from_construction(data)
+
+
+def test_build_reports_non_inner_commutator_before_name_collision():
+    data = ConstructionData(
+        L=abelian(2),
+        p_names=("p", "e0"),
+        psi=(((0, 1), (0, 0)), ((0, 0), (1, 0))),
+        lam={},
+        L0=(),
+    )
+    with pytest.raises(ValueError, match=r"\[psi\[0\], psi\[1\]\] is not an inner"):
+        build_from_construction(data)
+
+
+@pytest.mark.parametrize("L0", [((0, 0, 1), (1, 0, 0)), ((1, 0, 0), (1, 0, 0))])
+def test_build_rejects_dependent_complement(L0):
+    # heisenberg's center is span(z): (z, x) has the right count but does not
+    # span L with it, (x, x) spans too little
+    data = ConstructionData(L=heisenberg(), p_names=(), psi=(), lam={}, L0=L0)
+    with pytest.raises(ValueError, match="L0 is not a complement"):
+        build_from_construction(data)
+
+
+def spy_span_membership(monkeypatch):
+    calls = []
+    solve = construction.span_membership
+
+    def spy(basis, v):
+        calls.append(v)
+        return solve(basis, v)
+
+    monkeypatch.setattr(construction, "span_membership", spy)
+    return calls
+
+
+def test_build_solves_each_pair_once(monkeypatch):
+    calls = spy_span_membership(monkeypatch)
+    B = build_from_construction(example_data(2, Fraction(-1, 3), 5))
+    assert len(calls) == 3  # pairs (0,1), (0,2), (1,2)
+    assert B.c(1, 2, 3) == 5
+
+
+@pytest.mark.parametrize(
+    "L, p_dim, attempts",
+    [(get_catalog("sl2").algebra, 3, 1), (abelian(2), 2, 5)],
+    ids=["sl2-accepted", "abelian-fallback"],
+)
+def test_random_w_algebra_solves_each_pair_once_per_attempt(monkeypatch, L, p_dim, attempts):
+    """Every derivation of sl2 is inner, so its first draw is accepted; on
+    the abelian plane (seed 1) all five draws are rejected and the inner
+    derivations are drawn instead. Each acceptance attempt solves each pair
+    once (here every rejection fails on the only pair), the build once more."""
+    fallbacks = []
+    inner = construction.inner_derivations
+    monkeypatch.setattr(
+        construction, "inner_derivations", lambda A: fallbacks.append(A) or inner(A)
+    )
+    calls = spy_span_membership(monkeypatch)
+    random_w_algebra(L, p_dim=p_dim, seed=1)
+    pairs = p_dim * (p_dim - 1) // 2
+    assert len(calls) == attempts * pairs + pairs
+    assert len(fallbacks) == (attempts == 5)
 
 
 def test_build_rejects_name_collision():

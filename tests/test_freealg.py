@@ -546,23 +546,68 @@ def test_identity_without_variables_adds_no_rows():
 @pytest.mark.parametrize("name", list(builtin_varieties()))
 def test_budget_abort_matches_the_unpruned_row_count(name):
     """A budget aborts at the degree of the row that exceeds it, counting
-    every unpruned row, with the same message as a row-by-row count."""
-    F = build_free_quotient(get_variety(name), 3, 5)
-    degrees = [d for d in range(1, 6) for _ in oracle_rows(F, d)]
-    cumulative = [degrees.count(d) for d in range(1, 6)]
-    for d in range(1, 6):
-        total = sum(cumulative[:d])
-        for budget in (total, total - 1):
-            over = max(budget, 0)
-            if over >= len(degrees):
-                assert build_free_quotient(get_variety(name), 3, 5, budget=budget).dims() == F.dims()
-                continue
-            with pytest.raises(RelationBudgetExceeded) as info:
-                build_free_quotient(get_variety(name), 3, 5, budget=budget)
-            assert info.value.degree == degrees[over]
-            assert str(info.value) == (
-                f"relation budget of {budget} rows exceeded at degree {degrees[over]}"
-            )
+    every unpruned row, with the same message as a row-by-row count.  With
+    one generator every degree from 2 on is empty, yet a k-variable
+    identity still charges a row at degree k, `x = 0` an R_1 multiple at
+    degree 2, and an adjoined word one at its degree."""
+    idfs = get_variety(name)
+    for ids, g, cap, extra in [
+        (idfs, 3, 5, ()),
+        (idfs, 1, 6, ()),
+        ([*idfs, "x = 0"], 1, 6, ()),
+        (idfs, 1, 6, ("((a*a)*a)*a",)),
+    ]:
+        F = build_free_quotient(ids, g, cap, extra_relations=extra)
+        degrees = [d for d in range(1, cap + 1) for _ in oracle_rows(F, d)]
+        cumulative = [degrees.count(d) for d in range(1, cap + 1)]
+        for d in range(1, cap + 1):
+            total = sum(cumulative[:d])
+            for budget in (total, total - 1):
+                over = max(budget, 0)
+                if over >= len(degrees):
+                    G = build_free_quotient(ids, g, cap, extra_relations=extra, budget=budget)
+                    assert G.dims() == F.dims()
+                    continue
+                with pytest.raises(RelationBudgetExceeded) as info:
+                    build_free_quotient(ids, g, cap, extra_relations=extra, budget=budget)
+                assert info.value.degree == degrees[over]
+                assert str(info.value) == (
+                    f"relation budget of {budget} rows exceeded at degree {degrees[over]}"
+                )
+
+
+@pytest.mark.parametrize(
+    "identities, extra, reach",
+    [
+        (get_variety("lie"), (), 3),
+        (["x = 0"], (), 2),
+        (["((x*y)*z)*u = 0"], ("(((a*a)*a)*a)*a",), 5),
+    ],
+    ids=["lie", "x=0", "adjoined-word"],
+)
+def test_one_generator_build_stops_where_no_row_reaches(monkeypatch, identities, extra, reach):
+    """With one generator, degrees past every identity's variable count,
+    every adjoined word's degree and degree 2 are neither enumerated nor
+    counted, whatever the cap; their dims read 0."""
+    counted, enumerated = [], []
+    row_count, mons = freealg._row_count, freealg.monomials_of_degree
+
+    def count_spy(F, d):
+        counted.append(d)
+        return row_count(F, d)
+
+    def mons_spy(by, d):
+        enumerated.append(d)
+        return mons(by, d)
+
+    monkeypatch.setattr(freealg, "_row_count", count_spy)
+    monkeypatch.setattr(freealg, "monomials_of_degree", mons_spy)
+    F = build_free_quotient(identities, 1, 60, extra_relations=extra)
+    assert counted == list(range(1, reach + 1))
+    assert enumerated == list(range(2, reach + 1))
+    assert F.dims()[1:] == [0] * 59
+    assert len(F.monomials) == len(F.basis) == len(F.relations_rref) == 61
+    F.self_check()
 
 
 @pytest.mark.parametrize("last", [False, True])
