@@ -62,17 +62,23 @@ def _ad_matrix(L, x):
 
 
 def _inner_parts(L, L0, psi):
-    """Yield ((i, j), x) for each pair i < j: x in span(L0) with
-    ad(x) = [psi_i, psi_j], or None if there is none.  When L0 complements
-    the center, ad(L0) is a basis of Inn(L) and x is unique."""
+    """{(i, j): x} for the pairs i < j in order, with x in span(L0) and
+    ad(x) = [psi_i, psi_j], up to the first pair without one, which maps to
+    None. When L0 complements the center, ad(L0) is a basis of Inn(L) and x
+    is unique."""
     flat_ads = [list(_flatten(_ad_matrix(L, v))) for v in L0]
+    parts = {}
     for i in range(len(psi)):
         for j in range(i + 1, len(psi)):
             comm = _flatten(_commutator(psi[i], psi[j]))
             coeffs = span_membership(flat_ads, list(comm))
-            yield (i, j), None if coeffs is None else [
+            if coeffs is None:
+                parts[(i, j)] = None
+                return parts
+            parts[(i, j)] = [
                 sum(c * v[k] for c, v in zip(coeffs, L0)) for k in range(L.dim)
             ]
+    return parts
 
 
 def _is_derivation(L, M):
@@ -190,17 +196,21 @@ class ConstructionData:
         # n - dim Z vectors that span L together with Z are independent
         if len(reduced) != n or len(self.L0) != n - Z.dim:
             raise ValueError("L0 is not a complement of the center of the base algebra")
-        parts = {}
-        for (i, j), x in _inner_parts(L, self.L0, self.psi):
+        parts = _inner_parts(L, self.L0, self.psi)
+        for (i, j), x in parts.items():
             if x is None:
                 raise ValueError(f"[psi[{i}], psi[{j}]] is not an inner derivation")
-            parts[(i, j)] = x
         return parts
 
 
 def build_from_construction(data: ConstructionData, name=None) -> Algebra:
     """Assemble the algebra P + L described by the construction data."""
-    parts = data.validate()
+    return _assemble(data, data.validate(), name)
+
+
+def _assemble(data, parts, name):
+    """The algebra P + L of valid data, given the inner part of each
+    P-product as `ConstructionData.validate` returns them."""
     L = data.L
     n_p = len(data.p_names)
     n_l = L.dim
@@ -297,11 +307,13 @@ def random_w_algebra(L: Algebra, p_dim: int, seed: int) -> Algebra:
 
     for _ in range(5):
         chosen = [draw(ders) for _ in range(p_dim)]
-        if all(x is not None for _, x in _inner_parts(L, L0, chosen)):
+        parts = _inner_parts(L, L0, chosen)
+        if None not in parts.values():
             break
     else:
         inn = inner_derivations(L)
         chosen = [draw(inn) for _ in range(p_dim)]
+        parts = _inner_parts(L, L0, chosen)
     lam = {}
     for i in range(p_dim):
         for j in range(i + 1, p_dim):
@@ -318,4 +330,5 @@ def random_w_algebra(L: Algebra, p_dim: int, seed: int) -> Algebra:
         lam=lam,
         L0=L0,
     )
-    return build_from_construction(data, name=f"w[{L.name};p{p_dim};s{seed}]")
+    # the draw is valid by construction and its inner parts are solved
+    return _assemble(data, parts, f"w[{L.name};p{p_dim};s{seed}]")

@@ -259,15 +259,18 @@ def test_build_solves_each_pair_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "L, p_dim, attempts",
-    [(get_catalog("sl2").algebra, 3, 1), (abelian(2), 2, 5)],
+    "L, p_dim, solves, fallback",
+    [(get_catalog("sl2").algebra, 3, 3, False), (abelian(2), 2, 5 + 1, True)],
     ids=["sl2-accepted", "abelian-fallback"],
 )
-def test_random_w_algebra_solves_each_pair_once_per_attempt(monkeypatch, L, p_dim, attempts):
+def test_random_w_algebra_solves_each_pair_once_per_attempt(
+    monkeypatch, L, p_dim, solves, fallback
+):
     """Every derivation of sl2 is inner, so its first draw is accepted; on
     the abelian plane (seed 1) all five draws are rejected and the inner
-    derivations are drawn instead. Each acceptance attempt solves each pair
-    once (here every rejection fails on the only pair), the build once more."""
+    derivations are drawn instead. Each attempt solves each pair once, up to
+    the first pair that fails (here the only pair), and the build reuses the
+    accepted draw's solves: 3 for sl2, 5 rejections + 1 for the plane."""
     fallbacks = []
     inner = construction.inner_derivations
     monkeypatch.setattr(
@@ -275,9 +278,8 @@ def test_random_w_algebra_solves_each_pair_once_per_attempt(monkeypatch, L, p_di
     )
     calls = spy_span_membership(monkeypatch)
     random_w_algebra(L, p_dim=p_dim, seed=1)
-    pairs = p_dim * (p_dim - 1) // 2
-    assert len(calls) == attempts * pairs + pairs
-    assert len(fallbacks) == (attempts == 5)
+    assert len(calls) == solves
+    assert len(fallbacks) == fallback
 
 
 def test_build_rejects_name_collision():

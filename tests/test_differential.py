@@ -14,13 +14,18 @@
   `lie_center`, `jacobian_ideal`, the series, `product_space`,
   `subalgebra_generated`) against their `Element`-based definitions over the
   dense elimination: the same canonical subspaces.
+* `classify`, which records every identity after `lie` as holding once A
+  is Lie, against the full search of each identity on Lie algebras and
+  against itself after a change of basis. The fact behind the shortcut,
+  that every builtin identity vanishes on all Lie algebras, is checked in
+  the truncated free Lie algebra `build_free_quotient` builds.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewalg.algebra import (
@@ -38,10 +43,11 @@ from skewalg.algebra import (
 )
 from skewalg.catalog import get_catalog, iter_catalog, lie_catalog
 from skewalg.construction import random_w_algebra
-from skewalg.freealg import build_free_quotient
+from skewalg.freealg import build_free_quotient, evaluate_word
 from skewalg.identities import (
     CheckResult,
     Witness,
+    _compiled,
     builtin_varieties,
     check_identity,
     classify,
@@ -50,6 +56,7 @@ from skewalg.identities import (
     polarize,
 )
 from skewalg.linalg import (
+    add_scaled,
     invert_rows,
     null_space,
     rref_rows,
@@ -474,3 +481,70 @@ def test_invariants_match_element_definitions():
         assert in_w == all(LC.contains(r) for r in PS.rows), A.name
         verdicts.add(in_w)
     assert verdicts == {True, False}
+
+
+# --- classify's Lie shortcut: the free Lie algebra, full searches, bases ---
+
+
+def free_lie_value(comp):
+    """The polarized polynomial at the generators of the truncated free Lie
+    algebra on as many generators as it has variables: {basis monomial: c}."""
+    k = len(comp.variables)
+    F = build_free_quotient(get_variety("lie"), k, k)
+
+    def word(m):
+        if isinstance(m, int):
+            return ("var", F.generators[m])
+        return ("prod", word(m[0]), word(m[1]))
+
+    total = {}
+    for m, c in comp.poly.items():
+        add_scaled(total, evaluate_word(F, word(m)).coords, c)
+    return total
+
+
+def test_every_builtin_identity_vanishes_on_the_free_lie_algebra():
+    """Every builtin variety contains the Lie algebras: the multilinear
+    polarized form vanishes on all Lie algebras exactly when it is zero at
+    the generators of the free one. Two identities that fail on Lie algebras
+    show that the route sees a non-zero value."""
+    for idfs in builtin_varieties().values():
+        for idf in idfs:
+            assert free_lie_value(_compiled(idf)) == {}, idf.text
+    for text in ("x*y = 0", "(x*y)*z = 0"):
+        assert free_lie_value(_compiled(parse_identity(text))) != {}, text
+
+
+SMALL_LIE = tuple(e.algebra for e in lie_catalog() if e.algebra.dim <= 4)
+
+
+@st.composite
+def lie_algebras(draw):
+    """Lie algebras of dim <= 5: seeded random_w_algebra members over small
+    catalog Lie algebras (p_dim 0 gives the catalog algebra) that are Lie."""
+    L = draw(st.sampled_from(SMALL_LIE))
+    A = random_w_algebra(
+        L, p_dim=draw(st.integers(0, 5 - L.dim)), seed=draw(st.integers(0, 999))
+    )
+    assume(not A.jacobians())
+    return A
+
+
+def classify_flags(A):
+    return [(v.variety, v.member, v.failed_identity) for v in classify(A).verdicts]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(lie_algebras(), st.integers(0, 999))
+def test_classify_lie_algebra_is_basis_free(A, seed):
+    assert all(
+        check_identity(A, idf).holds for idfs in builtin_varieties().values() for idf in idfs
+    )
+    assert all(member for _, member, _ in classify_flags(A))
+    assert classify_flags(rebased(A, seed)) == classify_flags(A)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(algebras(), st.integers(0, 999))
+def test_classify_is_basis_free(A, seed):
+    assert classify_flags(rebased(A, seed)) == classify_flags(A)

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from skewalg import cli, identities
 from skewalg.algebra import Algebra, jacobian
-from skewalg.formats import parse_algebra_file
+from skewalg.catalog import get_catalog, lie_catalog
+from skewalg.construction import random_w_algebra
+from skewalg.formats import emit_algebra, parse_algebra_file
 from skewalg.identities import (
     BudgetExceeded,
     IdentityParseError,
@@ -263,6 +266,76 @@ def test_containment_chains_on_fixtures():
             assert got["malcev"]
         if got["malcev"]:
             assert got["binary-lie"]
+
+
+SEARCH_ORDER = (
+    "J(x,y,z) = 0",
+    "J(x,y,x*z) = J(x,y,z)*x",
+    "J(x,y,x*y) = 0",
+    "J(x,y,z*u) = 0",
+    "J(x,y,x*z) = 0",
+    "J(x,y,z)*t = 0",
+    "J(x,y,z)*x = 0",
+)
+
+
+def spy_searches(monkeypatch):
+    """Texts of the polynomials `_first_failure` searches, in call order.
+    x*x = 0 compiles to the empty polynomial, which is no search."""
+    names = {}
+    for idfs in builtin_varieties().values():
+        for idf in idfs:
+            names.setdefault(compiled(idf.text).key, idf.text)
+    searched = []
+    search = identities._first_failure
+
+    def spy(A, comp):
+        if comp.poly:
+            searched.append(names[comp.key])
+        return search(A, comp)
+
+    monkeypatch.setattr(identities, "_first_failure", spy)
+    return searched
+
+
+def seeded_w_member(s):
+    entries = lie_catalog()
+    return random_w_algebra(entries[s % len(entries)].algebra, p_dim=1 + s % 3, seed=s)
+
+
+def test_classify_searches_only_jacobi_on_lie_algebras(monkeypatch, tmp_path, capsys):
+    searched = spy_searches(monkeypatch)
+    for A in (get_catalog("sl2").algebra, seeded_w_member(2)):
+        assert not A.jacobians()
+        searched.clear()
+        assert all(v.member for v in classify(A).verdicts)
+        assert searched == ["J(x,y,z) = 0"]
+    # the moufang report classifies its ambient algebra the same way
+    path = tmp_path / "sl2.alg"
+    path.write_text(emit_algebra(get_catalog("sl2").algebra))
+    searched.clear()
+    assert cli.main(["moufang", str(path), "--elements", "x1 = e; x2 = f; x3 = h"]) == 0
+    assert searched == ["J(x,y,z) = 0"]
+    # seed 14 is in w but not Lie: every distinct polynomial is searched
+    searched.clear()
+    cls = classify(seeded_w_member(14))
+    assert not cls.member("lie") and cls.member("w")
+    assert searched == list(SEARCH_ORDER)
+    # check decides each identity on its own, with no J search to lean on
+    searched.clear()
+    assert cli.main(["check", str(path), "--variety", "v"]) == 0
+    assert searched == ["J(x,y,x*z) = 0"]
+    capsys.readouterr()
+
+
+def test_lie_shortcut_keeps_the_budget_guard():
+    """On sl2 (dim 3) J(x,y,z*u) needs 3**4 = 81 evaluations: the budget
+    aborts it although the Lie shortcut would skip its search."""
+    sl2 = get_catalog("sl2").algebra
+    with pytest.raises(BudgetExceeded) as exc:
+        classify(sl2, budget=80)
+    assert (exc.value.required, exc.value.budget) == (81, 80)
+    assert all(v.member for v in classify(sl2, budget=81).verdicts)
 
 
 def test_collapsed_witness_value_is_the_identitys_own():
