@@ -3,12 +3,23 @@
 An algebra is specified by the products e_i*e_j for i != j; the diagonal is
 forced to zero and e_j*e_i = -e_i*e_j is filled in automatically, so x*x = 0
 holds structurally for every element (we are over Q). Integral structure
-constants are stored as int, which keeps products on them in int arithmetic.
+constants are stored as int and the rest as `Fraction`.
+
+Every algebra A has an integral twin (`Algebra.integral_twin`): D*A, the
+same space with the product scaled by D, the lcm of the denominators of A's
+structure constants, so that products on int vectors stay int. An integral
+algebra is its own twin. Scaling the product by D != 0 changes no subspace
+defined by products, so `center`, `product_space`, `lie_center`,
+`jacobian_ideal`, the derived and lower central series and the closures
+behind `subalgebra_generated` and `ideal_generated` multiply on the twin,
+with subspace rows scaled to integers first, and return subspaces of A.
+`Algebra.jacobians()`, `mul_coords`, `restrict` and `change_basis` stay on A.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from math import lcm
 
 from .linalg import (
     Echelon,
@@ -25,7 +36,7 @@ from .linalg import (
 class Algebra:
     """Structure-constant algebra; products stored sparsely per (i<j) pair."""
 
-    __slots__ = ("name", "dim", "basis_names", "_rows", "_jacobians")
+    __slots__ = ("name", "dim", "basis_names", "denominator", "_rows", "_jacobians", "_twin")
 
     def __init__(self, name, basis_names, products):
         self.name = name
@@ -33,6 +44,7 @@ class Algebra:
         self.dim = len(self.basis_names)
         rows = {}
         seen = set()
+        denominator = 1
         for (i, j), combo in products.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError(f"basis index out of range in pair ({i},{j})")
@@ -49,10 +61,29 @@ class Algebra:
                     raise ValueError(f"coefficient index {k} out of range")
                 if v:
                     row[k] = sign * (v.numerator if v.denominator == 1 else v)
+                    denominator = lcm(denominator, v.denominator)
             if row:
                 rows[key] = row
         self._rows = rows
         self._jacobians = None
+        # the lcm of the structure constants' denominators
+        self.denominator = denominator
+        self._twin = None
+
+    def integral_twin(self):
+        """D*A for D = self.denominator: the product scaled by D, every
+        structure constant an int. Built once and cached; an integral
+        algebra is its own twin."""
+        if self.denominator == 1:
+            return self
+        if self._twin is None:
+            D = self.denominator
+            self._twin = Algebra(
+                self.name,
+                self.basis_names,
+                {key: {k: v * D for k, v in row.items()} for key, row in self._rows.items()},
+            )
+        return self._twin
 
     def c(self, i, j, k):
         """Structure constant: coefficient of e_k in e_i * e_j."""
@@ -274,18 +305,18 @@ def _closure(A, vectors, expand):
     """Smallest subspace holding the sparse vectors and closed under expand.
 
     expand(new, old) yields the products that grow the span; `new` are the
-    vectors that raised the rank in the previous round and `old` those
-    before, so every product is formed once.
+    vectors, scaled to integers, that raised the rank in the previous round
+    and `old` those before, so every product is formed once.
     """
     ech = Echelon()
     old, new = [], []
-    for v in vectors:
-        if v and ech.insert(_scale_to_int(v)) is not None:
+    for v in map(_scale_to_int, vectors):
+        if v and ech.insert(v) is not None:
             new.append(v)
     while new and len(ech.rows) < A.dim:
         grown = []
-        for v in expand(new, old):
-            if v and ech.insert(_scale_to_int(v)) is not None:
+        for v in map(_scale_to_int, expand(new, old)):
+            if v and ech.insert(v) is not None:
                 grown.append(v)
                 if len(ech.rows) == A.dim:
                     break
@@ -320,18 +351,18 @@ def subalgebra_generated(gens) -> Subspace:
     if not gens:
         raise ValueError("need at least one generator")
     A = gens[0].algebra
-    return _closure(A, [_sparse(g.coords) for g in gens], _subalgebra_products(A))
+    return _closure(A, [_sparse(g.coords) for g in gens], _subalgebra_products(A.integral_twin()))
 
 
 def ideal_generated(gens) -> Subspace:
     if not gens:
         raise ValueError("need at least one generator")
     A = gens[0].algebra
-    return _closure(A, [_sparse(g.coords) for g in gens], _ideal_products(A))
+    return _closure(A, [_sparse(g.coords) for g in gens], _ideal_products(A.integral_twin()))
 
 
 def product_space(A: Algebra) -> Subspace:
-    return _span(A, [row for _, row in A.table_pairs()])
+    return _span(A, [row for _, row in A.integral_twin().table_pairs()])
 
 
 def _kernel_space(A, constraints):
@@ -343,7 +374,7 @@ def _kernel_space(A, constraints):
 def center(A: Algebra) -> Subspace:
     # one constraint per (i, k): the e_k coordinate of x * e_i
     cons = {}
-    for (a, b), row in A.table_pairs():
+    for (a, b), row in A.integral_twin().table_pairs():
         for k, v in row.items():
             cons.setdefault((b, k), {})[a] = v
             cons.setdefault((a, k), {})[b] = -v
@@ -353,7 +384,7 @@ def center(A: Algebra) -> Subspace:
 def lie_center(A: Algebra) -> Subspace:
     # one constraint per (i < j, k): the e_k coordinate of J(x, e_i, e_j)
     cons = {}
-    for (a, b, c), jac in A.jacobians().items():
+    for (a, b, c), jac in A.integral_twin().jacobians().items():
         for k, v in jac.items():
             cons.setdefault((b, c, k), {})[a] = v
             cons.setdefault((a, c, k), {})[b] = -v
@@ -362,16 +393,19 @@ def lie_center(A: Algebra) -> Subspace:
 
 
 def jacobian_ideal(A: Algebra) -> Subspace:
-    return _closure(A, A.jacobians().values(), _ideal_products(A))
+    T = A.integral_twin()
+    return _closure(A, T.jacobians().values(), _ideal_products(T))
 
 
 def _products(A, S, T):
-    """Products spanning S*T (= T*S): each pair once when S is T."""
-    rs = [_sparse(r) for r in S.rows]
+    """Products on A's integral twin spanning S*T (= T*S), from the rows
+    scaled to integers: each pair once when S is T."""
+    mul = A.integral_twin().mul_sparse
+    rs = [_scale_to_int(_sparse(r)) for r in S.rows]
     if S is T:
-        return (A.mul_sparse(r, s) for i, r in enumerate(rs) for s in rs[i + 1 :])
-    ts = [_sparse(t) for t in T.rows]
-    return (A.mul_sparse(r, t) for r in rs for t in ts)
+        return (mul(r, s) for i, r in enumerate(rs) for s in rs[i + 1 :])
+    ts = [_scale_to_int(_sparse(t)) for t in T.rows]
+    return (mul(r, t) for r in rs for t in ts)
 
 
 def derived_series(A: Algebra):

@@ -337,13 +337,14 @@ def _degree_rows(F, d):
     adjoined word, and `_describe` renders it. Substitution instances come
     from the compiled canonical polynomial, which is exact because the free
     quotient is anticommutative, one per orbit of its symmetries
-    (`_assignments`).
+    (`_assignments`). An identity whose polynomial is empty (x*x = 0)
+    yields none; `_row_count` still charges its instances.
     """
     col = F.col[d]
     rank = F.rank
     for idf, comp in zip(F.identities, F.components):
         k = len(comp.variables)
-        if k > d:
+        if k > d or not comp.poly:
             continue
         for combo in _assignments(F.monomials, k, d, comp.lower):
             row = {}

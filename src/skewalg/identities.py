@@ -23,7 +23,9 @@ witness), the assignment names the identity's own variables and the value is
 the identity's: the compiled value at that tuple divided by the product of
 m_i! over the groups, since polarization sums m! copies of each term and at
 such a tuple all of them are equal. Otherwise the assignment names the
-copies and the value is the compiled value itself.
+copies and the value is the compiled value itself. The search itself runs on
+the algebra's integral twin (`Algebra.integral_twin`), in int arithmetic, and
+the value found there is scaled back to the algebra.
 """
 
 from __future__ import annotations
@@ -512,12 +514,19 @@ def _basis_tuples(n, lower):
 
 
 def _first_failure(A, comp):
-    """(per-group index picks, sparse value) of the first failing tuple, or None."""
+    """(per-group index picks, sparse value) of the first failing tuple, or None.
+
+    The search runs on A's integral twin D*A (`Algebra.integral_twin`): a
+    multilinear form in k variables takes D^(k-1) times its value on A
+    there, so it fails on the same tuples. The value returned is the twin's;
+    `_build_witness` divides it back.
+    """
     if not comp.poly:
         return None
+    T = A.integral_twin()
     memo = [{} for _ in comp._nodes]
     for idx in _basis_tuples(A.dim, comp.lower):
-        val = comp.evaluate_on_basis(A, idx, memo)
+        val = comp.evaluate_on_basis(T, idx, memo)
         if val:
             combo, start = [], 0
             for g in comp.groups:
@@ -564,24 +573,27 @@ def _within_budget(A, idf, budget):
 
 
 def _build_witness(A, comp, combo, sparse_value):
-    """The witness for a failing tuple; see the module docstring."""
+    """The witness for a failing tuple from the value `_first_failure` found
+    on A's integral twin; see the module docstring."""
+    divisor = A.denominator ** (len(comp.variables) - 1)
     collapsed = all(len(set(picks)) == 1 for picks in combo)
     if collapsed:
         assignment = tuple(
             (v, A.basis_element(picks[0]))
             for v, picks in zip(comp.origin_vars, combo)
         )
-        copies = prod(factorial(len(g)) for g in comp.groups)
-        sparse_value = {
-            k: x // copies if x % copies == 0 else Fraction(x, copies)
-            for k, x in sparse_value.items()
-        }
+        divisor *= prod(factorial(len(g)) for g in comp.groups)
     else:
         assignment = tuple(
             (label, A.basis_element(i))
             for g, picks in zip(comp.groups, combo)
             for label, i in zip(g, picks)
         )
+    if divisor != 1:
+        sparse_value = {
+            k: x // divisor if x % divisor == 0 else Fraction(x, divisor)
+            for k, x in sparse_value.items()
+        }
     value = A.element(sparse_value.get(k, 0) for k in range(A.dim))
     return Witness(assignment, value, collapsed)
 

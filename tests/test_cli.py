@@ -4,9 +4,12 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import chain, combinations
 
 import pytest
 
+from skewalg.algebra import Algebra, jacobian, jacobian_ideal, lie_center
 from skewalg.catalog import get_catalog
 from skewalg.cli import main
 from skewalg.construction import build_from_construction, decompose
@@ -93,6 +96,62 @@ def test_invariants_report(paper_file, capsys):
         "solvable: yes\n"
         "nilpotent: no\n"
     )
+
+
+def test_invariants_and_classify_multiply_on_the_integral_twin(tmp_path, capsys, monkeypatch):
+    """On an algebra with non-integral constants (lcm of denominators 12),
+    `invariants` and `classify` read only its integral twin: every product
+    and every direct table read sees an all-int table, and every product
+    int operands. The algebra's own Jacobian table keeps the unscaled
+    values."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    A = Algebra(
+        "halves",
+        ["a", "b", "c", "d", "e", "f"],
+        {
+            (0, 1): {2: half}, (0, 2): {3: Fraction(-5, 4), 4: 1}, (1, 2): {4: 2 * third},
+            (0, 3): {5: half * third}, (1, 4): {5: 3}, (2, 4): {5: -half},
+        },
+    )
+    path = tmp_path / "halves.alg"
+    path.write_text(emit_algebra(A))
+    reads = []
+    mul, pairs = Algebra.mul_sparse, Algebra.table_pairs
+
+    def int_table(A):
+        return all(type(v) is int for _, row in pairs(A) for v in row.values())
+
+    def spy_mul(self, xs, ys):
+        operands = chain(xs.values(), ys.values())
+        reads.append(int_table(self) and all(type(v) is int for v in operands))
+        return mul(self, xs, ys)
+
+    def spy_pairs(self):
+        reads.append(int_table(self))
+        return pairs(self)
+
+    monkeypatch.setattr(Algebra, "mul_sparse", spy_mul)
+    monkeypatch.setattr(Algebra, "table_pairs", spy_pairs)
+    for command in ("invariants", "classify"):
+        reads.clear()
+        rc, out, _ = run(capsys, command, str(path))
+        assert rc == 0, command
+        assert reads and all(reads), command
+    assert "lie: FAILS (J(x,y,z) = 0; witness x = a, y = b, z = c gives 3*f)" in out
+    B = parse_algebra_file(path.read_text())
+    lie_center(B), jacobian_ideal(B)
+    assert all(reads)
+    monkeypatch.undo()
+    want = {}
+    for triple in combinations(range(B.dim), 3):
+        value = jacobian(*(B.basis_element(i) for i in triple))
+        if not value.is_zero():
+            want[triple] = {k: x for k, x in enumerate(value.coords) if x}
+    assert B.denominator == 12
+    assert B.jacobians() == want
+    assert B.integral_twin().jacobians() == {
+        t: {k: 144 * x for k, x in jac.items()} for t, jac in want.items()
+    }
 
 
 def test_check_variety_holds(paper_file, capsys):

@@ -19,6 +19,11 @@
   against itself after a change of basis. The fact behind the shortcut,
   that every builtin identity vanishes on all Lie algebras, is checked in
   the truncated free Lie algebra `build_free_quotient` builds.
+* Scale invariance, the fact behind `Algebra.integral_twin`: for c != 0 the
+  algebra c*A, A with its product scaled by c, has the same invariant
+  subspaces and generated subalgebras as A, and an identity in k variables
+  fails on c*A at the same basis tuples as on A, with c^(k-1) times the
+  value, so `classify` gives the same verdicts and witness assignments.
 """
 
 import random
@@ -548,3 +553,70 @@ def test_classify_lie_algebra_is_basis_free(A, seed):
 @given(algebras(), st.integers(0, 999))
 def test_classify_is_basis_free(A, seed):
     assert classify_flags(rebased(A, seed)) == classify_flags(A)
+
+
+# --- scale invariance: the fact behind the integral twin --------------------
+
+
+SCALES = (2, Fraction(-1, 3), Fraction(7, 4))
+
+
+def scaled(A, c):
+    """c*A: A with every structure constant multiplied by c."""
+    return Algebra(
+        f"{A.name}*{c}",
+        A.basis_names,
+        {key: {k: c * v for k, v in row.items()} for key, row in A.table_pairs()},
+    )
+
+
+def invariant_rows(A):
+    """The canonical rows of A's invariant subspaces, series and the
+    subalgebra generated by two rational vectors."""
+    gens = [
+        A.element(Fraction(1 + i % 3, 2 + i % 2) if i % 2 else 0 for i in range(A.dim)),
+        A.element(Fraction(-i, 3) if i % 3 else 1 for i in range(A.dim)),
+    ]
+    return (
+        [f(A).rows for f in (center, product_space, lie_center, jacobian_ideal)],
+        [S.rows for S in derived_series(A)],
+        [S.rows for S in lower_central_series(A)],
+        subalgebra_generated(gens).rows,
+    )
+
+
+def scale_algebras():
+    out = [seeded_rational_algebra(s) for s in range(12)]
+    out += [rebased(get_catalog(name).algebra, s) for s, name in enumerate(("sl2", "heisenberg3"))]
+    entries = lie_catalog()
+    for s in (2, 14):
+        out.append(random_w_algebra(entries[s % len(entries)].algebra, p_dim=1 + s % 3, seed=s))
+    return out
+
+
+def test_scaled_algebra_has_the_same_invariants_and_verdicts():
+    members, integral = set(), set()
+    for A in scale_algebras():
+        rows = invariant_rows(A)
+        verdicts = classify(A).verdicts
+        integral.add(A.denominator == 1)
+        for c in SCALES:
+            B = scaled(A, c)
+            assert invariant_rows(B) == rows, (A.name, c)
+            for va, vb in zip(verdicts, classify(B).verdicts):
+                assert (vb.variety, vb.member, vb.failed_identity) == (
+                    va.variety, va.member, va.failed_identity,
+                ), (A.name, c)
+                members.add(va.member)
+                if va.witness is None:
+                    assert vb.witness is None
+                    continue
+                wa, wb = va.witness, vb.witness
+                assert [(n, e.coords) for n, e in wb.assignment] == [
+                    (n, e.coords) for n, e in wa.assignment
+                ]
+                assert wb.collapsed == wa.collapsed
+                k = len(_compiled(parse_identity(va.failed_identity)).variables)
+                assert wb.value.coords == tuple(c ** (k - 1) * x for x in wa.value.coords)
+    assert members == {True, False}
+    assert integral == {True, False}

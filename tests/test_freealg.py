@@ -472,6 +472,17 @@ def _first_occurrences(stream):
     return out
 
 
+def test_square_identity_yields_no_rows_but_is_charged():
+    """x*x = 0 compiles to the empty polynomial, so its instances make no
+    relation rows; `_row_count` still charges every ordered pair of
+    monomials of total degree d, so budget aborts do not move."""
+    F = build_free_quotient(["x*x = 0"], 3, 4)
+    for d in range(1, 5):
+        assert list(_degree_rows(F, d)) == []
+        sizes = [len(F.monomials[e]) for e in range(d + 1)]
+        assert _row_count(F, d) == sum(sizes[e] * sizes[d - e] for e in range(1, d))
+
+
 @pytest.mark.parametrize("source, g, d, extra", ROW_CASES)
 def test_degree_rows_match_raw_term_oracle(source, g, d, extra):
     """The orbit-pruned rows are a subsequence of the unpruned oracle rows,
