@@ -13,7 +13,7 @@ defined by products, so `center`, `product_space`, `lie_center`,
 `jacobian_ideal`, the derived and lower central series and the closures
 behind `subalgebra_generated` and `ideal_generated` multiply on the twin,
 with subspace rows scaled to integers first, and return subspaces of A.
-`Algebra.jacobians()`, `mul_coords`, `restrict` and `change_basis` stay on A.
+`Algebra.jacobians()`, `mul_coords` and `restrict` stay on A.
 """
 
 from __future__ import annotations
@@ -460,26 +460,3 @@ def restrict(A: Algebra, S: Subspace, name=None) -> Algebra:
         else:
             names.append(f"v{idx}")
     return Algebra(name or f"{A.name}|sub", names, products)
-
-
-def change_basis(A: Algebra, new_basis_rows, names, name=None) -> Algebra:
-    """Same algebra in a new ordered basis (rows = new vectors in old coords)."""
-    from .linalg import invert_rows
-
-    n = A.dim
-    if len(new_basis_rows) != n:
-        raise ValueError("need exactly dim basis vectors")
-    inv = invert_rows(new_basis_rows)
-    if inv is None:
-        raise ValueError("basis change matrix is singular")
-    products = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            prod_old = A.mul_coords(new_basis_rows[i], new_basis_rows[j])
-            new_coords = [
-                sum(prod_old[c] * inv[c][k] for c in range(n)) for k in range(n)
-            ]
-            combo = {k: v for k, v in enumerate(new_coords) if v}
-            if combo:
-                products[(i, j)] = combo
-    return Algebra(name or f"{A.name}|rebased", names, products)

@@ -3,20 +3,30 @@
 Direct, unoptimized definitions that the fast routes in `skewalg` are held
 equal to:
 
-* `verify_isomorphism`: a linear map is multiplicative on every basis pair;
+* `verify_isomorphism`: a linear map is multiplicative on every basis pair,
+  and `change_basis`, an algebra re-expressed in a new ordered basis;
 * `evaluate_term`: any identity term tree evaluated directly, product by
   product, and `lhs_minus_rhs`, an identity as one such tree;
 * `component_evaluate`: a polarized component evaluated on its raw terms;
 * `jacobi_on_quotient_basis`: every basis triple of a free quotient with
-  nonzero Jacobian, multiplied inside the quotient.
+  nonzero Jacobian, multiplied inside the quotient;
+* `reference_free_quotient`: a free quotient built without generator
+  symmetry, every relation row of every degree generated and eliminated.
 """
 
 from fractions import Fraction
 
 from skewalg.algebra import Algebra
-from skewalg.freealg import FreeQuotient
-from skewalg.identities import IdentityDef
-from skewalg.linalg import add_scaled, invert_rows
+from skewalg.freealg import (
+    FreeQuotient,
+    _ast_degree,
+    _dedupe_key,
+    _degree_rows,
+    _record_degree,
+    parse_word,
+)
+from skewalg.identities import IdentityDef, parse_identity
+from skewalg.linalg import Echelon, add_scaled, invert_rows
 
 
 def verify_isomorphism(A: Algebra, B: Algebra, rows) -> bool:
@@ -40,6 +50,27 @@ def verify_isomorphism(A: Algebra, B: Algebra, rows) -> bool:
             if any(a != b for a, b in zip(lhs, rhs)):
                 return False
     return True
+
+
+def change_basis(A: Algebra, new_basis_rows, names, name=None) -> Algebra:
+    """Same algebra in a new ordered basis (rows = new vectors in old coords)."""
+    n = A.dim
+    if len(new_basis_rows) != n:
+        raise ValueError("need exactly dim basis vectors")
+    inv = invert_rows(new_basis_rows)
+    if inv is None:
+        raise ValueError("basis change matrix is singular")
+    products = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            prod_old = A.mul_coords(new_basis_rows[i], new_basis_rows[j])
+            new_coords = [
+                sum(prod_old[c] * inv[c][k] for c in range(n)) for k in range(n)
+            ]
+            combo = {k: v for k, v in enumerate(new_coords) if v}
+            if combo:
+                products[(i, j)] = combo
+    return Algebra(name or f"{A.name}|rebased", names, products)
 
 
 def lhs_minus_rhs(idf: IdentityDef):
@@ -110,3 +141,26 @@ def jacobi_on_quotient_basis(F: FreeQuotient):
                 if coords:
                     witnesses.append(tuple(F.label(flat[p][1]) for p in (i, j, k)))
     return witnesses
+
+
+def reference_free_quotient(identities, generators, max_degree, extra_relations=()):
+    """The truncated free algebra, degree by degree, from all relation rows:
+    every type's rows are generated, deduplicated and eliminated together,
+    with no budget and no generator symmetry."""
+    idfs = [parse_identity(t) if isinstance(t, str) else t for t in identities]
+    F = FreeQuotient(idfs, "abcdefghijklmnopqrstuvwxyz"[:generators], max_degree)
+    for word in extra_relations:
+        tree = parse_word(word)
+        F.extra.append((_ast_degree(tree), word, tree))
+    for d in range(1, max_degree + 1):
+        if d > 1:
+            F.add_degree()
+        ech = Echelon()
+        seen = set()
+        for _source, row in _degree_rows(F, d):
+            key = _dedupe_key(row)
+            if row and key not in seen:
+                seen.add(key)
+                ech.insert(row)
+        _record_degree(F, d, ech)
+    return F

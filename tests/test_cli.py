@@ -372,6 +372,18 @@ def test_free_extra_relation(capsys):
     assert "dims: 1: 3, 2: 3, 3: 8\n" in out
 
 
+@pytest.mark.parametrize("flag", ["--eval", "--extra-relation"])
+def test_free_zero_word_has_no_terms(capsys, flag):
+    rc, out, err = run(
+        capsys,
+        "free", "--variety", "lie", "--generators", "2", "--max-degree", "3",
+        flag, "0",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "error: word has no terms\n"
+
+
 def test_free_requires_identity_source(capsys):
     rc, _, _ = run(capsys, "free", "--generators", "3", "--max-degree", "2")
     assert rc == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from skewalg import construction
-from skewalg.algebra import Algebra, center, change_basis
+from skewalg.algebra import Algebra, center
 from skewalg.catalog import get_catalog, lie_catalog
 from skewalg.construction import (
     ConstructionData,
@@ -17,7 +17,7 @@ from skewalg.construction import (
 from skewalg.identities import classify
 from skewalg.linalg import rref_rows
 
-from oracles import verify_isomorphism
+from oracles import change_basis, verify_isomorphism
 
 
 def one_dim():

@@ -37,7 +37,6 @@ from skewalg.algebra import (
     Algebra,
     Subspace,
     center,
-    change_basis,
     derived_series,
     jacobian,
     jacobian_ideal,
@@ -69,7 +68,7 @@ from skewalg.linalg import (
     sparse_rref,
 )
 
-from oracles import component_evaluate, evaluate_term, lhs_minus_rhs
+from oracles import change_basis, component_evaluate, evaluate_term, lhs_minus_rhs
 
 CUSTOM = (
     "x = 0",

@@ -1,7 +1,11 @@
+import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skewalg.algebra import Algebra
 from skewalg.catalog import get_catalog
 from skewalg.construction import ConstructionData, build_from_construction, decompose
 from skewalg.formats import (
@@ -67,6 +71,48 @@ def test_algebra_file_round_trip():
             for j in range(A.dim):
                 for k in range(A.dim):
                     assert B.c(i, j, k) == A.c(i, j, k)
+
+
+SCALARS = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+
+@st.composite
+def algebras_with_pairs(draw):
+    """A random algebra with a printing order for its products: every
+    nonzero pair once, in either orientation, some zero pairs among them."""
+    names = draw(st.lists(
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+        min_size=1, max_size=5, unique=True,
+    ))
+    n = len(names)
+    products = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = draw(st.dictionaries(st.integers(0, n - 1), SCALARS, max_size=3))
+            if row:
+                products[(i, j)] = row
+    name = draw(st.text(string.ascii_letters + string.digits + "_-()|,/", min_size=1, max_size=12))
+    A = Algebra(name, names, products)
+    shown = [ij for ij in ((i, j) for i in range(n) for j in range(i + 1, n))
+             if ij in products or draw(st.booleans())]
+    pairs = [(j, i) if draw(st.booleans()) else (i, j) for i, j in draw(st.permutations(shown))]
+    return A, pairs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(algebras_with_pairs(), st.booleans())
+def test_algebra_file_round_trip_property(case, with_pairs):
+    """emit_algebra then parse_algebra_file gives back the name, the basis
+    and every structure constant, whichever orientations are printed."""
+    A, pairs = case
+    B = parse_algebra_file(emit_algebra(A, pairs=pairs if with_pairs else None))
+    assert B.name == A.name
+    assert B.basis_names == A.basis_names
+    assert B.dim == A.dim
+    n = A.dim
+    assert all(
+        B.c(i, j, k) == A.c(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+    )
 
 
 def test_algebra_file_reversed_orientation():

@@ -2,10 +2,13 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewalg import freealg
 from skewalg.freealg import (
@@ -15,6 +18,7 @@ from skewalg.freealg import (
     _degree_rows,
     _dedupe_key,
     _describe,
+    _generator_symmetry,
     _monomial_count,
     _row_count,
     build_free_quotient,
@@ -35,6 +39,8 @@ from skewalg.identities import (
     sort_key,
 )
 from skewalg.linalg import Echelon
+
+from oracles import reference_free_quotient
 
 
 # --- oracles ---------------------------------------------------------------
@@ -219,6 +225,118 @@ def test_build_deterministic():
     assert F.dims() == G.dims()
     assert F.basis == G.basis
     assert F.rewrite == G.rewrite
+
+
+# --- generator symmetry --------------------------------------------------------
+
+
+def _symmetry(identities, g, d, extra):
+    F = build_free_quotient(identities, g, d, extra_relations=extra)
+    words = [freealg._word_row(F, tree) for _deg, _text, tree in F.extra]
+    sym = _generator_symmetry(F, [row for row in words if row])
+    return None if sym is None else (sorted(sym.perms), sym.free)
+
+
+def test_generator_symmetry_keeps_the_permutations_that_fix_the_words():
+    """Identities alone keep every permutation; an adjoined word keeps those
+    that map the set of words to itself up to a scalar; a trivial group, and
+    a build without relation rows, track no types."""
+    assert _symmetry(get_variety("lie"), 3, 3, ()) == ([(0, 1, 2)], [0, 1, 2])
+    assert _symmetry(["x*x = 0"], 3, 3, ()) is None
+    assert _symmetry(get_variety("lie"), 1, 3, ()) is None
+    assert _symmetry(["x*x = 0"], 3, 3, ("J(a,b,c)",)) == (
+        sorted(permutations(range(3))), []
+    )
+    assert _symmetry(["x*x = 0"], 2, 4, ("J(a,b,a*b)",)) == ([(0, 1), (1, 0)], [])
+    assert _symmetry(get_variety("lie"), 2, 3, ("a*(a*b)",)) is None
+    assert _symmetry(["x*x = 0"], 3, 3, ("(a*b)*c",)) == ([(0, 1, 2), (1, 0, 2)], [])
+    assert _symmetry(["x*x = 0"], 4, 3, ("(a*b)*c",)) == ([(0, 1, 2, 3), (1, 0, 2, 3)], [3])
+    assert _symmetry(get_variety("w"), 4, 3, ("a*(a*b)",)) == ([(0, 1, 2, 3)], [2, 3])
+    # two words swapped by b <-> c, neither fixed by it
+    assert _symmetry(["x*x = 0"], 3, 3, ("(a*b)*a", "(a*c)*a")) == (
+        [(0, 1, 2), (0, 2, 1)], []
+    )
+
+
+SYMMETRY_CASES = [
+    (name, g, d, ())
+    for name in [*builtin_varieties(), "x*x = 0"]
+    for g, d in [(2, 7), (3, 6), (4, 5)]
+] + [
+    ("x*x = 0", 3, 6, ("J(a,b,c)",)),
+    ("v", 3, 6, ("J(a,b,c)",)),
+    ("x*x = 0", 2, 7, ("J(a,b,a*b)",)),
+    ("malcev", 2, 7, ("J(a,b,a*b)",)),
+    ("lie", 2, 7, ("a*(a*b)",)),
+    ("w", 4, 5, ("a*(a*b)",)),
+    ("x*x = 0", 3, 6, ("(a*b)*c",)),
+    ("v", 3, 6, ("(a*b)*c",)),
+]
+
+
+@pytest.mark.parametrize(
+    "source, g, d, extra",
+    SYMMETRY_CASES,
+    ids=[f"{s}-{g}-{d}-{'+'.join(e) or 'no-word'}" for s, g, d, e in SYMMETRY_CASES],
+)
+def test_symmetric_build_matches_the_reference_route(source, g, d, extra):
+    """Relabelling the representative types' rows gives the quotient that
+    eliminating every row gives: the same basis, rewrites and reduced
+    relations, and every defining relation vanishes."""
+    identities = get_variety(source) if source in builtin_varieties() else [source]
+    F = build_free_quotient(identities, g, d, extra_relations=extra)
+    R = reference_free_quotient(identities, g, d, extra_relations=extra)
+    assert F.basis == R.basis
+    assert F.rewrite == R.rewrite
+    assert F.relations_rref == R.relations_rref
+    F.self_check()
+
+
+def _relabelled_word(word, perm):
+    return "".join(chr(ord("a") + perm[ord(ch) - ord("a")]) if ch.islower() else ch for ch in word)
+
+
+@st.composite
+def adjoined_words(draw, g, degree):
+    """A word of the given degree on the first g letters: a product tree,
+    plus a multiple of the same letters in another tree or order."""
+    letters = [chr(ord("a") + draw(st.integers(0, g - 1))) for _ in range(degree)]
+
+    def tree(leaves):
+        if len(leaves) == 1:
+            return leaves[0]
+        cut = draw(st.integers(1, len(leaves) - 1))
+        return f"({tree(leaves[:cut])}*{tree(leaves[cut:])})"
+
+    word = tree(letters)
+    if draw(st.booleans()):
+        plus = draw(st.sampled_from(["+ ", "+ 2*", "- ", "- 1/2*"]))
+        word = f"{word} {plus}{tree(draw(st.permutations(letters)))}"
+    return word
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_dims_do_not_change_when_an_adjoined_word_is_relabelled(data):
+    """The quotient by a word and by the word with its generators renamed
+    are isomorphic, so their dims agree whichever permutations the build
+    finds to fix the word."""
+    source = data.draw(st.sampled_from(["lie", "w", "x*x = 0"]))
+    g = data.draw(st.sampled_from([2, 3]))
+    cap = 6 if g == 2 else 5
+    word = data.draw(adjoined_words(g, data.draw(st.integers(2, 4))))
+    perm = data.draw(st.permutations(range(g)))
+    identities = get_variety(source) if source != "x*x = 0" else [source]
+    F = build_free_quotient(identities, g, cap, extra_relations=[word])
+    G = build_free_quotient(identities, g, cap, extra_relations=[_relabelled_word(word, perm)])
+    assert F.dims() == G.dims()
+
+
+def test_one_sided_word_keeps_its_own_dims():
+    """a*(a*b) is fixed by no permutation; a build that relabelled its type
+    as if it were would impose b*(b*a) too."""
+    F = build_free_quotient(get_variety("lie"), 2, 5, extra_relations=["a*(a*b)"])
+    assert F.dims() == [2, 1, 1, 1, 2]
 
 
 def test_relation_budget():
@@ -658,26 +776,39 @@ def test_build_self_check_reports_what_self_check_reports(
     assert str(inline.value).startswith("self-check failed at degree ")
 
 
-def test_freed_build_leaves_no_skewalg_memory():
-    build_free_quotient(["x*x = 0"], 3, 3)
+def _kept_after_build(identities, g, d, top_dim):
+    """Bytes that skewalg's own code still holds after a build is freed;
+    the identities' compiled forms are cached by a smaller build first."""
+    build_free_quotient(identities, g, 3)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot()
-        F = build_free_quotient(["x*x = 0"], 3, 7)
-        assert F.dims()[-1] == len(F.monomials[7])
+        F = build_free_quotient(identities, g, d)
+        assert F.dims()[-1] == top_dim
         del F
         gc.collect()
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     src = str(Path(freealg.__file__).parent)
-    kept = sum(
+    return sum(
         stat.size_diff
         for stat in after.compare_to(before, "filename")
         if stat.traceback[0].filename.startswith(src)
     )
-    assert kept < 64 * 1024
+
+
+def test_freed_build_leaves_no_skewalg_memory():
+    """Nothing of a build outlives it; with relation rows and nontrivial
+    orbits (malcev 4 5, v 3 6), neither do the type codes nor the
+    per-permutation monomial images."""
+    for identities, g, d, top_dim in [
+        (["x*x = 0"], 3, 7, 2052),
+        (get_variety("malcev"), 4, 5, 268),
+        (get_variety("v"), 3, 6, 126),
+    ]:
+        assert _kept_after_build(identities, g, d, top_dim) < 64 * 1024
 
 
 def test_relation_combination_matches_oracle_rows(monkeypatch):
