@@ -11,7 +11,9 @@ equal to:
 * `jacobi_on_quotient_basis`: every basis triple of a free quotient with
   nonzero Jacobian, multiplied inside the quotient;
 * `reference_free_quotient`: a free quotient built without generator
-  symmetry, every relation row of every degree generated and eliminated.
+  symmetry, every relation row of every degree generated and eliminated,
+  and `certificate_over_all_rows`, a zero word's relation combination
+  over every row of its degree, not only its type's.
 """
 
 from fractions import Fraction
@@ -22,6 +24,7 @@ from skewalg.freealg import (
     _ast_degree,
     _dedupe_key,
     _degree_rows,
+    _describe,
     _record_degree,
     parse_word,
 )
@@ -164,3 +167,18 @@ def reference_free_quotient(identities, generators, max_degree, extra_relations=
                 ech.insert(row)
         _record_degree(F, d, ech)
     return F
+
+
+def certificate_over_all_rows(F, word):
+    """(coefficient, description) pairs expressing a zero word over the
+    first independent rows of its degree, taken from every type."""
+    tree = parse_word(word)
+    d = _ast_degree(tree)
+    sources = []
+    ech = Echelon()
+    for source, row in _degree_rows(F, d):
+        if row:
+            ech.insert(row, {len(sources): 1})
+            sources.append(source)
+    acc = ech.express(F.expand_to_row(tree, d))
+    return [(acc[t], _describe(F, sources[t])) for t in sorted(acc)]

@@ -40,7 +40,7 @@ from skewalg.identities import (
 )
 from skewalg.linalg import Echelon
 
-from oracles import reference_free_quotient
+from oracles import certificate_over_all_rows, reference_free_quotient
 
 
 # --- oracles ---------------------------------------------------------------
@@ -466,6 +466,24 @@ def test_relation_combination_reproduces_zero_word():
         expansion[mono] = expansion.get(mono, 0) + coef
     expansion = {k: v for k, v in expansion.items() if v}
     assert total == expansion
+
+
+@pytest.mark.parametrize(
+    "source, g, d, extra, word",
+    [
+        ("v", 3, 4, (), "J(a,b,a*c)"),
+        ("malcev", 2, 5, (), "J(a,b,a*b)*a"),
+        ("lie", 3, 5, (), "J(a*b,c,a)*b"),
+        ("w", 3, 5, ("J(a,b,c)",), "J(a,b,c)*a*b"),
+    ],
+)
+def test_relation_combination_uses_only_its_words_type(source, g, d, extra, word):
+    """Rows of other types share no column with the word, so the
+    certificate from its type's rows is the one from every row."""
+    F = build_free_quotient(get_variety(source), g, d, extra_relations=extra)
+    got = [(c, text) for c, text, _row in relation_combination(F, word)]
+    assert got
+    assert got == certificate_over_all_rows(F, word)
 
 
 def test_relation_combination_rejects_nonzero_word():
