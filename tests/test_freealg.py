@@ -256,6 +256,11 @@ def test_generator_symmetry_keeps_the_permutations_that_fix_the_words():
     assert _symmetry(["x*x = 0"], 3, 3, ("(a*b)*a", "(a*c)*a")) == (
         [(0, 1, 2), (0, 2, 1)], []
     )
+    # past six letters a word's letters stay fixed (a*b -> b*a would fix it)
+    F = freealg.FreeQuotient([], "abcdefghi", 7)
+    word = freealg._word_row(F, parse_word("((a*b)*(c*d))*((e*f)*g)"))
+    sym = _generator_symmetry(F, [word])
+    assert (sym.perms, sym.free) == ([tuple(range(9))], [7, 8])
 
 
 SYMMETRY_CASES = [
