@@ -7,42 +7,27 @@ ConstructionData: the derivations psi(p), central values lambda(p_i, p_j),
 and a complement L0 of the center of L used to pin down the inner part of
 the P-products.  build_from_construction and decompose are mutually inverse
 up to the basis adaptation.
+
+Derivations, their product rule and inner parts are solved on sparse rows
+in `int` arithmetic over the base algebra's integral twin (see
+`Algebra.integral_twin`), with one echelon engine, `linalg.Echelon`.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import Algebra, center, lie_center, restrict
 from .identities import check_identity, get_variety
-from .linalg import null_space, rref_rows, span_membership
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return tuple(
-        tuple(sum(A[r][m] * B[m][c] for m in range(n)) for c in range(n))
-        for r in range(n)
-    )
-
-
-def _commutator(Mi, Mj):
-    """Matrix of psi_i . psi_j - psi_j . psi_i under the row convention."""
-    n = len(Mi)
-    comp_ij = _mat_mul(Mj, Mi)
-    comp_ji = _mat_mul(Mi, Mj)
-    return tuple(
-        tuple(comp_ij[r][c] - comp_ji[r][c] for c in range(n)) for r in range(n)
-    )
-
-
-def _flatten(M):
-    return tuple(x for row in M for x in row)
-
-
-def _apply(M, v):
-    n = len(v)
-    return [sum(v[j] * M[j][k] for j in range(n)) for k in range(n)]
+from .linalg import (
+    Echelon,
+    _sparse,
+    add_scaled,
+    rref_rows,
+    sparse_kernel,
+    sparse_rref,
+)
 
 
 def _unit(k, n):
@@ -56,40 +41,86 @@ def _complement(Z, n):
     return tuple(tuple(_unit(c, n)) for c in range(n) if c not in pivots)
 
 
-def _ad_matrix(L, x):
-    """Left multiplication by x as a matrix, one row per basis vector."""
-    return tuple(L.mul_coords(x, _unit(k, L.dim)) for k in range(L.dim))
+def _flat(rows, n):
+    """Sparse rows of an n x n matrix as one sparse vector, entry (r, c) at
+    index r*n + c."""
+    return {r * n + c: v for r, row in enumerate(rows) for c, v in row.items()}
+
+
+def _matrix(v, n):
+    """The n x n matrix (tuple of rows) of a flat sparse vector."""
+    return tuple(tuple(v.get(r * n + c, 0) for c in range(n)) for r in range(n))
+
+
+def _commutator(Mi, Mj):
+    """Sparse rows of psi_i . psi_j - psi_j . psi_i, from the sparse rows of
+    psi_i and psi_j; under the row convention that is Mj Mi - Mi Mj."""
+    out = []
+    for ri, rj in zip(Mi, Mj):
+        row = {}
+        for m, v in rj.items():
+            add_scaled(row, Mi[m], v)
+        for m, v in ri.items():
+            add_scaled(row, Mj[m], -v)
+        out.append(row)
+    return out
+
+
+def _ad_rows(A, x):
+    """Left multiplication by the sparse vector x, one sparse row per basis
+    vector."""
+    return [A.mul_sparse(x, {k: 1}) for k in range(A.dim)]
 
 
 def _inner_parts(L, L0, psi):
     """{(i, j): x} for the pairs i < j in order, with x in span(L0) and
     ad(x) = [psi_i, psi_j], up to the first pair without one, which maps to
     None. When L0 complements the center, ad(L0) is a basis of Inn(L) and x
-    is unique."""
-    flat_ads = [list(_flatten(_ad_matrix(L, v))) for v in L0]
+    is unique.
+
+    ad(L0) is reduced once, on the integral twin: the row inserted for L0[t]
+    is ad(s*L0[t]) there, s clearing L0[t]'s denominators, so it is D*s times
+    ad(L0[t]) on L and carries the tag {t: D*s}; each commutator is then read
+    off as a combination of the ad(L0[t])."""
+    n = L.dim
+    T = L.integral_twin()
+    ech = Echelon()
+    for t, v in enumerate(L0):
+        s = lcm(*(x.denominator for x in v))
+        ad = _ad_rows(T, {k: int(x * s) for k, x in enumerate(v) if x})
+        ech.insert(_flat(ad, n), {t: L.denominator * s})
+    rows = [[_sparse(r) for r in M] for M in psi]
     parts = {}
-    for i in range(len(psi)):
-        for j in range(i + 1, len(psi)):
-            comm = _flatten(_commutator(psi[i], psi[j]))
-            coeffs = span_membership(flat_ads, list(comm))
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            coeffs = ech.express(_flat(_commutator(rows[i], rows[j]), n))
             if coeffs is None:
                 parts[(i, j)] = None
                 return parts
-            parts[(i, j)] = [
-                sum(c * v[k] for c, v in zip(coeffs, L0)) for k in range(L.dim)
-            ]
+            x = {}
+            for t, c in coeffs.items():
+                add_scaled(x, _sparse(L0[t]), c)
+            parts[(i, j)] = [x.get(k, 0) for k in range(n)]
     return parts
 
 
 def _is_derivation(L, M):
-    n = L.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei, ej = _unit(i, n), _unit(j, n)
-            lhs = _apply(M, L.mul_coords(ei, ej))
-            left = L.mul_coords(list(M[i]), ej)
-            right = L.mul_coords(ei, list(M[j]))
-            if any(a != b + c for a, b, c in zip(lhs, left, right)):
+    """Whether D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on every basis pair, for
+    D with matrix M (row j = image of e_j). Both sides are linear in the
+    product and in D, so the rule is checked on the integral twin with M
+    scaled to integers."""
+    T = L.integral_twin()
+    table = dict(T.table_pairs())
+    s = lcm(*(x.denominator for row in M for x in row))
+    rows = [{c: int(x * s) for c, x in enumerate(row) if x} for row in M]
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            lhs = {}
+            for m, c in table.get((i, j), {}).items():
+                add_scaled(lhs, rows[m], c)
+            rhs = T.mul_sparse(rows[i], {j: 1})
+            add_scaled(rhs, T.mul_sparse({i: 1}, rows[j]))
+            if lhs != rhs:
                 return False
     return True
 
@@ -102,21 +133,34 @@ def _check_lie(A):
 
 
 def derivations(A: Algebra) -> list:
-    """Basis of the derivation algebra, as matrices (row j = image of e_j)."""
+    """Basis of the derivation algebra, as matrices (row j = image of e_j).
+
+    One sparse constraint per (i < j, k): the e_k coordinate of
+    D(e_i e_j) - D(e_i) e_j - e_i D(e_j), with D's entry (r, c) at column
+    r*n + c. The constraints are read off the integral twin's table: scaling
+    the product scales each of them and leaves the derivations alone.
+    """
     n = A.dim
-    rows = []
+    T = A.integral_twin()
+    # units[a][b] = e_a e_b on the twin
+    units = [[T.mul_sparse({a: 1}, {b: 1}) for b in range(n)] for a in range(n)]
+    cons = []
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(n):
-                row = [Fraction(0)] * (n * n)
-                for m in range(n):
-                    row[m * n + k] += A.c(i, j, m)
-                    row[i * n + m] -= A.c(m, j, k)
-                    row[j * n + m] -= A.c(i, m, k)
-                rows.append(row)
+            rows = [{} for _ in range(n)]
+            for m, v in units[i][j].items():
+                for k in range(n):
+                    rows[k][m * n + k] = v
+            for m in range(n):
+                for k, v in units[m][j].items():
+                    add_scaled(rows[k], {i * n + m: -v})
+                for k, v in units[i][m].items():
+                    add_scaled(rows[k], {j * n + m: -v})
+            cons.extend(rows)
+    reduced, pivots = sparse_rref(cons, n * n)
     basis = []
-    for v in null_space(rows, n * n):
-        M = tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n))
+    for v in sparse_kernel(reduced, pivots, n * n):
+        M = _matrix(v, n)
         if not _is_derivation(A, M):
             raise ValueError("derivation solver produced a non-derivation")
         basis.append(M)
@@ -124,12 +168,13 @@ def derivations(A: Algebra) -> list:
 
 
 def inner_derivations(A: Algebra) -> list:
-    """Basis of the span of the left multiplications; requires a Lie algebra."""
+    """Basis of the span of the left multiplications; requires a Lie algebra.
+    The span is read on the integral twin, whose ad(e_i) are D times A's."""
     _check_lie(A)
     n = A.dim
-    flats = [list(_flatten(_ad_matrix(A, _unit(i, n)))) for i in range(n)]
-    reduced, _ = rref_rows(flats, n * n)
-    return [tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n)) for v in reduced]
+    T = A.integral_twin()
+    reduced, _ = sparse_rref((_flat(_ad_rows(T, {i: 1}), n) for i in range(n)), n * n)
+    return [_matrix(v, n) for v in reduced]
 
 
 @dataclass
@@ -258,6 +303,7 @@ def decompose(B: Algebra) -> ConstructionData:
             rows.append(tuple(coeffs))
         psi.append(tuple(rows))
     Z = center(L)
+    psi_rows = [[_sparse(r) for r in M] for M in psi]
     lam = {}
     for a in range(len(p_cols)):
         for b in range(a + 1, len(p_cols)):
@@ -269,7 +315,7 @@ def decompose(B: Algebra) -> ConstructionData:
                 sum(v[p] * r[k] for p, r in zip(Z.pivots, Z.rows)) for k in range(n_l)
             )
             l0_part = [x - z for x, z in zip(v, z_part)]
-            if _ad_matrix(L, l0_part) != _commutator(psi[a], psi[b]):
+            if _ad_rows(L, _sparse(l0_part)) != _commutator(psi_rows[a], psi_rows[b]):
                 raise ValueError(
                     "inner part of a P-product does not match [psi, psi]"
                 )

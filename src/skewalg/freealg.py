@@ -823,8 +823,8 @@ def relation_combination(F: FreeQuotient, word):
         raise ValueError("word is nonzero in the quotient")
     d = value.degree
     v = F.expand_to_row(tree, d)
-    # a row of another type than the word's shares no column with it, so it
-    # never meets the pivots that express the word
+    # only rows of the word's type are made (and kept): a row of another type
+    # shares no column with the word, so it never meets the pivots that express it
     types = _Types(F)
     for e in range(1, d + 1):
         types.add(F, e)
@@ -832,7 +832,7 @@ def relation_combination(F: FreeQuotient, word):
     want = codes[next(iter(v))] if v else None
     originals = []
     ech = Echelon()
-    for source, row in _degree_rows(F, d):
+    for source, row in _degree_rows(F, d, types, {want}) if v else ():
         if row and codes[next(iter(row))] == want:
             ech.insert(row, {len(originals): 1})
             originals.append((source, row))

@@ -8,7 +8,6 @@ reported, never asserted, since the underlying question is open.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     Algebra,
@@ -30,7 +29,7 @@ from .freealg import (
     evaluate_word,
 )
 from .identities import Classification, get_variety
-from .linalg import format_scalar, render_terms
+from .linalg import _scale_to_int, _sparse, add_scaled, format_scalar, render_terms
 from .reports import Report, classification_items
 
 
@@ -75,13 +74,25 @@ def moufang_check(A: Algebra, x1, x2, x3) -> MoufangReport:
 
 
 def solve_null_triples(A: Algebra, x1, x2) -> Subspace:
-    """All x3 with J(x1,x2,x3) = 0: the null space of a linear map."""
-    # one constraint per output coordinate m: the e_m coordinate of J(x1, x2, e_k)
+    """All x3 with J(x1,x2,x3) = 0: the null space of a linear map.
+
+    The map is formed on the integral twin, with x1 and x2 scaled to
+    integers: that scales it by a nonzero constant and keeps its null space.
+    x1*x2 is formed once.
+    """
+    mul = A.integral_twin().mul_sparse
+    a, b = (_scale_to_int(_sparse(x.coords)) for x in (x1, x2))
+    ab = mul(a, b)
+    # one constraint per output coordinate m: the e_m coordinate of
+    # J(a, b, e_k) = (a*b)*e_k + (b*e_k)*a + (e_k*a)*b
     cons = {}
     for k in range(A.dim):
-        for m, v in enumerate(jacobian(x1, x2, A.basis_element(k)).coords):
-            if v:
-                cons.setdefault(m, {})[k] = v
+        e = {k: 1}
+        jac = mul(ab, e)
+        add_scaled(jac, mul(mul(b, e), a))
+        add_scaled(jac, mul(mul(e, a), b))
+        for m, v in jac.items():
+            cons.setdefault(m, {})[k] = v
     return _kernel_space(A, cons.values())
 
 
@@ -89,8 +100,8 @@ def sample_null_triples(A: Algebra, rng, count):
     """Deterministic triples with J(x1,x2,x3) = 0, x3 solved rather than guessed."""
     triples = []
     for _ in range(count):
-        x1 = A.element([Fraction(rng.randint(-3, 3)) for _ in range(A.dim)])
-        x2 = A.element([Fraction(rng.randint(-3, 3)) for _ in range(A.dim)])
+        x1 = A.element([rng.randint(-3, 3) for _ in range(A.dim)])
+        x2 = A.element([rng.randint(-3, 3) for _ in range(A.dim)])
         S = solve_null_triples(A, x1, x2)
         x3 = A.zero()
         for v in S.basis_elements():

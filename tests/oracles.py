@@ -13,12 +13,15 @@ equal to:
 * `reference_free_quotient`: a free quotient built without generator
   symmetry, every relation row of every degree generated and eliminated,
   and `certificate_over_all_rows`, a zero word's relation combination
-  over every row of its degree, not only its type's.
+  over every row of its degree, not only its type's;
+* `reference_derivations`: the derivation algebra from dense `Fraction`
+  product-rule rows over A's own table, and `reference_null_triples`, the
+  x3 with J(x1,x2,x3) = 0 from `jacobian` on `Element`s.
 """
 
 from fractions import Fraction
 
-from skewalg.algebra import Algebra
+from skewalg.algebra import Algebra, Subspace, jacobian
 from skewalg.freealg import (
     FreeQuotient,
     _ast_degree,
@@ -29,7 +32,7 @@ from skewalg.freealg import (
     parse_word,
 )
 from skewalg.identities import IdentityDef, parse_identity
-from skewalg.linalg import Echelon, add_scaled, invert_rows
+from skewalg.linalg import Echelon, add_scaled, invert_rows, null_space
 
 
 def verify_isomorphism(A: Algebra, B: Algebra, rows) -> bool:
@@ -182,3 +185,31 @@ def certificate_over_all_rows(F, word):
             sources.append(source)
     acc = ech.express(F.expand_to_row(tree, d))
     return [(acc[t], _describe(F, sources[t])) for t in sorted(acc)]
+
+
+def reference_derivations(A: Algebra) -> list:
+    """Basis of the derivation algebra, as matrices (row j = image of e_j):
+    the kernel of one dense row per (i < j, k), the e_k coordinate of
+    D(e_i e_j) - D(e_i) e_j - e_i D(e_j) with D's entry (r, c) at r*n + c."""
+    n = A.dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                row = [Fraction(0)] * (n * n)
+                for m in range(n):
+                    row[m * n + k] += A.c(i, j, m)
+                    row[i * n + m] -= A.c(m, j, k)
+                    row[j * n + m] -= A.c(i, m, k)
+                rows.append(row)
+    return [
+        tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n))
+        for v in null_space(rows, n * n)
+    ]
+
+
+def reference_null_triples(A: Algebra, x1, x2) -> Subspace:
+    """All x3 with J(x1,x2,x3) = 0, from J(x1, x2, e_k) for every k."""
+    columns = [jacobian(x1, x2, A.basis_element(k)).coords for k in range(A.dim)]
+    rows = [[col[m] for col in columns] for m in range(A.dim)]
+    return Subspace.from_vectors(A, null_space(rows, A.dim))

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from skewalg import construction
-from skewalg.algebra import Algebra, center
+from skewalg.algebra import Algebra, center, jacobian
 from skewalg.catalog import get_catalog, lie_catalog
 from skewalg.construction import (
     ConstructionData,
@@ -15,7 +16,8 @@ from skewalg.construction import (
     random_w_algebra,
 )
 from skewalg.identities import classify
-from skewalg.linalg import rref_rows
+from skewalg.linalg import Echelon, rref_rows
+from skewalg.moufang import sample_null_triples
 
 from oracles import change_basis, verify_isomorphism
 
@@ -166,6 +168,44 @@ def test_build_general_parameters():
     assert B.c(3, 0, 3) == 1
 
 
+def test_inner_parts_over_a_rational_base_and_complement():
+    """Over sl2 with its product scaled by -1/3 (denominator 3) and a
+    complement L0 of rational vectors, the inner part x of each P-product
+    has ad(x) = [psi_i, psi_j], both formed with `Element` products; a
+    seeded member over that base is in w and rebuilds from its
+    decomposition."""
+    sl2 = get_catalog("sl2").algebra
+    third = Fraction(-1, 3)
+    L = Algebra(
+        "sl2/-3",
+        sl2.basis_names,
+        {key: {k: third * v for k, v in row.items()} for key, row in sl2.table_pairs()},
+    )
+    assert L.denominator == 3
+    ders, n = derivations(L), L.dim
+    psi = [
+        [[sum(c * D[r][k] for c, D in zip(cs, ders)) for k in range(n)] for r in range(n)]
+        for cs in ((1, 2, 0), (0, -1, 1), (2, 0, -1))
+    ]
+    L0 = ((Fraction(1, 2), 0, 0), (1, Fraction(2, 3), 0), (0, 1, Fraction(-3, 4)))
+    data = ConstructionData(L=L, p_names=("p", "q", "r"), psi=psi, lam={}, L0=L0)
+    parts = data.validate()
+    assert list(parts) == [(0, 1), (0, 2), (1, 2)]
+    for (i, j), x in parts.items():
+        Mi, Mj = psi[i], psi[j]
+        comm = [
+            [sum(Mj[r][m] * Mi[m][k] - Mi[r][m] * Mj[m][k] for m in range(n))
+             for k in range(n)]
+            for r in range(n)
+        ]
+        ad = [list((L.element(x) * L.basis_element(k)).coords) for k in range(n)]
+        assert ad == comm
+    assert classify(build_from_construction(data)).member("w")
+    B = random_w_algebra(L, p_dim=2, seed=3)
+    assert classify(B).member("w")
+    assert build_from_construction(decompose(B)).dim == B.dim
+
+
 def test_build_rejects_non_lie_base():
     data = ConstructionData(
         L=get_catalog("paper-L").algebra, p_names=(), psi=(), lam={}, L0=()
@@ -239,20 +279,21 @@ def test_build_rejects_dependent_complement(L0):
         build_from_construction(data)
 
 
-def spy_span_membership(monkeypatch):
+def spy_inner_part_solves(monkeypatch):
+    """Record each commutator `_inner_parts` expresses over ad(L0)."""
     calls = []
-    solve = construction.span_membership
+    express = Echelon.express
 
-    def spy(basis, v):
+    def spy(self, v):
         calls.append(v)
-        return solve(basis, v)
+        return express(self, v)
 
-    monkeypatch.setattr(construction, "span_membership", spy)
+    monkeypatch.setattr(Echelon, "express", spy)
     return calls
 
 
 def test_build_solves_each_pair_once(monkeypatch):
-    calls = spy_span_membership(monkeypatch)
+    calls = spy_inner_part_solves(monkeypatch)
     B = build_from_construction(example_data(2, Fraction(-1, 3), 5))
     assert len(calls) == 3  # pairs (0,1), (0,2), (1,2)
     assert B.c(1, 2, 3) == 5
@@ -276,10 +317,37 @@ def test_random_w_algebra_solves_each_pair_once_per_attempt(
     monkeypatch.setattr(
         construction, "inner_derivations", lambda A: fallbacks.append(A) or inner(A)
     )
-    calls = spy_span_membership(monkeypatch)
+    calls = spy_inner_part_solves(monkeypatch)
     random_w_algebra(L, p_dim=p_dim, seed=1)
     assert len(calls) == solves
     assert len(fallbacks) == fallback
+
+
+def test_members_and_null_triples_are_built_on_sparse_int_rows(monkeypatch):
+    """`random_w_algebra` and `sample_null_triples` on sl2 form no dense
+    product (`Algebra.mul_coords`, behind every `Element` product), and every
+    sparse product they form multiplies int vectors."""
+    dense, operands = [], []
+    mul_coords, mul_sparse = Algebra.mul_coords, Algebra.mul_sparse
+
+    def spy_coords(self, xc, yc):
+        dense.append((xc, yc))
+        return mul_coords(self, xc, yc)
+
+    def spy_sparse(self, xs, ys):
+        operands.extend(chain(xs.values(), ys.values()))
+        return mul_sparse(self, xs, ys)
+
+    monkeypatch.setattr(Algebra, "mul_coords", spy_coords)
+    monkeypatch.setattr(Algebra, "mul_sparse", spy_sparse)
+    B = random_w_algebra(get_catalog("sl2").algebra, p_dim=3, seed=1)
+    triples = sample_null_triples(B, random.Random(5), 4)
+    assert dense == []
+    assert operands and all(type(v) is int for v in operands)
+    monkeypatch.undo()
+    assert classify(B).member("w")
+    for x1, x2, x3 in triples:
+        assert jacobian(x1, x2, x3).is_zero()
 
 
 def test_build_rejects_name_collision():

@@ -24,6 +24,11 @@
   subspaces and generated subalgebras as A, and an identity in k variables
   fails on c*A at the same basis tuples as on A, with c^(k-1) times the
   value, so `classify` gives the same verdicts and witness assignments.
+* `derivations` and `solve_null_triples`, which solve sparse integer rows
+  over the integral twin, against their dense `Fraction` reference routes
+  (`tests/oracles.py`): the same derivation bases and null spaces on the
+  catalog at several scales, on the benchmark's seeded `random_w_algebra`
+  members and on random rational algebras.
 """
 
 import random
@@ -46,7 +51,7 @@ from skewalg.algebra import (
     subalgebra_generated,
 )
 from skewalg.catalog import get_catalog, iter_catalog, lie_catalog
-from skewalg.construction import random_w_algebra
+from skewalg.construction import derivations, random_w_algebra
 from skewalg.freealg import build_free_quotient, evaluate_word
 from skewalg.identities import (
     CheckResult,
@@ -67,8 +72,16 @@ from skewalg.linalg import (
     span_membership,
     sparse_rref,
 )
+from skewalg.moufang import solve_null_triples
 
-from oracles import change_basis, component_evaluate, evaluate_term, lhs_minus_rhs
+from oracles import (
+    change_basis,
+    component_evaluate,
+    evaluate_term,
+    lhs_minus_rhs,
+    reference_derivations,
+    reference_null_triples,
+)
 
 CUSTOM = (
     "x = 0",
@@ -619,3 +632,63 @@ def test_scaled_algebra_has_the_same_invariants_and_verdicts():
                 assert wb.value.coords == tuple(c ** (k - 1) * x for x in wa.value.coords)
     assert members == {True, False}
     assert integral == {True, False}
+
+
+# --- derivations and null triples against the dense reference routes --------
+
+
+def product_rule_holds(A, M):
+    """D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on every basis pair, with
+    `Element` products; D has matrix M (row j = image of e_j)."""
+
+    def apply(x):
+        return A.element(
+            sum(x.coords[m] * M[m][k] for m in range(A.dim)) for k in range(A.dim)
+        )
+
+    e = [A.basis_element(i) for i in range(A.dim)]
+    return all(
+        apply(e[i] * e[j]) == apply(e[i]) * e[j] + e[i] * apply(e[j])
+        for i in range(A.dim)
+        for j in range(i + 1, A.dim)
+    )
+
+
+def assert_routes_agree(A, seed):
+    """Same derivation basis, and the same null space of J(x1, x2, .) for an
+    integer and a rational pair drawn with the seed."""
+    assert derivations(A) == reference_derivations(A), A.name
+    rng = random.Random(seed)
+    for draw in (
+        lambda: rng.randint(-3, 3),
+        lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+    ):
+        x1, x2 = (A.element(draw() for _ in range(A.dim)) for _ in range(2))
+        want = reference_null_triples(A, x1, x2)
+        assert solve_null_triples(A, x1, x2) == want, A.name
+
+
+def test_construction_routes_match_the_reference_on_the_scaled_catalog():
+    for s, entry in enumerate(iter_catalog()):
+        for c in (1, Fraction(-1, 3), Fraction(7, 4)):
+            assert_routes_agree(scaled(entry.algebra, c), s)
+
+
+def test_construction_routes_match_the_reference_on_benchmark_members():
+    entries = lie_catalog()
+    for s in range(21):
+        B = random_w_algebra(entries[s % len(entries)].algebra, 1 + s % 3, s)
+        assert_routes_agree(B, 1000 + s)
+
+
+COORDS = st.lists(st.integers(-3, 3), min_size=5, max_size=5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(algebras(), COORDS, COORDS)
+def test_derivations_and_null_triples_match_the_reference(A, c1, c2):
+    ders = derivations(A)
+    assert ders == reference_derivations(A)
+    assert all(product_rule_holds(A, M) for M in ders)
+    x1, x2 = A.element(c1[: A.dim]), A.element(c2[: A.dim])
+    assert solve_null_triples(A, x1, x2) == reference_null_triples(A, x1, x2)

@@ -532,9 +532,10 @@ def _subst(tree, env):
     return (_subst(tree[1], env), _subst(tree[2], env))
 
 
-def oracle_rows(F, d):
+def oracle_rows(F, d, types=None, keep=None):
     """(text, row) pairs of degree d: every raw polarized term substituted
-    and canonicalized from its leaves, rows described as they are printed."""
+    and canonicalized from its leaves, rows described as they are printed.
+    Every type's rows are made; `types` and `keep` are accepted and ignored."""
     for idf in F.identities:
         comp = polarize(idf)
         k = len(comp.variables)
