@@ -14,6 +14,11 @@ defined by products, so `center`, `product_space`, `lie_center`,
 behind `subalgebra_generated` and `ideal_generated` multiply on the twin,
 with subspace rows scaled to integers first, and return subspaces of A.
 `Algebra.jacobians()`, `mul_coords` and `restrict` stay on A.
+
+`Algebra.support()` maps each basis index i to the j with e_i*e_j != 0;
+the twin has the same support. The Jacobian table, the series and the
+identity searches (`identities`) use it to skip, in their own order, every
+triple, pair or tuple whose products are all zero.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ from .linalg import (
 class Algebra:
     """Structure-constant algebra; products stored sparsely per (i<j) pair."""
 
-    __slots__ = ("name", "dim", "basis_names", "denominator", "_rows", "_jacobians", "_twin")
+    __slots__ = (
+        "name", "dim", "basis_names", "denominator", "_rows", "_jacobians", "_twin", "_support",
+    )
 
     def __init__(self, name, basis_names, products):
         self.name = name
@@ -69,6 +76,7 @@ class Algebra:
         # the lcm of the structure constants' denominators
         self.denominator = denominator
         self._twin = None
+        self._support = None
 
     def integral_twin(self):
         """D*A for D = self.denominator: the product scaled by D, every
@@ -84,6 +92,17 @@ class Algebra:
                 {key: {k: v * D for k, v in row.items()} for key, row in self._rows.items()},
             )
         return self._twin
+
+    def support(self):
+        """nbr[i] = {j : e_i*e_j != 0} for every basis index i, as a tuple
+        of frozensets; built once and cached."""
+        if self._support is None:
+            nbr = [set() for _ in range(self.dim)]
+            for i, j in self._rows:
+                nbr[i].add(j)
+                nbr[j].add(i)
+            self._support = tuple(map(frozenset, nbr))
+        return self._support
 
     def c(self, i, j, k):
         """Structure constant: coefficient of e_k in e_i * e_j."""
@@ -142,19 +161,25 @@ class Algebra:
         J is alternating on an anticommutative algebra, so these values fix
         it on every basis triple. Each is (e_a e_b) e_c + (e_b e_c) e_a -
         (e_a e_c) e_b; the table is computed once and shared, not copied.
+        When e_a e_b = 0, c runs only over the support of e_a and e_b: on
+        any other c all three products are zero. The keys stay in
+        lexicographic order.
         """
         if self._jacobians is not None:
             return self._jacobians
         rows = self._rows
+        nbr = self.support()
         n = self.dim
         table = {}
         for a in range(n):
             for b in range(a + 1, n):
                 ab = rows.get((a, b))
-                for c in range(b + 1, n):
+                if ab:
+                    cs = range(b + 1, n)
+                else:
+                    cs = sorted(c for c in nbr[a] | nbr[b] if c > b)
+                for c in cs:
                     bc, ac = rows.get((b, c)), rows.get((a, c))
-                    if not (ab or bc or ac):
-                        continue
                     jac = {}
                     for prod, unit in ((ab, {c: 1}), (bc, {a: 1}), (ac, {b: -1})):
                         if prod:
@@ -399,13 +424,23 @@ def jacobian_ideal(A: Algebra) -> Subspace:
 
 def _products(A, S, T):
     """Products on A's integral twin spanning S*T (= T*S), from the rows
-    scaled to integers: each pair once when S is T."""
-    mul = A.integral_twin().mul_sparse
+    scaled to integers: each pair once when S is T, and only the pairs
+    whose supports meet a nonzero basis product (the others multiply to
+    zero)."""
+    twin = A.integral_twin()
+    mul, nbr = twin.mul_sparse, twin.support()
     rs = [_scale_to_int(_sparse(r)) for r in S.rows]
+    # reach[i]: the basis indices some coordinate of rs[i] multiplies to nonzero
+    reach = [frozenset().union(*(nbr[k] for k in r)) for r in rs]
     if S is T:
-        return (mul(r, s) for i, r in enumerate(rs) for s in rs[i + 1 :])
+        return (
+            mul(r, s)
+            for i, (r, near) in enumerate(zip(rs, reach))
+            for s in rs[i + 1 :]
+            if not near.isdisjoint(s)
+        )
     ts = [_scale_to_int(_sparse(t)) for t in T.rows]
-    return (mul(r, t) for r in rs for t in ts)
+    return (mul(r, t) for r, near in zip(rs, reach) for t in ts if not near.isdisjoint(t))
 
 
 def derived_series(A: Algebra):

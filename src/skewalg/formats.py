@@ -18,8 +18,20 @@ _NUMBER_RE = re.compile(r"\d+(?:/\d+)?")
 
 def parse_element(text, names):
     """Parse "a + 2*b - 1/2*d" into a coordinate tuple over the basis."""
-    index = {n: i for i, n in enumerate(names)}
-    coords = [Fraction(0)] * len(names)
+    row = _parse_terms(text, {n: i for i, n in enumerate(names)})
+    return tuple(Fraction(row.get(k, 0)) for k in range(len(names)))
+
+
+def _scalar(literal):
+    """A `_NUMBER_RE` match as an int, or a `Fraction` when it has a '/'."""
+    return parse_scalar(literal) if "/" in literal else int(literal)
+
+
+def _parse_terms(text, index):
+    """Parse "a + 2*b - 1/2*d" into a sparse {basis index: int | Fraction}
+    row, index mapping basis names to indices; zero coefficients are
+    dropped. Errors name the 1-based column."""
+    row = {}
     s = text
     pos = 0
     end = len(s)
@@ -41,11 +53,11 @@ def parse_element(text, names):
             skip_ws()
         elif not first:
             raise ValueError(f"col {pos + 1}: expected '+' or '-'")
-        coef = Fraction(1)
+        coef = 1
         mnum = _NUMBER_RE.match(s, pos)
         if mnum:
             try:
-                coef = parse_scalar(mnum.group(0))
+                coef = _scalar(mnum.group(0))
             except ValueError as exc:
                 raise ValueError(f"col {pos + 1}: {exc}") from None
             pos = mnum.end()
@@ -54,7 +66,7 @@ def parse_element(text, names):
                 pos += 1
                 skip_ws()
             elif coef == 0 and first and pos == end:
-                return tuple(coords)
+                return {}
             else:
                 raise ValueError(
                     f"col {pos + 1}: expected '*' between coefficient and basis name"
@@ -65,11 +77,12 @@ def parse_element(text, names):
         name = mname.group(0)
         if name not in index:
             raise ValueError(f"col {pos + 1}: unknown basis name {name!r}")
-        coords[index[name]] += sign * coef
+        k = index[name]
+        row[k] = row.get(k, 0) + sign * coef
         pos = mname.end()
         skip_ws()
         first = False
-    return tuple(coords)
+    return {k: v for k, v in row.items() if v}
 
 
 def _meaningful_lines(text):
@@ -144,10 +157,9 @@ def _parse_algebra_lines(lines):
             )
         seen.add(key)
         try:
-            vec = parse_element(rhs.strip(), names)
+            combo = _parse_terms(rhs.strip(), index)
         except ValueError as e:
             raise ValueError(f"line {num}: {e}") from None
-        combo = {k: v for k, v in enumerate(vec) if v}
         if combo:
             products[(i, j)] = combo
     return Algebra(name, names, products)

@@ -284,37 +284,40 @@ def _assignments(monomials, k, d, lower=None, types=None, keep=None):
         if d == 0:
             yield ()
         return
-    bounds = lower or ((),) * k
-    top = len(monomials) - 1
-    rank = [None] * k
-    combo = [None] * k
+    state = (monomials, lower or ((),) * k, types, keep, [None] * k, [None] * k)
+    yield from _fill_assignments(state, 0, d, 0)
 
-    def fill(q, left, part):
-        lo_e, lo_i = 1, 0
-        for p, s in bounds[q]:
-            e, i = rank[p]
-            if e > lo_e or e == lo_e and i + s > lo_i:
-                lo_e, lo_i = e, i + s
-        last = q == k - 1
-        hi = min(left - (k - 1 - q), top)
-        for e in range(max(left if last else 1, lo_e), hi + 1):
-            mons = monomials[e]
-            lo = lo_i if e == lo_e else 0
-            if last and keep is not None:
-                groups = types.groups[e]
-                span = [i for t in keep for i in groups.get(t - part, ()) if i >= lo]
+
+def _fill_assignments(state, q, left, part):
+    """`_assignments` from position q on, with `left` degree still to place
+    and `part` the type code of the values before q."""
+    monomials, bounds, types, keep, rank, combo = state
+    k = len(rank)
+    lo_e, lo_i = 1, 0
+    for p, s in bounds[q]:
+        e, i = rank[p]
+        if e > lo_e or e == lo_e and i + s > lo_i:
+            lo_e, lo_i = e, i + s
+    last = q == k - 1
+    hi = min(left - (k - 1 - q), len(monomials) - 1)
+    for e in range(max(left if last else 1, lo_e), hi + 1):
+        mons = monomials[e]
+        lo = lo_i if e == lo_e else 0
+        if last and keep is not None:
+            groups = types.groups[e]
+            span = [i for t in keep for i in groups.get(t - part, ()) if i >= lo]
+        else:
+            span = range(lo, len(mons))
+        codes = types.codes[e] if keep is not None else None
+        for i in span:
+            rank[q] = (e, i)
+            combo[q] = mons[i]
+            if last:
+                yield tuple(combo)
             else:
-                span = range(lo, len(mons))
-            codes = types.codes[e] if keep is not None else None
-            for i in span:
-                rank[q] = (e, i)
-                combo[q] = mons[i]
-                if last:
-                    yield tuple(combo)
-                else:
-                    yield from fill(q + 1, left - e, part if codes is None else part + codes[i])
-
-    yield from fill(0, d, 0)
+                yield from _fill_assignments(
+                    state, q + 1, left - e, part if codes is None else part + codes[i]
+                )
 
 
 def _row_count(F, d):

@@ -320,7 +320,7 @@ class Component:
 
     __slots__ = (
         "variables", "groups", "origin_vars", "terms",
-        "poly", "key", "lower", "_nodes", "_roots",
+        "poly", "key", "lower", "_nodes", "_roots", "_join",
     )
 
     def __init__(self, variables, groups, origin_vars, terms):
@@ -344,22 +344,14 @@ class Component:
         # (variable, None, coef) in a degree-1 identity
         k = len(self.variables)
         slots, nodes = {}, []
-
-        def slot(m):
-            if isinstance(m, int):
-                return m, (m,)
-            hit = slots.get(m)
-            if hit is None:
-                (l, ll), (r, lr) = slot(m[0]), slot(m[1])
-                hit = slots[m] = (k + len(nodes), ll + lr)
-                nodes.append((l, r, itemgetter(*hit[1])))
-            return hit
-
         self._roots = tuple(
-            (m, None, c) if isinstance(m, int) else (slot(m[0])[0], slot(m[1])[0], c)
+            (m, None, c)
+            if isinstance(m, int)
+            else (_slot(m[0], k, slots, nodes)[0], _slot(m[1], k, slots, nodes)[0], c)
             for m, c in self.poly.items()
         )
         self._nodes = tuple(nodes)
+        self._join = _join_rules(self.poly, k - 1)
 
     def evaluate_on_basis(self, A: Algebra, idx, memo):
         """Sparse value of `poly` with variable q set to basis vector idx[q].
@@ -385,6 +377,53 @@ class Component:
                 elif k in out:
                     del out[k]
         return out
+
+
+def _slot(m, k, slots, nodes):
+    """(slot, leaves) of the subproduct m in Component's straight-line
+    program, appending the nodes it needs."""
+    if isinstance(m, int):
+        return m, (m,)
+    hit = slots.get(m)
+    if hit is None:
+        (l, ll), (r, lr) = _slot(m[0], k, slots, nodes), _slot(m[1], k, slots, nodes)
+        hit = slots[m] = (k + len(nodes), ll + lr)
+        nodes.append((l, r, itemgetter(*hit[1])))
+    return hit
+
+
+def _join_rules(poly, last):
+    """Component._join: what the value of the variable `last` must meet for
+    some monomial of poly to be nonzero; None when any value can.
+
+    Otherwise (pairs, rules). `pairs` lists the two-leaf subproducts (p, q)
+    that avoid `last`. A rule (need, partner) stands for the monomials whose
+    such pairs are those at the indices `need` and in which `last` is
+    multiplied by the leaf `partner` (None: by a larger subproduct). Such a
+    monomial can be nonzero only when its pairs are nonzero and, if it has a
+    partner, e_last lies in the support of e_partner.
+    """
+    pairs, rules = {}, {}
+    for m in poly:
+        found, partner = [], None
+        stack = [m]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, int):
+                continue
+            l, r = t
+            if isinstance(l, int) and isinstance(r, int):
+                if last in t:
+                    partner = r if l == last else l
+                else:
+                    found.append(pairs.setdefault(t, len(pairs)))
+            else:
+                stack += t
+        rules[(tuple(sorted(set(found))), partner)] = None
+    if ((), None) in rules:
+        return None
+    # the rules with no partner first: each one that holds ends the search
+    return tuple(pairs), tuple(sorted(rules, key=lambda rule: rule[1] is not None))
 
 
 def _position_tree(tree, pos):
@@ -499,18 +538,57 @@ def _compiled(idf):
 def _basis_tuples(n, lower):
     """Index tuples over range(n) in lexicographic order, obeying `lower`."""
     k = len(lower)
+    if k == 0:
+        yield ()
+        return
     idx = [0] * k
-
-    def fill(q):
-        if q == k:
+    q = 0
+    while True:
+        if idx[q] >= n:
+            # position q is spent: move the one before it on
+            if q == 0:
+                return
+            q -= 1
+            idx[q] += 1
+        elif q == k - 1:
             yield tuple(idx)
-            return
-        lo = max((idx[p] + d for p, d in lower[q]), default=0)
-        for i in range(lo, n):
-            idx[q] = i
-            yield from fill(q + 1)
+            idx[q] += 1
+        else:
+            q += 1
+            idx[q] = max((idx[p] + d for p, d in lower[q]), default=0)
 
-    return fill(0)
+
+def _joined_tuples(nbr, n, comp):
+    """The tuples of `_basis_tuples(n, comp.lower)` in the same order, less
+    those on which every monomial of `comp.poly` has a zero two-leaf
+    subproduct, read off the support map nbr (`Algebra.support`).
+
+    The prefixes (all variables but the last) run as in `_basis_tuples`;
+    the last variable runs over the union, for the monomials whose two-leaf
+    subproducts that avoid it are nonzero, of the support of its leaf
+    partner (`_join_rules`), or over every index when such a monomial gives
+    it no partner.
+    """
+    lower = comp.lower
+    bounds = lower[-1]
+    join = comp._join
+    for prefix in _basis_tuples(n, lower[:-1]):
+        lo = max((prefix[p] + d for p, d in bounds), default=0)
+        if join is None:
+            lasts = range(lo, n)
+        else:
+            pairs, rules = join
+            live = [prefix[q] in nbr[prefix[p]] for p, q in pairs]
+            reach = set()
+            for need, partner in rules:
+                if all(live[i] for i in need):
+                    if partner is None:
+                        reach = None
+                        break
+                    reach |= nbr[prefix[partner]]
+            lasts = range(lo, n) if reach is None else sorted(i for i in reach if i >= lo)
+        for i in lasts:
+            yield prefix + (i,)
 
 
 def _first_failure(A, comp):
@@ -519,13 +597,15 @@ def _first_failure(A, comp):
     The search runs on A's integral twin D*A (`Algebra.integral_twin`): a
     multilinear form in k variables takes D^(k-1) times its value on A
     there, so it fails on the same tuples. The value returned is the twin's;
-    `_build_witness` divides it back.
+    `_build_witness` divides it back. Only the tuples `_joined_tuples`
+    yields are evaluated: every other one gives zero, so the first failing
+    tuple is the same as over all of `_basis_tuples`.
     """
     if not comp.poly:
         return None
     T = A.integral_twin()
     memo = [{} for _ in comp._nodes]
-    for idx in _basis_tuples(A.dim, comp.lower):
+    for idx in _joined_tuples(T.support(), A.dim, comp):
         val = comp.evaluate_on_basis(T, idx, memo)
         if val:
             combo, start = [], 0

@@ -16,12 +16,23 @@ equal to:
   over every row of its degree, not only its type's;
 * `reference_derivations`: the derivation algebra from dense `Fraction`
   product-rule rows over A's own table, and `reference_null_triples`, the
-  x3 with J(x1,x2,x3) = 0 from `jacobian` on `Element`s.
+  x3 with J(x1,x2,x3) = 0 from `jacobian` on `Element`s;
+* the routes before the support joins: `first_failure_over_all_tuples`, an
+  identity search that evaluates every tuple of `_basis_tuples`,
+  `products_over_all_pairs`, the series' products from every pair of
+  rows, and `parse_algebra_dense`, the algebra file format read through
+  `parse_element`'s dense coordinate tuples.
 """
 
 from fractions import Fraction
 
 from skewalg.algebra import Algebra, Subspace, jacobian
+from skewalg.formats import (
+    _header_line,
+    _meaningful_lines,
+    _parse_basis_names,
+    parse_element,
+)
 from skewalg.freealg import (
     FreeQuotient,
     _ast_degree,
@@ -31,8 +42,8 @@ from skewalg.freealg import (
     _record_degree,
     parse_word,
 )
-from skewalg.identities import IdentityDef, parse_identity
-from skewalg.linalg import Echelon, add_scaled, invert_rows, null_space
+from skewalg.identities import IdentityDef, _basis_tuples, parse_identity
+from skewalg.linalg import Echelon, _scale_to_int, _sparse, add_scaled, invert_rows, null_space
 
 
 def verify_isomorphism(A: Algebra, B: Algebra, rows) -> bool:
@@ -213,3 +224,77 @@ def reference_null_triples(A: Algebra, x1, x2) -> Subspace:
     columns = [jacobian(x1, x2, A.basis_element(k)).coords for k in range(A.dim)]
     rows = [[col[m] for col in columns] for m in range(A.dim)]
     return Subspace.from_vectors(A, null_space(rows, A.dim))
+
+
+def first_failure_over_all_tuples(A: Algebra, comp):
+    """`identities._first_failure` evaluating every tuple of `_basis_tuples`:
+    (per-group index picks, value on the integral twin), or None."""
+    if not comp.poly:
+        return None
+    T = A.integral_twin()
+    memo = [{} for _ in comp._nodes]
+    for idx in _basis_tuples(A.dim, comp.lower):
+        val = comp.evaluate_on_basis(T, idx, memo)
+        if val:
+            combo, start = [], 0
+            for g in comp.groups:
+                combo.append(idx[start : start + len(g)])
+                start += len(g)
+            return tuple(combo), val
+    return None
+
+
+def products_over_all_pairs(A: Algebra, S, T):
+    """`algebra._products` forming every pair of rows: each pair once when
+    S is T."""
+    mul = A.integral_twin().mul_sparse
+    rs = [_scale_to_int(_sparse(r)) for r in S.rows]
+    if S is T:
+        return (mul(r, s) for i, r in enumerate(rs) for s in rs[i + 1 :])
+    ts = [_scale_to_int(_sparse(t)) for t in T.rows]
+    return (mul(r, t) for r in rs for t in ts)
+
+
+def parse_algebra_dense(text) -> Algebra:
+    """`parse_algebra_file` with every product line read by `parse_element`
+    into a dense `Fraction` tuple."""
+    lines = list(_meaningful_lines(text))
+    name = _header_line(lines, 0, "name")
+    dim_text = _header_line(lines, 1, "dim")
+    try:
+        dim = int(dim_text)
+    except ValueError:
+        raise ValueError(f"line {lines[1][0]}: dim must be an integer") from None
+    basis_text = _header_line(lines, 2, "basis")
+    bnum = lines[2][0]
+    names = _parse_basis_names(bnum, basis_text)
+    if len(names) != dim:
+        raise ValueError(f"line {bnum}: basis lists {len(names)} names, dim says {dim}")
+    index = {nm: i for i, nm in enumerate(names)}
+    products = {}
+    seen = set()
+    for num, line in lines[3:]:
+        lhs, eq, rhs = line.partition("=")
+        if not eq:
+            raise ValueError(f"line {num}: expected 'bi*bj = combination'")
+        parts = [p.strip() for p in lhs.split("*")]
+        if len(parts) != 2 or not all(parts):
+            raise ValueError(f"line {num}: left side must be a product of two basis names")
+        for p in parts:
+            if p not in index:
+                raise ValueError(f"line {num}: unknown basis name {p!r}")
+        i, j = index[parts[0]], index[parts[1]]
+        if i == j:
+            raise ValueError(f"line {num}: a basis element multiplied by itself is zero")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ValueError(f"line {num}: duplicate product pair {parts[0]}*{parts[1]}")
+        seen.add(key)
+        try:
+            vec = parse_element(rhs.strip(), names)
+        except ValueError as e:
+            raise ValueError(f"line {num}: {e}") from None
+        combo = {k: v for k, v in enumerate(vec) if v}
+        if combo:
+            products[(i, j)] = combo
+    return Algebra(name, names, products)

@@ -29,15 +29,29 @@
   (`tests/oracles.py`): the same derivation bases and null spaces on the
   catalog at several scales, on the benchmark's seeded `random_w_algebra`
   members and on random rational algebras.
+* The support joins (`Algebra.support`) against the unjoined routes in
+  `tests/oracles.py`: the identity search that skips tuples against the one
+  that evaluates every tuple (the same failing tuple and value, or None),
+  the series against the products of every pair of rows, and the sparse
+  algebra-file reader against the dense `parse_element` route (the same
+  algebra, and the same message on malformed lines), on the benchmark's
+  own algebras and files and on random sparse tables. The Jacobian table
+  is held against every triple, key order included, on the spaces
+  quotients too.
 """
 
 import random
+import sys
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
+from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from skewalg import algebra
 from skewalg.algebra import (
     Algebra,
     Subspace,
@@ -52,11 +66,14 @@ from skewalg.algebra import (
 )
 from skewalg.catalog import get_catalog, iter_catalog, lie_catalog
 from skewalg.construction import derivations, random_w_algebra
+from skewalg.formats import parse_algebra_file
 from skewalg.freealg import build_free_quotient, evaluate_word
 from skewalg.identities import (
     CheckResult,
+    Component,
     Witness,
     _compiled,
+    _first_failure,
     builtin_varieties,
     check_identity,
     classify,
@@ -78,10 +95,17 @@ from oracles import (
     change_basis,
     component_evaluate,
     evaluate_term,
+    first_failure_over_all_tuples,
     lhs_minus_rhs,
+    parse_algebra_dense,
+    products_over_all_pairs,
     reference_derivations,
     reference_null_triples,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 CUSTOM = (
     "x = 0",
@@ -460,8 +484,14 @@ def invariant_algebras():
     return out
 
 
+@cache
+def spaces_quotients():
+    """The six free quotients of the spaces workload, dims 14 to 36."""
+    return tuple(workloads.quotient_algebra(*q[:3]) for q in workloads.QUOTIENTS)
+
+
 def test_jacobian_table_matches_element_jacobians():
-    algebras = invariant_algebras()
+    algebras = invariant_algebras() + list(spaces_quotients())
     for A in algebras:
         want = {}
         for triple in combinations(range(A.dim), 3):
@@ -692,3 +722,160 @@ def test_derivations_and_null_triples_match_the_reference(A, c1, c2):
     assert all(product_rule_holds(A, M) for M in ders)
     x1, x2 = A.element(c1[: A.dim]), A.element(c2[: A.dim])
     assert solve_null_triples(A, x1, x2) == reference_null_triples(A, x1, x2)
+
+
+# --- the support joins against the unjoined routes ---------------------------
+
+
+def assert_search_unjoined(A, texts):
+    """The joined search finds the same failing tuple and value as the
+    search over every tuple, once per distinct compiled polynomial."""
+    done = set()
+    for text in texts:
+        comp = _compiled(parse_identity(text))
+        if comp.key not in done:
+            done.add(comp.key)
+            assert _first_failure(A, comp) == first_failure_over_all_tuples(A, comp), (A.name, text)
+
+
+BUILTIN_TEXTS = tuple(dict.fromkeys(i.text for idfs in builtin_varieties().values() for i in idfs))
+
+
+def test_joined_search_matches_all_tuples_on_spaces_quotients():
+    for A in spaces_quotients():
+        assert_search_unjoined(A, BUILTIN_TEXTS)
+
+
+def test_joined_search_matches_all_tuples_on_members_catalog_and_rational():
+    algebras = [workloads._member(s) for s in workloads.MEMBERS]
+    algebras += [e.algebra for e in iter_catalog()]
+    # non-integral: the search runs on the twin
+    algebras += [workloads.random_algebra(8, "0.4", 0), seeded_rational_algebra(4)]
+    assert {A.denominator == 1 for A in algebras} == {True, False}
+    for A in algebras:
+        assert_search_unjoined(A, TEXTS)
+
+
+@st.composite
+def sparse_tables(draw):
+    """Algebras of dim <= 7 in which most basis products are zero."""
+    n = draw(st.integers(1, 7))
+    prods = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 3)) == 0:
+                row = draw(st.dictionaries(st.integers(0, n - 1), NONZERO, min_size=1, max_size=2))
+                prods[(i, j)] = row
+    return Algebra("sparse", [f"e{i}" for i in range(n)], prods)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sparse_tables())
+def test_joined_search_matches_all_tuples_on_random_sparse_tables(A):
+    assert_search_unjoined(A, TEXTS)
+
+
+def test_j_check_evaluates_only_tuples_with_a_nonzero_product(monkeypatch):
+    """On the free lie 2 6 quotient the J check evaluates exactly the
+    triples a < b < c with a nonzero product among e_a, e_b, e_c, in order."""
+    A = free_quotient_algebra(get_variety("lie"), 2, 6)
+    evaluated = []
+    real = Component.evaluate_on_basis
+
+    def spy(self, B, idx, memo):
+        evaluated.append(idx)
+        return real(self, B, idx, memo)
+
+    monkeypatch.setattr(Component, "evaluate_on_basis", spy)
+    assert check_identity(A, parse_identity("J(x,y,z) = 0")).holds
+
+    def nonzero(i, j):
+        return any(A.c(i, j, k) for k in range(A.dim))
+
+    want = [
+        t for t in combinations(range(A.dim), 3)
+        if any(nonzero(i, j) for i, j in combinations(t, 2))
+    ]
+    assert evaluated == want
+    assert len(want) < len(list(combinations(range(A.dim), 3)))
+
+
+def test_series_match_products_over_all_pairs(monkeypatch):
+    """On the spaces algebras; `test_invariants_match_element_definitions`
+    holds the series of the smaller ones against dense definitions."""
+    algebras = list(spaces_quotients())
+    algebras += [workloads.random_algebra(n, d, v) for n, d, v in workloads.RANDOM_FIXED]
+    got = [(derived_series(A), lower_central_series(A)) for A in algebras]
+    monkeypatch.setattr(algebra, "_products", products_over_all_pairs)
+    want = [(derived_series(A), lower_central_series(A)) for A in algebras]
+    assert got == want
+    # the series do not stop at once: some reach a nonzero proper term
+    assert any(1 < len(lcs) and lcs[-1].dim for _, lcs in got)
+
+
+def same_algebra(A, B):
+    """Same name, basis and table, with every value of the same type."""
+    def typed(X):
+        return [(key, [(k, v, type(v)) for k, v in row.items()]) for key, row in X.table_pairs()]
+
+    return (
+        (A.name, A.basis_names, A.denominator, typed(A))
+        == (B.name, B.basis_names, B.denominator, typed(B))
+    )
+
+
+def test_sparse_reader_matches_dense_route_on_every_benchmark_file(tmp_path):
+    seen = 0
+    for w in ("spaces", "members"):
+        workloads.universe(w, tmp_path / w)
+        for path in sorted((tmp_path / w).glob("*.alg")):
+            text = path.read_text()
+            A = parse_algebra_file(text)
+            assert same_algebra(A, parse_algebra_dense(text)), path.name
+            seen += 1
+    assert seen >= 40
+
+
+HEADER = "name: t\ndim: 4\nbasis: a b c d\n"
+PRODUCT_LINES = (
+    "a*b = 2*",
+    "a*b = 2 c",
+    "a*b = c d",
+    "a*b = 1/0*c",
+    "a*b = 3/*c",
+    "a*b = zz",
+    "a*b = ",
+    "a*b = -",
+    "a*b = 0 + c",
+    "a*b = c + 0",
+    "a*b = c +",
+    "a*b = 0*c",
+    "a*b = 0",
+    "a*b = c - c",
+    "a*b = 3/4*c + 2*d - c",
+    "a*b = 4/2*c",
+    "a * b = - 2 * c+d",
+    "a*a = b",
+    "a*q = b",
+    "a = b",
+    "a*b*c = d",
+    "a*b = c\nb*a = d",
+    "b*a = 1/3*c - 1/6*d",
+)
+
+
+def test_sparse_reader_matches_dense_route_on_malformed_lines():
+    outcomes = set()
+    for line in PRODUCT_LINES:
+        text = HEADER + line + "\n"
+        try:
+            want = parse_algebra_dense(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                parse_algebra_file(text)
+            assert str(got.value) == str(exc), line
+            outcomes.add("error")
+        else:
+            assert same_algebra(parse_algebra_file(text), want), line
+            outcomes.add("ok")
+    assert outcomes == {"error", "ok"}

@@ -30,11 +30,14 @@ from skewalg.freealg import (
     parse_word,
     relation_combination,
 )
+from skewalg.catalog import get_catalog
 from skewalg.identities import (
     _compiled,
     _flatten,
     builtin_varieties,
+    check_identity,
     get_variety,
+    parse_identity,
     polarize,
     sort_key,
 )
@@ -833,6 +836,24 @@ def test_freed_build_leaves_no_skewalg_memory():
         (get_variety("v"), 3, 6, 126),
     ]:
         assert _kept_after_build(identities, g, d, top_dim) < 64 * 1024
+
+
+def test_builds_and_checks_leave_no_reference_cycles():
+    """A build with generator symmetry, a relation combination and an
+    identity check on a fresh identity free everything they make by
+    reference counting: the collector finds nothing after them."""
+    A = get_catalog("sl2").algebra
+    gc.collect()
+    gc.disable()
+    try:
+        F = build_free_quotient(get_variety("v"), 3, 6)
+        assert _generator_symmetry(F, []) is not None
+        assert relation_combination(F, CONJECTURE_WORD)
+        assert not check_identity(A, parse_identity("(x*y)*(z*(t*u)) = 0")).holds
+        del F
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_relation_combination_matches_oracle_rows(monkeypatch):
