@@ -15,10 +15,15 @@ behind `subalgebra_generated` and `ideal_generated` multiply on the twin,
 with subspace rows scaled to integers first, and return subspaces of A.
 `Algebra.jacobians()`, `mul_coords` and `restrict` stay on A.
 
-`Algebra.support()` maps each basis index i to the j with e_i*e_j != 0;
-the twin has the same support. The Jacobian table, the series and the
-identity searches (`identities`) use it to skip, in their own order, every
-triple, pair or tuple whose products are all zero.
+The Jacobian table (`Algebra.iter_jacobians`, collected by
+`Algebra.jacobians`) is summed over the nonzero structure constants only,
+one block of triples with least index a at a time, in lexicographic key
+order; the Lie checks and the identity J(x,y,z) = 0 (`identities`) read it
+and stop at its first entry. `mul_sparse` is the one kernel for products of
+vectors. `Algebra.support()` maps each basis index i to the j with
+e_i*e_j != 0; the twin has the same support. The series and the identity
+searches use it to skip, in their own order, every pair or tuple whose
+products are all zero.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .linalg import (
     Echelon,
     _scale_to_int,
     _sparse,
-    add_scaled,
     render_terms,
     rref_rows,
     sparse_kernel,
@@ -155,39 +159,73 @@ class Algebra:
                             del out[k]
         return out
 
+    def iter_jacobians(self):
+        """Yield the nonzero ((a, b, c), {k: coeff}), a < b < c, of
+        `jacobians()` in lexicographic key order, one block of triples with
+        least index a at a time.
+
+        J(e_a, e_b, e_c) = (e_a e_b) e_c + (e_b e_c) e_a + (e_c e_a) e_b,
+        and every term is read off the nonzero structure constants, so a
+        zero product costs nothing. Block a takes the terms (e_a e_y) e_z
+        for every stored pair (a, y): into J(a, y, z) when z > y and as
+        -J(a, z, y) when a < z < y; and the terms (e_b e_c) e_a for every
+        e_k in the support of e_a and every stored pair (b, c), b > a, whose
+        product has an e_k term. Every term of J(e_a, e_b, e_c) lands in the
+        block of its least index, so a block is complete when it is yielded.
+        """
+        n = self.dim
+        # full[k][z] = e_k e_z, both orders of every stored pair;
+        # holding[k]: the stored pairs (b, c) whose product has an e_k term
+        full = [{} for _ in range(n)]
+        holding = [[] for _ in range(n)]
+        for (b, c), row in self._rows.items():
+            full[b][c] = row
+            full[c][b] = {k: -v for k, v in row.items()}
+            for k, v in row.items():
+                holding[k].append((b, c, v))
+        for a in range(n):
+            block = {}
+            for y, ay in full[a].items():
+                if y < a:
+                    continue
+                for k, v in ay.items():
+                    for z, kz in full[k].items():
+                        if z > y:
+                            key, f = (a, y, z), v
+                        elif a < z < y:
+                            key, f = (a, z, y), -v
+                        else:
+                            continue
+                        jac = block.get(key)
+                        if jac is None:
+                            jac = block[key] = {}
+                        for m, w in kz.items():
+                            jac[m] = jac.get(m, 0) + f * w
+            for k, ak in full[a].items():
+                for b, c, v in holding[k]:
+                    if b > a:
+                        jac = block.get((a, b, c))
+                        if jac is None:
+                            jac = block[(a, b, c)] = {}
+                        # the term v * (e_k e_a) = -v * (e_a e_k)
+                        for m, w in ak.items():
+                            jac[m] = jac.get(m, 0) - v * w
+            for key in sorted(block):
+                jac = {m: w for m, w in block[key].items() if w}
+                if jac:
+                    yield key, jac
+
     def jacobians(self):
-        """Nonzero J(e_a, e_b, e_c) for a < b < c, as {(a, b, c): {k: coeff}}.
+        """Nonzero J(e_a, e_b, e_c) for a < b < c, as {(a, b, c): {k: coeff}}
+        in lexicographic key order: `iter_jacobians()`, collected once and
+        shared, not copied.
 
         J is alternating on an anticommutative algebra, so these values fix
-        it on every basis triple. Each is (e_a e_b) e_c + (e_b e_c) e_a -
-        (e_a e_c) e_b; the table is computed once and shared, not copied.
-        When e_a e_b = 0, c runs only over the support of e_a and e_b: on
-        any other c all three products are zero. The keys stay in
-        lexicographic order.
+        it on every basis triple.
         """
-        if self._jacobians is not None:
-            return self._jacobians
-        rows = self._rows
-        nbr = self.support()
-        n = self.dim
-        table = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                ab = rows.get((a, b))
-                if ab:
-                    cs = range(b + 1, n)
-                else:
-                    cs = sorted(c for c in nbr[a] | nbr[b] if c > b)
-                for c in cs:
-                    bc, ac = rows.get((b, c)), rows.get((a, c))
-                    jac = {}
-                    for prod, unit in ((ab, {c: 1}), (bc, {a: 1}), (ac, {b: -1})):
-                        if prod:
-                            add_scaled(jac, self.mul_sparse(prod, unit))
-                    if jac:
-                        table[(a, b, c)] = jac
-        self._jacobians = table
-        return table
+        if self._jacobians is None:
+            self._jacobians = dict(self.iter_jacobians())
+        return self._jacobians
 
     def __repr__(self):
         return f"Algebra({self.name!r}, dim={self.dim})"
@@ -444,34 +482,35 @@ def _products(A, S, T):
 
 
 def derived_series(A: Algebra):
-    # every term lies in the one before, so a term of full rank ends the series
+    # every term lies in the one before, so a term of full rank ends the
+    # series; the second term, A*A, is the product space
     series = [_whole(A)]
-    while True:
-        cur = series[-1]
-        nxt = _span(A, _products(A, cur, cur), cur.dim)
-        if nxt.dim == cur.dim:
-            return series
+    nxt = product_space(A)
+    while nxt.dim < series[-1].dim:
         series.append(nxt)
         if nxt.dim == 0:
-            return series
+            break
+        nxt = _span(A, _products(A, nxt, nxt), nxt.dim)
+    return series
 
 
 def lower_central_series(A: Algebra):
     # C_{n+1} = sum of C_i * C_{n+1-i} (1-based); it lies in C_n, and
-    # C_i * C_j = C_j * C_i, so each unordered pair of terms is taken once
+    # C_i * C_j = C_j * C_i, so each unordered pair of terms is taken once;
+    # C_2 = A*A is the product space
     series = [_whole(A)]
-    while True:
+    nxt = product_space(A)
+    while nxt.dim < series[-1].dim:
+        series.append(nxt)
+        if nxt.dim == 0:
+            break
         n = len(series)
         vecs = chain.from_iterable(
             _products(A, series[i - 1], series[n - i])
             for i in range(1, (n + 1) // 2 + 1)
         )
-        nxt = _span(A, vecs, series[-1].dim)
-        if nxt.dim == series[-1].dim:
-            return series
-        series.append(nxt)
-        if nxt.dim == 0:
-            return series
+        nxt = _span(A, vecs, nxt.dim)
+    return series
 
 
 def restrict(A: Algebra, S: Subspace, name=None) -> Algebra:

@@ -161,4 +161,4 @@ def iter_catalog() -> list:
 
 def lie_catalog() -> list:
     """The catalog entries that are Lie algebras, in catalog order."""
-    return [e for e in iter_catalog() if not e.algebra.jacobians()]
+    return [e for e in iter_catalog() if next(e.algebra.iter_jacobians(), None) is None]

@@ -127,8 +127,9 @@ def _is_derivation(L, M):
 
 def _check_lie(A):
     # the table's keys run in lexicographic order: name the first failing triple
-    for triple in A.jacobians():
-        i, j, k = (A.basis_names[t] for t in triple)
+    first = next(A.iter_jacobians(), None)
+    if first is not None:
+        i, j, k = (A.basis_names[t] for t in first[0])
         raise ValueError(f"base algebra is not Lie: J({i},{j},{k}) != 0")
 
 

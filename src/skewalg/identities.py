@@ -25,7 +25,10 @@ m_i! over the groups, since polarization sums m! copies of each term and at
 such a tuple all of them are equal. Otherwise the assignment names the
 copies and the value is the compiled value itself. The search itself runs on
 the algebra's integral twin (`Algebra.integral_twin`), in int arithmetic, and
-the value found there is scaled back to the algebra.
+the value found there is scaled back to the algebra. J(x,y,z) = 0 is not
+searched but read off the twin's Jacobian table (`Algebra.iter_jacobians`),
+whose keys a < b < c run in lexicographic order, so its first entry is the
+lexicographically first failing tuple of the search.
 """
 
 from __future__ import annotations
@@ -591,6 +594,18 @@ def _joined_tuples(nbr, n, comp):
             yield prefix + (i,)
 
 
+_JACOBI_TEXT = "J(x,y,z) = 0"
+
+
+def _jacobi_key():
+    """The compiled key of J(x,y,z) = 0, the identity `_first_failure`
+    decides from the Jacobian table."""
+    comp = _COMPILED.get(_JACOBI_TEXT)
+    if comp is None:
+        comp = _compiled(parse_identity(_JACOBI_TEXT))
+    return comp.key
+
+
 def _first_failure(A, comp):
     """(per-group index picks, sparse value) of the first failing tuple, or None.
 
@@ -599,11 +614,20 @@ def _first_failure(A, comp):
     there, so it fails on the same tuples. The value returned is the twin's;
     `_build_witness` divides it back. Only the tuples `_joined_tuples`
     yields are evaluated: every other one gives zero, so the first failing
-    tuple is the same as over all of `_basis_tuples`.
+    tuple is the same as over all of `_basis_tuples`. J(x,y,z) = 0 itself
+    is read off the first entry of the twin's `Algebra.iter_jacobians()`,
+    whose keys are the triples a < b < c in lexicographic order.
     """
     if not comp.poly:
         return None
     T = A.integral_twin()
+    if comp.key == _jacobi_key():
+        # the table's first key is the lexicographically first failing triple
+        first = next(T.iter_jacobians(), None)
+        if first is None:
+            return None
+        (a, b, c), val = first
+        return ((a,), (b,), (c,)), val
     memo = [{} for _ in comp._nodes]
     for idx in _joined_tuples(T.support(), A.dim, comp):
         val = comp.evaluate_on_basis(T, idx, memo)

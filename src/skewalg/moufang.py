@@ -61,7 +61,7 @@ def moufang_check(A: Algebra, x1, x2, x3) -> MoufangReport:
     if hypothesis:
         generated = subalgebra_generated([x1, x2, x3])
         restricted = restrict(A, generated, name=f"{A.name}|gen")
-        conclusion = not restricted.jacobians()
+        conclusion = next(restricted.iter_jacobians(), None) is None
     return MoufangReport(
         algebra=A,
         triple=(x1, x2, x3),

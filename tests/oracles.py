@@ -21,8 +21,12 @@ equal to:
   identity search that evaluates every tuple of `_basis_tuples`,
   `products_over_all_pairs`, the series' products from every pair of
   rows, and `parse_algebra_dense`, the algebra file format read through
-  `parse_element`'s dense coordinate tuples.
+  `parse_element`'s dense coordinate tuples;
+* `jacobians_over_all_triples`: the Jacobian table from `jacobian` on the
+  basis `Element`s of every triple a < b < c.
 """
+
+from itertools import combinations
 
 from fractions import Fraction
 
@@ -242,6 +246,17 @@ def first_failure_over_all_tuples(A: Algebra, comp):
                 start += len(g)
             return tuple(combo), val
     return None
+
+
+def jacobians_over_all_triples(A: Algebra):
+    """`Algebra.jacobians()` from `jacobian` on every basis triple a < b < c,
+    keys in lexicographic order."""
+    table = {}
+    for triple in combinations(range(A.dim), 3):
+        value = jacobian(*(A.basis_element(i) for i in triple))
+        if not value.is_zero():
+            table[triple] = {k: x for k, x in enumerate(value.coords) if x}
+    return table
 
 
 def products_over_all_pairs(A: Algebra, S, T):

@@ -9,7 +9,11 @@
   and `span_membership` against dense `Fraction` Gauss-Jordan elimination:
   the same rows, pivots, kernels, inverses and coefficients.
 * The Jacobian table `Algebra.jacobians()`, the one place that decides
-  Jacobi on a basis, against `jacobian` on basis `Element`s.
+  Jacobi on a basis, against `jacobian` on basis `Element`s, and
+  `Algebra.iter_jacobians()`, its blocks in key order, on random sparse
+  rational tables. `J(x,y,z) = 0`, which `check_identity` reads off the
+  table's first key, against the search over every tuple and the raw-term
+  exhaustive oracle: the same failing triple, value and witness.
 * The invariants built on the Jacobian table and the engine (`center`,
   `lie_center`, `jacobian_ideal`, the series, `product_space`,
   `subalgebra_generated`) against their `Element`-based definitions over the
@@ -96,6 +100,7 @@ from oracles import (
     component_evaluate,
     evaluate_term,
     first_failure_over_all_tuples,
+    jacobians_over_all_triples,
     lhs_minus_rhs,
     parse_algebra_dense,
     products_over_all_pairs,
@@ -492,12 +497,10 @@ def spaces_quotients():
 
 def test_jacobian_table_matches_element_jacobians():
     algebras = invariant_algebras() + list(spaces_quotients())
+    # rational structure constants with growing denominators
+    algebras += [scaled(e.algebra, c) for e in iter_catalog() for c in RESCALES]
     for A in algebras:
-        want = {}
-        for triple in combinations(range(A.dim), 3):
-            value = jacobian(*(A.basis_element(i) for i in triple))
-            if not value.is_zero():
-                want[triple] = {k: x for k, x in enumerate(value.coords) if x}
+        want = jacobians_over_all_triples(A)
         assert A.jacobians() == want, A.name
         # the table runs in lexicographic order: construct names its first key
         assert list(A.jacobians()) == sorted(want), A.name
@@ -601,6 +604,7 @@ def test_classify_is_basis_free(A, seed):
 
 
 SCALES = (2, Fraction(-1, 3), Fraction(7, 4))
+RESCALES = SCALES[1:]  # the rational ones
 
 
 def scaled(A, c):
@@ -757,9 +761,9 @@ def test_joined_search_matches_all_tuples_on_members_catalog_and_rational():
 
 
 @st.composite
-def sparse_tables(draw):
-    """Algebras of dim <= 7 in which most basis products are zero."""
-    n = draw(st.integers(1, 7))
+def sparse_tables(draw, max_dim=7):
+    """Algebras of dim <= max_dim in which most basis products are zero."""
+    n = draw(st.integers(1, max_dim))
     prods = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -776,18 +780,26 @@ def test_joined_search_matches_all_tuples_on_random_sparse_tables(A):
 
 
 def test_j_check_evaluates_only_tuples_with_a_nonzero_product(monkeypatch):
-    """On the free lie 2 6 quotient the J check evaluates exactly the
-    triples a < b < c with a nonzero product among e_a, e_b, e_c, in order."""
+    """On the free lie 2 6 quotient the search for 2*J(x,y,z) = 0, which
+    has the join rules of J, evaluates exactly the triples a < b < c with a
+    nonzero product among e_a, e_b, e_c, in order. J(x,y,z) = 0 itself, and
+    `classify`, read the Jacobian table: no evaluation and no product."""
     A = free_quotient_algebra(get_variety("lie"), 2, 6)
-    evaluated = []
+    evaluated, products = [], []
     real = Component.evaluate_on_basis
+    real_mul = Algebra.mul_sparse
 
     def spy(self, B, idx, memo):
         evaluated.append(idx)
         return real(self, B, idx, memo)
 
+    def spy_mul(self, xs, ys):
+        products.append((xs, ys))
+        return real_mul(self, xs, ys)
+
     monkeypatch.setattr(Component, "evaluate_on_basis", spy)
-    assert check_identity(A, parse_identity("J(x,y,z) = 0")).holds
+    monkeypatch.setattr(Algebra, "mul_sparse", spy_mul)
+    assert check_identity(A, parse_identity("2*J(x,y,z) = 0")).holds
 
     def nonzero(i, j):
         return any(A.c(i, j, k) for k in range(A.dim))
@@ -798,6 +810,38 @@ def test_j_check_evaluates_only_tuples_with_a_nonzero_product(monkeypatch):
     ]
     assert evaluated == want
     assert len(want) < len(list(combinations(range(A.dim), 3)))
+
+    evaluated.clear()
+    products.clear()
+    assert check_identity(A, parse_identity("J(x,y,z) = 0")).holds
+    assert classify(A).member("lie")
+    assert (evaluated, products) == ([], [])
+
+
+def test_j_check_from_the_table_matches_the_search_over_all_tuples():
+    """On the catalog, the benchmark's members and spaces quotients, and its
+    fixed random algebras at three scales."""
+    algebras = [e.algebra for e in iter_catalog()]
+    algebras += [workloads._member(s) for s in workloads.MEMBERS]
+    algebras += spaces_quotients()
+    for A in (workloads.random_algebra(*r) for r in workloads.RANDOM_FIXED):
+        algebras += [A] + [scaled(A, c) for c in RESCALES]
+    idf = parse_identity("J(x,y,z) = 0")
+    comp = _compiled(idf)
+    for A in algebras:
+        assert _first_failure(A, comp) == first_failure_over_all_tuples(A, comp), A.name
+        assert summary(check_identity(A, idf)) == summary(exhaustive_check(A, idf)), A.name
+    # both verdicts, and witnesses on non-integral algebras
+    assert {check_identity(A, idf).holds for A in algebras} == {True, False}
+    assert any(A.denominator > 1 and not check_identity(A, idf).holds for A in algebras)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sparse_tables(10))
+def test_iter_jacobians_matches_element_jacobians_on_random_sparse_tables(A):
+    want = jacobians_over_all_triples(A)
+    assert list(A.iter_jacobians()) == list(want.items())
+    assert A.jacobians() == dict(A.iter_jacobians())
 
 
 def test_series_match_products_over_all_pairs(monkeypatch):
