@@ -57,11 +57,17 @@ def _read_file(path):
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_algebra(path):
+def _usage(call, *args, where=None, **kwargs):
+    """call(*args, **kwargs), with a ValueError raised as a usage error whose
+    message starts with `where: ` when `where` is given."""
     try:
-        return parse_algebra_file(_read_file(path))
+        return call(*args, **kwargs)
     except ValueError as exc:
-        raise _UsageError(f"{path}: {exc}") from None
+        raise _UsageError(str(exc) if where is None else f"{where}: {exc}") from None
+
+
+def _load_algebra(path):
+    return _usage(parse_algebra_file, _read_file(path), where=path)
 
 
 def _relation_budget():
@@ -89,13 +95,19 @@ def _emit(report: Report) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    A = _load_algebra(args.file)
-    cls = classify(A)
-    rep = Report(f"classify {args.file}")
+def _algebra_report(command, A) -> Report:
+    """A report echoing `command`, opened by A's [algebra] name and dim."""
+    rep = Report(command)
     rep.add_section("algebra")
     rep.add("name", A.name)
     rep.add("dim", A.dim)
+    return rep
+
+
+def cmd_classify(args) -> int:
+    A = _load_algebra(args.file)
+    cls = classify(A)
+    rep = _algebra_report(f"classify {args.file}", A)
     rep.add_section("varieties")
     for variety, text in classification_items(cls):
         rep.add(variety, text)
@@ -104,10 +116,7 @@ def cmd_classify(args) -> int:
 
 def cmd_invariants(args) -> int:
     A = _load_algebra(args.file)
-    rep = Report(f"invariants {args.file}")
-    rep.add_section("algebra")
-    rep.add("name", A.name)
-    rep.add("dim", A.dim)
+    rep = _algebra_report(f"invariants {args.file}", A)
     rep.add_section("spaces")
     rep.add("center", _space_text(center(A)))
     rep.add("product space", _space_text(product_space(A)))
@@ -126,21 +135,12 @@ def cmd_invariants(args) -> int:
 def cmd_check(args) -> int:
     A = _load_algebra(args.file)
     if args.variety is not None:
-        try:
-            identities = get_variety(args.variety)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        identities = _usage(get_variety, args.variety)
         echo = f"check {args.file} --variety {args.variety}"
     else:
-        try:
-            identities = (parse_identity(args.identity),)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        identities = (_usage(parse_identity, args.identity),)
         echo = f"check {args.file} --identity {args.identity}"
-    rep = Report(echo)
-    rep.add_section("algebra")
-    rep.add("name", A.name)
-    rep.add("dim", A.dim)
+    rep = _algebra_report(echo, A)
     rep.add_section("check")
     failed = False
     for idf in identities:
@@ -161,10 +161,7 @@ def cmd_check(args) -> int:
 
 def cmd_moufang(args) -> int:
     A = _load_algebra(args.file)
-    try:
-        assigns = parse_assignments(args.elements, A.basis_names)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    assigns = _usage(parse_assignments, args.elements, A.basis_names)
     if set(assigns) != {"x1", "x2", "x3"}:
         raise _UsageError("--elements must assign exactly x1, x2, x3")
     x1, x2, x3 = (A.element(assigns[k]) for k in ("x1", "x2", "x3"))
@@ -177,10 +174,7 @@ def cmd_moufang(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    try:
-        data = parse_construction_file(_read_file(args.file))
-    except ValueError as exc:
-        raise _UsageError(f"{args.file}: {exc}") from None
+    data = _usage(parse_construction_file, _read_file(args.file), where=args.file)
     try:
         B = build_from_construction(data)
     except ValueError as exc:
@@ -204,25 +198,18 @@ def cmd_decompose(args) -> int:
 def cmd_free(args) -> int:
     budget = _relation_budget()
     if args.variety is not None:
-        try:
-            identities = get_variety(args.variety)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        identities = _usage(get_variety, args.variety)
         source = ("variety", args.variety)
     else:
-        try:
-            identities = parse_identities_file(_read_file(args.identities))
-        except ValueError as exc:
-            raise _UsageError(f"{args.identities}: {exc}") from None
+        identities = _usage(
+            parse_identities_file, _read_file(args.identities), where=args.identities
+        )
         source = ("identities", "; ".join(i.text for i in identities))
     extra = tuple(args.extra_relation or ())
-    try:
-        F = build_free_quotient(
-            identities, args.generators, args.max_degree, extra_relations=extra,
-            budget=budget,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    F = _usage(
+        build_free_quotient, identities, args.generators, args.max_degree,
+        extra_relations=extra, budget=budget,
+    )
     rep = Report(_free_echo(args))
     rep.add_section("free algebra")
     rep.add(*source)
@@ -232,10 +219,7 @@ def cmd_free(args) -> int:
         rep.add("extra relations", "; ".join(extra))
     rep.add("dims", ", ".join(f"{d}: {n}" for d, n in enumerate(F.dims(), start=1)))
     if args.eval_word is not None:
-        try:
-            value = evaluate_word(F, args.eval_word)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        value = _usage(evaluate_word, F, args.eval_word)
         rep.add_section("eval")
         rep.add("word", args.eval_word)
         rep.add("degree", value.degree)
@@ -266,10 +250,7 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    try:
-        entry = get_catalog(args.name)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    entry = _usage(get_catalog, args.name)
     sys.stdout.write(emit_algebra(entry.algebra, pairs=entry.display_pairs))
     return 0
 
@@ -344,12 +325,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, RelationBudgetExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RelationBudgetExceeded, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 if __name__ == "__main__":

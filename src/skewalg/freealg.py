@@ -23,13 +23,13 @@ degree's echelon is block-diagonal by type.  A build generates, dedupes and
 eliminates rows only for one representative type per orbit of the generator
 permutations that map the relation set to itself (`_Symmetry`): every
 permutation for identities, and with adjoined words those that map the set
-of words to itself up to scalars.  Each other type gets the relabelled images
-of its representative's independent generated rows.  The final elimination
-returns the unique rref, so the quotient is the same as from every row.
+of words to itself up to scalars.  The representative is the orbit's least
+type code.  Each other type gets the relabelled images of its
+representative's independent generated rows.  The final elimination returns
+the unique rref, so the quotient is the same as from every row.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice, permutations
 from operator import mul
 from string import ascii_lowercase
@@ -458,35 +458,27 @@ def _describe(F, source):
 class _Types:
     """The type codes of a quotient's monomials, added degree by degree:
     `codes[e][i]` is the code of monomials[e][i], and `groups[e]` maps each
-    code to the increasing indices of the degree-e monomials of that type."""
+    code to the increasing indices of the degree-e monomials of that type.
+    Codes are read off the monomials, so only `monomials_of_degree` orders them."""
 
     def __init__(self, F):
         self.base = F.max_degree + 1
         self.codes = [[]]
         self.groups = [{}]
+        self._code = {}  # monomial -> type code, for the lower degrees
 
     def add(self, F, d):
         """Index degree d, after every lower degree."""
-        by = self.codes
+        mons, of = F.monomials[d], self._code
         if d == 1:
-            codes = [self.base**i for i in range(len(F.generators))]
+            codes = [self.base**i for i in mons]
         else:
-            # the products in `monomials_of_degree` order
-            codes = []
-            for e in range(1, d // 2 + 1):
-                left, right = by[e], by[d - e]
-                if 2 * e < d:
-                    codes.extend(a + b for a in left for b in right)
-                else:
-                    codes.extend(
-                        left[i] + left[j]
-                        for i in range(len(left))
-                        for j in range(i + 1, len(left))
-                    )
+            codes = [of[l] + of[r] for l, r in mons]
+        of.update(zip(mons, codes))
         groups = {}
         for i, code in enumerate(codes):
             groups.setdefault(code, []).append(i)
-        by.append(codes)
+        self.codes.append(codes)
         self.groups.append(groups)
 
 
@@ -530,66 +522,40 @@ class _Symmetry:
     map the set of adjoined words to itself up to scalars, and `free` are the
     letters no adjoined word uses. Identity instances are invariant under
     every permutation. A permutation `perm` renames generator i to perm[i].
+
+    The factors move disjoint letters, so a type's least image fills the
+    free letters in order of decreasing count and takes the element of
+    `perms` that gives the least code. `perms` is a group, so `split` forms
+    the renaming back from the representative onto the type directly.
     """
 
     def __init__(self, perms, free):
         self.perms = perms
         self.free = free
-        self._by_pattern = {}
 
     def split(self, types, d):
         """The types of degree d (a `_Types` index) by orbit: the set of
         representatives (each orbit's least code), and {type:
         (representative, perm)} for every other type, perm mapping the
         representative's monomials onto the type's."""
-        base, powers = types.base, types.codes[1]
+        base, powers, free = types.base, types.codes[1], self.free
         reps, moved = set(), {}
         for code in sorted(types.groups[d]):
-            if code in reps or code in moved:
-                continue
-            reps.add(code)
             t = [code // p % base for p in powers]
-            for perm in self.moves(t):
-                image = sum(map(mul, t, map(powers.__getitem__, perm)))
-                if image not in reps and image not in moved:
-                    moved[image] = code, perm
+            # back[j]: the letter of t, by decreasing count, that fills the free
+            # letter j of the representative (stably: a least t fills j with j)
+            back = list(range(len(t)))
+            for j, i in zip(free, sorted(free, key=t.__getitem__, reverse=True)):
+                back[j] = i
+            rep, perm = min(
+                (sum(map(mul, map(t.__getitem__, p), powers)), p)
+                for p in (tuple(map(back.__getitem__, h)) for h in self.perms)
+            )
+            if rep == code:
+                reps.add(code)
+            else:
+                moved[code] = rep, perm
         return reps, moved
-
-    def moves(self, t):
-        """Group elements, at least one carrying the type t onto each type
-        of its orbit.
-
-        The permutations in `perms` fix the letters `free`, so t's entries
-        there are only rearranged; the list depends on which of them are
-        equal, and is kept for each such pattern."""
-        seen = {}
-        pattern = tuple(seen.setdefault(t[i], j) for j, i in enumerate(self.free))
-        moves = self._by_pattern.get(pattern)
-        if moves is None:
-            moves = self._by_pattern[pattern] = [
-                tuple(map(arrange.__getitem__, k))
-                for k in self.perms
-                for arrange in _arrangements(t, self.free)
-            ]
-        return moves
-
-
-def _arrangements(u, free):
-    """The distinct ways to permute the entries of u at the positions `free`,
-    each as a list sending position i to the position its entry moves to."""
-    out = [(list(range(len(u))), free)]  # (arrangement so far, entries left)
-    for slot in free:
-        grown = []
-        for arrange, left in out:
-            tried = set()
-            for i in left:
-                if u[i] not in tried:
-                    tried.add(u[i])
-                    a = arrange[:]
-                    a[i] = slot
-                    grown.append((a, [j for j in left if j != i]))
-        out = grown
-    return [a for a, _left in out]
 
 
 def _generator_symmetry(F, words):
@@ -748,22 +714,15 @@ def _relabelled(F, d, moved, independent, memos):
 def _record_degree(F, d, ech):
     """Read degree d's relations rref, basis and rewrites off the echelon of
     its relation rows."""
-    ech.reduce_full()
+    reduced, pivots = ech.rref()
     mons = F.monomials[d]
-    pivots = sorted(ech.rows)
-    rows = [ech.rows[p] for p in pivots]
-    F.relations_rref.append(rows)
+    F.relations_rref.append([ech.rows[p] for p in pivots])
     basis = tuple(m for i, m in enumerate(mons) if i not in ech.rows) if pivots else tuple(mons)
     F.basis.append(basis)
     rewrite = F.rewrite
     rewrite.update((m, {m: 1}) for m in basis)
-    for lead, row in zip(pivots, rows):
-        lv = row[lead]
-        rewrite[mons[lead]] = {
-            mons[c]: -v if lv == 1 else -v // lv if v % lv == 0 else Fraction(-v, lv)
-            for c, v in row.items()
-            if c != lead
-        }
+    for lead, row in zip(pivots, reduced):
+        rewrite[mons[lead]] = {mons[c]: -v for c, v in row.items() if c != lead}
 
 
 # --- evaluation ---------------------------------------------------------------

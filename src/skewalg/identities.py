@@ -107,10 +107,22 @@ def _jac(t1, t2, t3):
     )
 
 
+# most levels in a term tree: parsing and every walk of it recurse per level
+_MAX_HEIGHT = 100
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.i = 0
+        self.depth = 0  # groups, '(' or 'J(', open at the cursor
+        self.height = 0  # levels of the tree parsed last
+
+    def fits(self, height):
+        """Record the last tree's height; raise if it and the open groups pass the cap."""
+        if self.depth + height > _MAX_HEIGHT:
+            self.error(f"term nests more than {_MAX_HEIGHT} levels deep")
+        self.height = height
 
     def error(self, message, pos=None):
         raise IdentityParseError(message, self.i if pos is None else pos)
@@ -147,23 +159,25 @@ class _Parser:
     def factor(self):
         self.ws()
         ch = self.peek()
-        if ch == "(":
+        if ch in ("(", "J"):
             self.i += 1
-            e = self.expr()
-            self.expect(")")
-            return e
-        if ch == "J":
-            self.i += 1
-            self.expect("(")
-            t1 = self.expr()
-            self.expect(",")
-            t2 = self.expr()
-            self.expect(",")
-            t3 = self.expr()
-            self.expect(")")
-            return _jac(t1, t2, t3)
+            if ch == "J":
+                self.expect("(")
+            self.depth += 1
+            self.fits(1)  # a run of '(' ends here, before it recurses deeper
+            args, height = [], 0
+            for sep in ")" if ch == "(" else ",,)":
+                args.append(self.expr())
+                height = max(height, self.height)
+                self.expect(sep)
+            self.depth -= 1
+            if ch == "(":
+                return args[0]
+            self.fits(height + 3)
+            return _jac(*args)
         if ch.isalpha() and ch.islower():
             self.i += 1
+            self.fits(1)
             return ("var", ch)
         self.error("expected a variable, 'J(', or '('")
 
@@ -181,34 +195,31 @@ class _Parser:
                     self.error("constant terms are not allowed", pos)
                 return coef, None
         tree = self.factor()
-        while True:
-            save = self.i
+        self.ws()
+        while self.peek() == "*":
+            self.i += 1
+            left = self.height
+            tree = ("prod", tree, self.factor())
+            self.fits(max(left, self.height) + 1)
             self.ws()
-            if self.peek() == "*":
-                self.i += 1
-                tree = ("prod", tree, self.factor())
-            else:
-                self.i = save
-                break
         return coef, tree
 
     def expr(self):
-        items = []
-        self.ws()
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = 1 if self.peek() == "+" else -1
-            self.i += 1
+        items, height, first = [], 0, True
         while True:
-            coef, tree = self.term()
-            if tree is not None:
-                items.append((sign * coef, tree))
             self.ws()
+            sign = 1
             if self.peek() in ("+", "-"):
                 sign = 1 if self.peek() == "+" else -1
                 self.i += 1
-            else:
+            elif not first:
                 break
+            first = False
+            coef, tree = self.term()
+            if tree is not None:
+                items.append((sign * coef, tree))
+                height = max(height, self.height)
+        self.fits(height + 1)
         return ("sum", tuple(items))
 
     def identity(self):

@@ -174,9 +174,6 @@ class Echelon:
                 row = _eliminate(row, self.rows[c], c)
             self.rows[p] = _row_normalize(row)
 
-    def sorted_rows(self):
-        return [self.rows[p] for p in sorted(self.rows)]
-
     def rref(self):
         """Canonical rref of the row space: (rows with pivot entry 1 in pivot
         order, pivot columns); entries are int where integral."""

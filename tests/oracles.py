@@ -14,6 +14,8 @@ equal to:
   symmetry, every relation row of every degree generated and eliminated,
   and `certificate_over_all_rows`, a zero word's relation combination
   over every row of its degree, not only its type's;
+* `orbit_least_codes`: each type's orbit under a generator symmetry, by
+  applying every element of the group to it;
 * `reference_derivations`: the derivation algebra from dense `Fraction`
   product-rule rows over A's own table, and `reference_null_triples`, the
   x3 with J(x1,x2,x3) = 0 from `jacobian` on `Element`s;
@@ -26,7 +28,7 @@ equal to:
   basis `Element`s of every triple a < b < c.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from fractions import Fraction
 
@@ -200,6 +202,27 @@ def certificate_over_all_rows(F, word):
             sources.append(source)
     acc = ech.express(F.expand_to_row(tree, d))
     return [(acc[t], _describe(F, sources[t])) for t in sorted(acc)]
+
+
+def orbit_least_codes(sym, types, d):
+    """{type code: least code of its orbit} over the degree-d types of a
+    `_Types` index, from every element of the `_Symmetry` group `sym`: each
+    permutation in `sym.perms` after each permutation of the letters
+    `sym.free`. A permutation renames generator i to perm[i]."""
+    assert len(sym.free) <= 4, "the group is enumerated in full"
+    base, powers = types.base, types.codes[1]
+    g = len(powers)
+    group = []
+    for image in permutations(sym.free):
+        arrange = list(range(g))
+        for i, j in zip(sym.free, image):
+            arrange[i] = j
+        group.extend([k[arrange[i]] for i in range(g)] for k in sym.perms)
+    least = {}
+    for code in types.groups[d]:
+        t = [code // p % base for p in powers]
+        least[code] = min(sum(t[i] * powers[perm[i]] for i in range(g)) for perm in group)
+    return least
 
 
 def reference_derivations(A: Algebra) -> list:

@@ -317,6 +317,103 @@ def test_construct_parse_error_is_exit_two(tmp_path, capsys):
     assert "line 1" in err
 
 
+ERROR_INPUTS = {
+    "bad.alg": "name: X\ndim: 2\nbasis: a b\na*b = 2b\n",
+    "bad.cons": "basis: p\n",
+    "bad.ids": "x*x = 0\nJ(x,y = 0\n",
+    "nonlie.cons": (
+        "[P]\nbasis: p\n[L]\nname: nl\ndim: 4\nbasis: a b c d\na*b = c\nc*d = a\n"
+        "[psi p]\n[lambda]\n[L0]\n"
+    ),
+    "deep.ids": "x*x = 0\n" + "(" * 400 + "x*y" + ")" * 400 + " = 0\n",
+    "chain.ids": "*".join(["x"] * 1500) + " = 0\n",
+}
+FREE_3_2 = ["--generators", "3", "--max-degree", "2"]
+UNKNOWN_VARIETY = "unknown variety 'zorp'; available: lie, malcev, binary-lie, w, v, lam, alam"
+NESTING = "term nests more than 100 levels deep"
+
+# one input per error route: argv ({dir} is the folder of the inputs), the
+# exit status and stderr; stdout stays empty
+ERROR_CASES = {
+    "missing-file": (
+        ["classify", "{dir}/missing.alg"], 2,
+        "cannot read {dir}/missing.alg: No such file or directory",
+    ),
+    "algebra-parse": (
+        ["classify", "{dir}/bad.alg"], 2,
+        "{dir}/bad.alg: line 4: col 2: expected '*' between coefficient and basis name",
+    ),
+    "check-variety": (["check", "{dir}/L.alg", "--variety", "zorp"], 2, UNKNOWN_VARIETY),
+    "check-identity": (
+        ["check", "{dir}/L.alg", "--identity", "x* = 0"], 2,
+        "expected a variable, 'J(', or '(' (at position 3)",
+    ),
+    "moufang-elements": (
+        ["moufang", "{dir}/L.alg", "--elements", "x1 = a; x2 = b; x3 = zz"], 2,
+        "col 2: unknown basis name 'zz'",
+    ),
+    "construct-parse": (
+        ["construct", "{dir}/bad.cons"], 2, "{dir}/bad.cons: line 1: expected a section header",
+    ),
+    "free-identities": (
+        ["free", "--identities", "{dir}/bad.ids", *FREE_3_2], 2,
+        "{dir}/bad.ids: line 2: expected ',' (at position 6)",
+    ),
+    "free-variety": (["free", "--variety", "zorp", *FREE_3_2], 2, UNKNOWN_VARIETY),
+    "free-build": (
+        ["free", "--variety", "lie", "--generators", "27", "--max-degree", "2"], 2,
+        "generator count must be between 1 and 26",
+    ),
+    "free-eval": (
+        ["free", "--variety", "v", *FREE_3_2, "--eval", "J(a,b,a*c)"], 2,
+        "degree overflow: word degree 4 exceeds max degree 2",
+    ),
+    "catalog": (
+        ["catalog", "nope"], 2,
+        "unknown catalog algebra 'nope'; available: paper-L, B(0,0,1), abelian1, "
+        "abelian2, abelian3, affine2, heisenberg3, sl2, free-anti-2-3, free-anti-2-4, "
+        "or B(r1,r2,r3) with rational parameters",
+    ),
+    "decompose-non-member": (
+        ["decompose", "{dir}/F.alg"], 1,
+        "algebra is not in w: J(x,y,z*u) = 0 fails (x = x, y = y, z = x, u = y gives -s + t)",
+    ),
+    "construct-non-lie": (
+        ["construct", "{dir}/nonlie.cons"], 1, "base algebra is not Lie: J(a,b,d) != 0",
+    ),
+    "check-nested-identity": (
+        ["check", "{dir}/L.alg", "--identity", "(" * 400 + "x*y" + ")" * 400 + " = 0"], 2,
+        f"{NESTING} (at position 100)",
+    ),
+    "free-eval-product-chain": (
+        ["free", "--variety", "lie", *FREE_3_2, "--eval", "*".join(["a"] * 1500)], 2,
+        f"{NESTING} (at position 201)",
+    ),
+    "free-identities-nested": (
+        ["free", "--identities", "{dir}/deep.ids", *FREE_3_2], 2,
+        f"{{dir}}/deep.ids: line 2: {NESTING} (at position 100)",
+    ),
+    "free-identities-product-chain": (
+        ["free", "--identities", "{dir}/chain.ids", *FREE_3_2], 2,
+        f"{{dir}}/chain.ids: line 1: {NESTING} (at position 201)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_CASES))
+def test_error_text_is_exact(case, tmp_path, capsys):
+    """Every error route prints its exact message on stderr, nothing on
+    stdout, and exits 2 (usage or parse error) or 1 (a failed check)."""
+    for name, text in ERROR_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    for name, catalog_name in (("L.alg", "paper-L"), ("F.alg", "free-anti-2-4")):
+        (tmp_path / name).write_text(emit_algebra(get_catalog(catalog_name).algebra))
+    argv, rc, message = ERROR_CASES[case]
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    expected = (rc, "", f"error: {message}\n".replace("{dir}", str(tmp_path)))
+    assert run(capsys, *argv) == expected
+
+
 def test_free_low_degree_dims(capsys):
     rc, out, _ = run(
         capsys, "free", "--variety", "v", "--generators", "3", "--max-degree", "2"

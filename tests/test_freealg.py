@@ -43,7 +43,7 @@ from skewalg.identities import (
 )
 from skewalg.linalg import Echelon
 
-from oracles import certificate_over_all_rows, reference_free_quotient
+from oracles import certificate_over_all_rows, orbit_least_codes, reference_free_quotient
 
 
 # --- oracles ---------------------------------------------------------------
@@ -298,6 +298,39 @@ def test_symmetric_build_matches_the_reference_route(source, g, d, extra):
     assert F.rewrite == R.rewrite
     assert F.relations_rref == R.relations_rref
     F.self_check()
+
+
+def test_split_keeps_the_least_code_of_each_orbit():
+    """`_Symmetry.split` against the whole group applied to every type: its
+    representatives are exactly the least codes of the orbits, and each
+    moved type's perm carries its representative's multiplicities onto it.
+    The type codes it splits are read off each monomial's leaves."""
+    checked = 0
+    for source, g, d, extra in SYMMETRY_CASES:
+        identities = get_variety(source) if source in builtin_varieties() else [source]
+        F = build_free_quotient(identities, g, d, extra_relations=extra)
+        words = [freealg._word_row(F, tree) for _deg, _text, tree in F.extra]
+        sym = _generator_symmetry(F, [row for row in words if row])
+        if sym is None:
+            continue
+        types = freealg._Types(F)
+        for e in range(1, d + 1):
+            types.add(F, e)
+            assert types.codes[e] == [
+                sum(types.base**leaf for leaf in freealg._leaves(m)) for m in F.monomials[e]
+            ]
+            least = orbit_least_codes(sym, types, e)
+            reps, moved = sym.split(types, e)
+            assert reps == {code for code, rep in least.items() if rep == code}
+            assert {code: rep for code, (rep, _perm) in moved.items()} == {
+                code: rep for code, rep in least.items() if rep != code
+            }
+            powers = types.codes[1]
+            for code, (rep, perm) in moved.items():
+                t = [rep // p % types.base for p in powers]
+                assert sum(t[i] * powers[perm[i]] for i in range(g)) == code
+            checked += 1
+    assert checked >= 100
 
 
 def _relabelled_word(word, perm):

@@ -87,6 +87,27 @@ def test_parse_errors_report_position():
         assert e.value.position == pos
 
 
+def test_parse_caps_the_height_of_a_term_tree():
+    """A term tree has at most 100 levels, so that parsing it and every
+    recursive walk of it stay inside the recursion limit. Past the cap the
+    parse stops with a position: in a product chain, under parentheses,
+    and where groups and chains alternate, whose levels add up."""
+    parse_identity("*".join(["x"] * 99) + " = 0")
+    with pytest.raises(IdentityParseError) as e:
+        parse_identity("*".join(["x"] * 1500) + " = 0")
+    assert e.value.position == 201
+    parse_identity("(" * 97 + "x*y" + ")" * 97 + " = 0")
+    with pytest.raises(IdentityParseError) as e:
+        parse_identity("(" * 400 + "x*y" + ")" * 400 + " = 0")
+    assert e.value.position == 100
+    nested = "x"
+    for _ in range(50):
+        nested = f"({nested})" + "*y" * 50
+    with pytest.raises(IdentityParseError) as e:
+        parse_identity(f"{nested} = 0")
+    assert "nests more than 100 levels" in str(e.value)
+
+
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(IdentityParseError):
         parse_identity("x*y = 0 extra")
