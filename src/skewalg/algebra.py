@@ -24,6 +24,11 @@ vectors. `Algebra.support()` maps each basis index i to the j with
 e_i*e_j != 0; the twin has the same support. The series and the identity
 searches use it to skip, in their own order, every pair or tuple whose
 products are all zero.
+
+A `Subspace` spanned by elimination keeps the engine's integer rows and
+forms its canonical rref only when it is read (`Subspace.from_echelon`).
+`product_space` is spanned once per algebra and cached; both series start
+from it and multiply their terms' integer rows, reading only their dims.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ class Algebra:
     """Structure-constant algebra; products stored sparsely per (i<j) pair."""
 
     __slots__ = (
-        "name", "dim", "basis_names", "denominator", "_rows", "_jacobians", "_twin", "_support",
+        "name", "dim", "basis_names", "denominator",
+        "_rows", "_jacobians", "_twin", "_support", "_product_space",
     )
 
     def __init__(self, name, basis_names, products):
@@ -81,6 +87,7 @@ class Algebra:
         self.denominator = denominator
         self._twin = None
         self._support = None
+        self._product_space = None
 
     def integral_twin(self):
         """D*A for D = self.denominator: the product scaled by D, every
@@ -174,26 +181,28 @@ class Algebra:
         block of its least index, so a block is complete when it is yielded.
         """
         n = self.dim
-        # full[k][z] = e_k e_z, both orders of every stored pair;
-        # holding[k]: the stored pairs (b, c) whose product has an e_k term
+        # full[k][z] = (s, row) with e_k e_z = s * row, both orders of every
+        # stored pair on the one stored row; holding[k]: the stored pairs
+        # (b, c) whose product has an e_k term
         full = [{} for _ in range(n)]
         holding = [[] for _ in range(n)]
         for (b, c), row in self._rows.items():
-            full[b][c] = row
-            full[c][b] = {k: -v for k, v in row.items()}
+            full[b][c] = (1, row)
+            full[c][b] = (-1, row)
             for k, v in row.items():
                 holding[k].append((b, c, v))
         for a in range(n):
             block = {}
-            for y, ay in full[a].items():
+            for y, (_, ay) in full[a].items():
+                # y > a: ay is the stored row of the pair (a, y) itself
                 if y < a:
                     continue
                 for k, v in ay.items():
-                    for z, kz in full[k].items():
+                    for z, (sz, kz) in full[k].items():
                         if z > y:
-                            key, f = (a, y, z), v
+                            key, f = (a, y, z), v * sz
                         elif a < z < y:
-                            key, f = (a, z, y), -v
+                            key, f = (a, z, y), -v * sz
                         else:
                             continue
                         jac = block.get(key)
@@ -201,15 +210,16 @@ class Algebra:
                             jac = block[key] = {}
                         for m, w in kz.items():
                             jac[m] = jac.get(m, 0) + f * w
-            for k, ak in full[a].items():
+            for k, (sk, ak) in full[a].items():
                 for b, c, v in holding[k]:
                     if b > a:
                         jac = block.get((a, b, c))
                         if jac is None:
                             jac = block[(a, b, c)] = {}
                         # the term v * (e_k e_a) = -v * (e_a e_k)
+                        f = -v * sk
                         for m, w in ak.items():
-                            jac[m] = jac.get(m, 0) - v * w
+                            jac[m] = jac.get(m, 0) + f * w
             for key in sorted(block):
                 jac = {m: w for m, w in block[key].items() if w}
                 if jac:
@@ -294,23 +304,67 @@ def jacobian(x: Element, y: Element, z: Element) -> Element:
 
 
 class Subspace:
-    """Subspace of an algebra, kept in canonical reduced echelon form."""
+    """Subspace of an algebra, with a canonical reduced echelon form.
 
-    __slots__ = ("algebra", "rows", "pivots")
+    The canonical form, `rows` (dense, pivot entry 1) and `pivots`, is
+    formed the first time one of them is read, `==`, `hash`, `coords_of`,
+    `contains` and `basis_elements` included, and then kept. A subspace
+    spanned by elimination (`from_echelon`) holds the engine's primitive
+    integer rows until then: `dim` counts them and `int_rows` hands them to
+    the products of the series, so a space nobody reads never forms its
+    rref.
+    """
+
+    __slots__ = ("algebra", "_echelon", "_rows", "_pivots")
 
     def __init__(self, algebra, rows, pivots):
         self.algebra = algebra
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
+        self._echelon = None
+        self._rows = tuple(tuple(r) for r in rows)
+        self._pivots = tuple(pivots)
 
     @classmethod
     def from_vectors(cls, algebra, vectors):
         rows, pivots = rref_rows(list(vectors), algebra.dim)
         return cls(algebra, rows, pivots)
 
+    @classmethod
+    def from_echelon(cls, algebra, ech):
+        """The row space of an `Echelon` over algebra's coordinates; the
+        subspace takes the engine over and reduces it when first read."""
+        S = cls.__new__(cls)
+        S.algebra, S._echelon, S._rows, S._pivots = algebra, ech, None, None
+        return S
+
+    def _canonical(self):
+        if self._rows is None:
+            n = self.algebra.dim
+            reduced, pivots = self._echelon.rref()
+            self._rows = tuple(tuple(r.get(k, 0) for k in range(n)) for r in reduced)
+            self._pivots = tuple(pivots)
+        return self._rows
+
+    @property
+    def rows(self):
+        return self._canonical()
+
+    @property
+    def pivots(self):
+        self._canonical()
+        return self._pivots
+
     @property
     def dim(self):
-        return len(self.rows)
+        if self._echelon is not None:
+            return len(self._echelon.rows)
+        return len(self._rows)
+
+    def int_rows(self):
+        """Sparse integer rows spanning the subspace: the engine's rows, or
+        else the canonical rows scaled to integers."""
+        if self._echelon is not None:
+            return list(self._echelon.rows.values())
+        return [_scale_to_int(_sparse(r)) for r in self._rows]
 
     def coords_of(self, x):
         """Coefficients over the echelon basis, or None if x is outside."""
@@ -347,16 +401,16 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.algebra.name})"
 
 
-def _subspace(A, reduced, pivots):
-    """Subspace from a sparse rref (`linalg.sparse_rref`)."""
-    n = A.dim
-    return Subspace(A, [tuple(r.get(k, 0) for k in range(n)) for r in reduced], pivots)
-
-
 def _span(A, vectors, max_rank=None):
     """Subspace spanned by sparse vectors, read lazily until the rank reaches
-    max_rank (default A.dim; pass a smaller bound only when it must hold)."""
-    return _subspace(A, *sparse_rref(vectors, A.dim if max_rank is None else max_rank))
+    max_rank (default A.dim; pass a smaller bound only when it must hold).
+    Zero vectors are skipped; the rref waits until the subspace is read."""
+    bound = A.dim if max_rank is None else max_rank
+    ech = Echelon()
+    for v in vectors:
+        if v and ech.insert(_scale_to_int(v)) is not None and len(ech.rows) == bound:
+            break
+    return Subspace.from_echelon(A, ech)
 
 
 def _whole(A):
@@ -385,7 +439,7 @@ def _closure(A, vectors, expand):
                     break
         old += new
         new = grown
-    return _subspace(A, *ech.rref())
+    return Subspace.from_echelon(A, ech)
 
 
 def _subalgebra_products(A):
@@ -425,7 +479,10 @@ def ideal_generated(gens) -> Subspace:
 
 
 def product_space(A: Algebra) -> Subspace:
-    return _span(A, [row for _, row in A.integral_twin().table_pairs()])
+    """A*A, spanned once per algebra and cached."""
+    if A._product_space is None:
+        A._product_space = _span(A, [row for _, row in A.integral_twin().table_pairs()])
+    return A._product_space
 
 
 def _kernel_space(A, constraints):
@@ -461,13 +518,13 @@ def jacobian_ideal(A: Algebra) -> Subspace:
 
 
 def _products(A, S, T):
-    """Products on A's integral twin spanning S*T (= T*S), from the rows
-    scaled to integers: each pair once when S is T, and only the pairs
-    whose supports meet a nonzero basis product (the others multiply to
-    zero)."""
+    """Products on A's integral twin spanning S*T (= T*S), from the integer
+    rows of each (`Subspace.int_rows`): each pair once when S is T, and only
+    the pairs whose supports meet a nonzero basis product (the others
+    multiply to zero)."""
     twin = A.integral_twin()
     mul, nbr = twin.mul_sparse, twin.support()
-    rs = [_scale_to_int(_sparse(r)) for r in S.rows]
+    rs = S.int_rows()
     # reach[i]: the basis indices some coordinate of rs[i] multiplies to nonzero
     reach = [frozenset().union(*(nbr[k] for k in r)) for r in rs]
     if S is T:
@@ -477,7 +534,7 @@ def _products(A, S, T):
             for s in rs[i + 1 :]
             if not near.isdisjoint(s)
         )
-    ts = [_scale_to_int(_sparse(t)) for t in T.rows]
+    ts = T.int_rows()
     return (mul(r, t) for r, near in zip(rs, reach) for t in ts if not near.isdisjoint(t))
 
 

@@ -31,6 +31,7 @@ the unique rref, so the quotient is the same as from every row.
 
 from dataclasses import dataclass
 from itertools import islice, permutations
+from math import lcm
 from operator import mul
 from string import ascii_lowercase
 
@@ -420,18 +421,29 @@ def _degree_rows(F, d, types=None, keep=None):
 
 def _check_rows(F, d, rows):
     """Raise if a (source, row) pair of degree d does not vanish under the
-    rewrite map; the message names the first such row's source."""
+    rewrite map; the message names the first such row's source.
+
+    When the rewrite map has denominators at degree d, the check runs on L
+    times it, L their lcm, keyed by column index, so it stays in integers:
+    a row vanishes under one exactly when it vanishes under the other."""
     rewrite = [F.rewrite[m] for m in F.monomials[d]]
+    scale = lcm(*{v.denominator for r in rewrite for v in r.values()})
+    if scale != 1:
+        col = F.col[d]
+        rewrite = [
+            {col[m]: v.numerator * (scale // v.denominator) for m, v in r.items()}
+            for r in rewrite
+        ]
     for source, row in rows:
         image = {}
         # inline, not add_scaled: runs per entry of every checked row
         for c, v in row.items():
-            for bm, bc in rewrite[c].items():
-                nv = image.get(bm, 0) + v * bc
+            for b, bc in rewrite[c].items():
+                nv = image.get(b, 0) + v * bc
                 if nv:
-                    image[bm] = nv
-                elif bm in image:
-                    del image[bm]
+                    image[b] = nv
+                elif b in image:
+                    del image[b]
         if image:
             raise ValueError(f"self-check failed at degree {d}: {_describe(F, source)}")
 

@@ -530,11 +530,18 @@ class CheckResult:
     witness: Witness | None
 
 
-def _count_evaluations(A, comp):
+def _sorted_tuples(n, sizes):
+    """The product over the group sizes m of the sorted m-tuples over n
+    basis indices, C(n + m - 1, m)."""
     total = 1
-    for g in comp.groups:
-        total *= comb(A.dim + len(g) - 1, len(g))
+    for m in sizes:
+        total *= comb(n + m - 1, m)
     return total
+
+
+def _count_evaluations(A, comp):
+    """The evaluations the search of a compiled identity on A may make."""
+    return _sorted_tuples(A.dim, map(len, comp.groups))
 
 
 _COMPILED = {}
@@ -679,12 +686,15 @@ def check_identity(
 
 
 def _within_budget(A, idf, budget):
-    """The compiled idf, once its search on A is known to fit the budget."""
-    comp = _compiled(idf)
-    required = _count_evaluations(A, comp)
+    """The compiled idf, once its search on A is known to fit the budget.
+    The count is read off idf's profile (a group of max(1, m) copies per
+    variable of degree m, as `polarize` makes them), so an identity over
+    the budget is never polarized."""
+    sizes = (max(1, idf.profile.get(v, 0)) for v in idf.variables)
+    required = _sorted_tuples(A.dim, sizes)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    return comp
+    return _compiled(idf)
 
 
 def _build_witness(A, comp, combo, sparse_value):

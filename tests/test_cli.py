@@ -6,6 +6,9 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import chain, combinations
+from math import comb
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -520,6 +523,25 @@ def test_identity_budget_exceeded(tmp_path, capsys):
     assert rc == 1
     assert out == ""
     assert err == "error: identity check needs 12960000 evaluations, budget is 10000000\n"
+
+
+def test_identity_budget_trips_before_polarizing(tmp_path, capsys):
+    """A ten-copy product on the dim-36 v 3 4 quotient needs C(45,10)
+    evaluations; the count is read off the identity's profile, so the check
+    ends in the budget message before any of the 10! polarized terms is
+    built."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    A = workloads.quotient_algebra("v", 3, 4)
+    assert A.dim == 36
+    path = tmp_path / "v34.alg"
+    path.write_text(emit_algebra(A))
+    start = perf_counter()
+    rc, out, err = run(capsys, "check", str(path), "--identity", "x*x*x*x*x*x*x*x*x*x = 0")
+    assert perf_counter() - start < 1
+    assert (rc, out) == (1, "")
+    assert err == f"error: identity check needs {comb(45, 10)} evaluations, budget is 10000000\n"
 
 
 def test_usage_errors(capsys):

@@ -55,7 +55,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewalg import algebra
+from skewalg import algebra, cli
 from skewalg.algebra import (
     Algebra,
     Subspace,
@@ -70,7 +70,7 @@ from skewalg.algebra import (
 )
 from skewalg.catalog import get_catalog, iter_catalog, lie_catalog
 from skewalg.construction import derivations, random_w_algebra
-from skewalg.formats import parse_algebra_file
+from skewalg.formats import emit_algebra, parse_algebra_file
 from skewalg.freealg import build_free_quotient, evaluate_word
 from skewalg.identities import (
     CheckResult,
@@ -86,6 +86,8 @@ from skewalg.identities import (
     polarize,
 )
 from skewalg.linalg import (
+    Echelon,
+    _scale_to_int,
     add_scaled,
     invert_rows,
     null_space,
@@ -855,6 +857,98 @@ def test_series_match_products_over_all_pairs(monkeypatch):
     assert got == want
     # the series do not stop at once: some reach a nonzero proper term
     assert any(1 < len(lcs) and lcs[-1].dim for _, lcs in got)
+
+
+@st.composite
+def sparse_vector_lists(draw):
+    """(n, sparse rational vectors over range(n)), zero vectors included."""
+    n = draw(st.integers(1, 8))
+    entries = st.dictionaries(st.integers(0, n - 1), NONZERO | st.integers(-4, 4).filter(bool), max_size=n)
+    return n, draw(st.lists(entries, max_size=10))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(sparse_vector_lists())
+def test_lazy_subspace_equals_from_vectors(case):
+    """A subspace formed lazily from an echelon, directly or through
+    `_span`, is the one `Subspace.from_vectors` forms on the same vectors,
+    and reading `dim` or `int_rows` does not form its rref."""
+    n, vectors = case
+    A = Algebra("abelian", [f"e{i}" for i in range(n)], {})
+    formed = []
+    real = Echelon.rref
+
+    def spy(self):
+        formed.append(self)
+        return real(self)
+
+    Echelon.rref = spy
+    try:
+        ech = Echelon()
+        for v in vectors:
+            if v:
+                ech.insert(_scale_to_int(v))
+        lazy = [Subspace.from_echelon(A, ech), algebra._span(A, vectors)]
+        dims = [S.dim for S in lazy]
+        spanning = [S.int_rows() for S in lazy]
+        assert formed == []
+        want = Subspace.from_vectors(A, [tuple(v.get(k, 0) for k in range(n)) for v in vectors])
+    finally:
+        Echelon.rref = real
+    assert dims == [want.dim] * 2
+    for S, rows in zip(lazy, spanning):
+        assert all(type(x) is int for r in rows for x in r.values())
+        assert algebra._span(A, rows) == want
+        assert S == want and hash(S) == hash(want)
+        assert (S.rows, S.pivots) == (want.rows, want.pivots)
+        assert S.dim == want.dim
+
+
+def test_invariants_span_the_product_space_once(tmp_path, capsys, monkeypatch):
+    """One `invariants` call on the free lie 2 6 quotient spans A*A once,
+    for its own line and as the second term of both series, and forms the
+    rref of no series term: the series read only their terms' dims."""
+    A = free_quotient_algebra(get_variety("lie"), 2, 6)
+    path = tmp_path / "lie26.alg"
+    path.write_text(emit_algebra(A))
+    table = []
+    spans = []
+    real_span = algebra._span
+
+    def spy_span(B, vectors, max_rank=None):
+        vectors = list(vectors)
+        if not table:
+            table.extend(row for _, row in B.integral_twin().table_pairs())
+        spans.append(vectors == table)
+        return real_span(B, vectors, max_rank)
+
+    in_series = []
+    formed = []
+    real_rref = Echelon.rref
+
+    def spy_rref(self):
+        formed.append(bool(in_series))
+        return real_rref(self)
+
+    def inside(series):
+        def wrapped(B):
+            in_series.append(series)
+            try:
+                return series(B)
+            finally:
+                in_series.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(algebra, "_span", spy_span)
+    monkeypatch.setattr(Echelon, "rref", spy_rref)
+    monkeypatch.setattr(cli, "derived_series", inside(derived_series))
+    monkeypatch.setattr(cli, "lower_central_series", inside(lower_central_series))
+    assert cli.main(["invariants", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "derived: 23, 21, 6, 0\nlower central: 23, 21, 20, 18, 15, 9, 0\n" in out
+    assert spans.count(True) == 1
+    assert formed and not any(formed)
 
 
 def same_algebra(A, B):

@@ -548,6 +548,8 @@ def test_self_check_runs_clean():
             get_variety("v"), 3, 4, (),
             "J(x,y,x*z) = 0 [x1 = a, x2 = a, y = b, z = b]",
         ),
+        # a rewrite map with denominators (lcm 6) at the failing degree
+        (get_variety("binary-lie"), 3, 6, (), "R5[0] * a"),
     ],
 )
 def test_self_check_reports_the_failing_row(identities, g, d, extra, message):
