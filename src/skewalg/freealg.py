@@ -9,6 +9,10 @@ the surviving monomial basis and a rewrite map sending every canonical
 monomial into it.  Relations come from substitution instances of the
 polarized defining identities plus monomial multiples of lower-degree
 relations; adjoined words enter the ideal without the substitution step.
+Identities and words reach the quotient in the one canonical polynomial
+form of `identities`: a compiled `Component` per identity, and
+`FreeQuotient.word_poly` for a word, which the adjoined rows, the symmetry
+test on the words, `expand_evaluate` and `relation_combination` all read.
 
 Substitution instances are generated once per orbit of the identity's
 symmetries: copies of a polarized variable take sorted values and a skew
@@ -35,13 +39,15 @@ from math import lcm
 from operator import mul
 from string import ascii_lowercase
 
-from .identities import (  # noqa: F401  (canonicalize: re-exported)
+from .identities import (  # noqa: F401  (canonicalize, parse_word: re-exported)
+    _canonical_poly,
     _compiled,
-    _flatten,
     canonicalize,
     get_variety,
     parse_identity,
+    parse_word,
     sort_key,
+    term_poly,
 )
 from .linalg import Echelon, _content, _row_normalize, _scale_to_int, add_scaled
 
@@ -208,32 +214,16 @@ class FreeQuotient:
                         del out[bm]
         return d, out
 
-    def expand_to_monomials(self, tree):
-        """Distribute a word AST into (coefficient, canonical monomial) pairs."""
-        out = []
-        for coef, prod_tree in _flatten(tree):
-            res = canonicalize(self._to_leaf_tree(prod_tree))
-            if res is not None:
-                out.append((coef * res[0], res[1]))
-        return out
+    def word_poly(self, tree):
+        """A word AST's full expansion as {canonical monomial: coefficient}
+        over the generator indices (`identities.term_poly`)."""
+        return term_poly(tree, self._index)
 
-    def expand_to_row(self, tree, d):
-        """A degree-d word's full expansion as a sparse row over the
-        columns of `monomials[d]`."""
-        col = self.col[d]
-        row = {}
-        for coef, mono in self.expand_to_monomials(tree):
-            add_scaled(row, {col[mono]: coef})
-        return row
-
-    def _to_leaf_tree(self, tree):
-        if tree[0] == "var":
-            label = tree[1]
-            try:
-                return self.generators.index(label)
-            except ValueError:
-                raise ValueError(f"unknown generator {label!r}") from None
-        return (self._to_leaf_tree(tree[1]), self._to_leaf_tree(tree[2]))
+    def _index(self, label):
+        try:
+            return self.generators.index(label)
+        except ValueError:
+            raise ValueError(f"unknown generator {label!r}") from None
 
     def self_check(self):
         """Regenerate every defining relation and verify that it vanishes
@@ -253,13 +243,6 @@ def _ast_degree(tree):
     if len(degs) != 1:
         raise ValueError("word is not homogeneous")
     return degs.pop()
-
-
-def parse_word(text: str):
-    """Parse a nonassociative word (identity grammar, no equation part)."""
-    if "=" in text:
-        raise ValueError("expected a word, not an identity")
-    return parse_identity(f"{text} = 0").lhs
 
 
 def _assignments(monomials, k, d, lower=None, types=None, keep=None):
@@ -414,7 +397,7 @@ def _degree_rows(F, d, types=None, keep=None):
                 yield (e, idx, m), row
     for deg, text, tree in F.extra:
         if deg == d:
-            row = _scale_to_int(F.expand_to_row(tree, d))
+            row = _scale_to_int({col[m]: c for m, c in F.word_poly(tree).items()})
             if keep is None or row and types.codes[d][next(iter(row))] in keep:
                 yield (text,), row
 
@@ -507,14 +490,6 @@ def _relabel(m, perm, memo, rank):
     return hit
 
 
-def _word_row(F, tree):
-    """A word's expansion as an integer row over canonical monomials."""
-    row = {}
-    for coef, mono in F.expand_to_monomials(tree):
-        add_scaled(row, {mono: coef})
-    return _scale_to_int(row)
-
-
 def _word_key(row):
     """A nonzero integer word row up to a scalar."""
     g = _content(row, min(row, key=sort_key))
@@ -572,8 +547,9 @@ class _Symmetry:
 
 def _generator_symmetry(F, words):
     """The `_Symmetry` of F's relation set, given the nonzero rows of its
-    adjoined words (`_word_row`); None when it is trivial or the relations
-    make no rows (x*x = 0 alone), so that no type is tracked."""
+    adjoined words (`FreeQuotient.word_poly` scaled to integers); None when
+    it is trivial or the relations make no rows (x*x = 0 alone), so that no
+    type is tracked."""
     if not words and not any(comp.poly for comp in F.components):
         return None
     g = len(F.generators)
@@ -608,11 +584,7 @@ def _renamed(m, perm):
 
 def _renamed_row(row, perm):
     """A word row with each generator i renamed perm[i], canonicalized."""
-    out = {}
-    for m, c in row.items():
-        sign, mono = canonicalize(_renamed(m, perm))
-        out[mono] = sign * c
-    return out
+    return _canonical_poly((c, _renamed(m, perm)) for m, c in row.items())
 
 
 def build_free_quotient(
@@ -646,7 +618,7 @@ def build_free_quotient(
             raise ValueError(
                 f"adjoined relation has degree {deg} above the cap {max_degree}"
             )
-        row = _word_row(F, tree)  # names an unknown generator now
+        row = _scale_to_int(F.word_poly(tree))  # names an unknown generator now
         # a word given as a tree is not parsed, so its type is checked here
         if len({tuple(sorted(_leaves(m))) for m in row}) > 1:
             raise ValueError("word is not homogeneous")
@@ -742,7 +714,7 @@ def _record_degree(F, d, ech):
 
 def _eval_ast(F, tree):
     if tree[0] == "var":
-        return 1, dict(F.rewrite[F._to_leaf_tree(tree)])
+        return 1, dict(F.rewrite[F._index(tree[1])])
     if tree[0] == "prod":
         dl, vl = _eval_ast(F, tree[1])
         dr, vr = _eval_ast(F, tree[2])
@@ -777,7 +749,7 @@ def expand_evaluate(F: FreeQuotient, word) -> WordValue:
     """Value of a word by full distribution first, one rewrite at the top."""
     tree, d = _word(F, word)
     out = {}
-    for coef, mono in F.expand_to_monomials(tree):
+    for mono, coef in F.word_poly(tree).items():
         add_scaled(out, F.rewrite[mono], coef)
     return WordValue(d, out)
 
@@ -796,7 +768,8 @@ def relation_combination(F: FreeQuotient, word):
     if value.coords:
         raise ValueError("word is nonzero in the quotient")
     d = value.degree
-    v = F.expand_to_row(tree, d)
+    col = F.col[d]
+    v = {col[m]: c for m, c in F.word_poly(tree).items()}
     # only rows of the word's type are made (and kept): a row of another type
     # shares no column with the word, so it never meets the pivots that express it
     types = _Types(F)

@@ -11,11 +11,18 @@ Grammar for identity text:
 
 `J(t1,t2,t3)` expands to (t1*t2)*t3 + (t2*t3)*t1 + (t3*t1)*t2 at parse time.
 A bare rational term is only allowed when it is 0. Identities must be
-homogeneous in every variable; checking works by full polarization, which is
-equivalent over Q, and evaluates the polarized form collected over canonical
-monomials (the form `freealg` also uses), which is exact on anticommutative
-algebras. That compiled `Component` is the only form an identity is
-evaluated in.
+homogeneous in every variable, and so must words (`parse_word`: one `expr`,
+no equation part).
+
+Every identity and every word becomes one canonical polynomial, {canonical
+monomial: coefficient}, through one collector (`_canonical_poly`), which is
+exact on anticommutative algebras. `polarize` fully polarizes an identity,
+which is equivalent over Q: each flattened term of lhs - rhs, once per
+placement of its occurrences on the copies of its variables, goes into the
+collector as a tree over variable positions, so no raw polarized term is
+kept. `term_poly` does the same for a word over any leaf numbering; `freealg`
+reads words through it (`FreeQuotient.word_poly`). The compiled `Component`
+is the only form an identity is evaluated in.
 
 A failing check reports the lexicographically first failing basis tuple.
 When every polarized group of copies sits on one basis vector (a collapsed
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial, prod
 from operator import itemgetter
 
@@ -226,10 +233,13 @@ class _Parser:
         lhs = self.expr()
         self.expect("=")
         rhs = self.expr()
+        self.end()
+        return lhs, rhs
+
+    def end(self):
         self.ws()
         if self.i != len(self.text):
             self.error("unexpected trailing input")
-        return lhs, rhs
 
 
 def _flatten(tree):
@@ -284,13 +294,8 @@ class IdentityDef:
         return f"IdentityDef({self.text!r})"
 
 
-def parse_identity(text: str) -> IdentityDef:
-    p = _Parser(text)
-    lhs, rhs = p.identity()
-    seen, order = set(), []
-    _collect_vars(lhs, seen, order)
-    _collect_vars(rhs, seen, order)
-    terms = _flatten(lhs) + _flatten(rhs)
+def _homogeneous_profile(terms, kind):
+    """The variable degrees every flattened term shares; raise if two differ."""
     profile = None
     for _, t in terms:
         acc = {}
@@ -299,55 +304,57 @@ def parse_identity(text: str) -> IdentityDef:
             profile = acc
         elif acc != profile:
             raise IdentityParseError(
-                f"non-homogeneous identity: term degrees {acc} vs {profile}", 0
+                f"non-homogeneous {kind}: term degrees {acc} vs {profile}", 0
             )
-    if profile is None:
-        profile = {}
+    return {} if profile is None else profile
+
+
+def parse_identity(text: str) -> IdentityDef:
+    p = _Parser(text)
+    lhs, rhs = p.identity()
+    seen, order = set(), []
+    _collect_vars(lhs, seen, order)
+    _collect_vars(rhs, seen, order)
+    profile = _homogeneous_profile(_flatten(lhs) + _flatten(rhs), "identity")
     return IdentityDef(text, tuple(order), lhs, rhs, profile)
 
 
-def _replace_occurrences(tree, var, labels, pos):
-    if tree[0] == "var":
-        if tree[1] == var:
-            lab = labels[pos[0]]
-            pos[0] += 1
-            return ("var", lab)
-        return tree
-    return (
-        "prod",
-        _replace_occurrences(tree[1], var, labels, pos),
-        _replace_occurrences(tree[2], var, labels, pos),
-    )
+def parse_word(text: str):
+    """Parse a nonassociative word: one `expr` of the identity grammar,
+    homogeneous in every letter, as a ("sum", ...) term tree."""
+    if "=" in text:
+        raise ValueError("expected a word, not an identity")
+    p = _Parser(text)
+    tree = p.expr()
+    p.end()
+    _homogeneous_profile(_flatten(tree), "word")
+    return tree
 
 
 class Component:
     """The polarized form of an identity: one multilinear polynomial.
 
-    `terms` are the raw polarized terms. `compile()` adds the canonical form
-    that checking evaluates: `poly` maps canonical monomials over variable
-    positions (see `canonicalize`) to coefficients, which is exact because
-    every Algebra is anticommutative; `key` names the polynomial up to the
-    variables' labels; `lower[q]` lists the (p, d) with p < q for which only
-    basis tuples with idx[q] >= idx[p] + d are enumerated (d = 0 between
-    copies of one polarized variable, d = 1 for a skew pair).
+    `poly` maps canonical monomials over variable positions (see
+    `canonicalize`) to coefficients, which is exact because every Algebra is
+    anticommutative. `compile()` derives from it what checking reads: `key`
+    names the polynomial up to the variables' labels; `lower[q]` lists the
+    (p, d) with p < q for which only basis tuples with idx[q] >= idx[p] + d
+    are enumerated (d = 0 between copies of one polarized variable, d = 1
+    for a skew pair); and the straight-line program `evaluate_on_basis` runs.
     """
 
     __slots__ = (
-        "variables", "groups", "origin_vars", "terms",
+        "variables", "groups", "origin_vars",
         "poly", "key", "lower", "_nodes", "_roots", "_join",
     )
 
-    def __init__(self, variables, groups, origin_vars, terms):
+    def __init__(self, variables, groups, origin_vars, poly):
         self.variables = tuple(variables)
         self.groups = tuple(tuple(g) for g in groups)
         self.origin_vars = tuple(origin_vars)
-        self.terms = tuple(terms)
+        self.poly = poly
 
     def compile(self):
-        pos = {v: i for i, v in enumerate(self.variables)}
-        self.poly = _canonical_poly(
-            (coef, _position_tree(tree, pos)) for coef, tree in self.terms
-        )
         sizes = tuple(len(g) for g in self.groups)
         ordered = sorted(self.poly.items(), key=lambda mc: sort_key(mc[0]))
         self.key = (sizes, tuple(ordered))
@@ -440,13 +447,6 @@ def _join_rules(poly, last):
     return tuple(pairs), tuple(sorted(rules, key=lambda rule: rule[1] is not None))
 
 
-def _position_tree(tree, pos):
-    """A ("var"/"prod") term as a binary tree over variable positions."""
-    if tree[0] == "var":
-        return pos[tree[1]]
-    return (_position_tree(tree[1], pos), _position_tree(tree[2], pos))
-
-
 def _lower_bounds(sizes, poly):
     """Component.lower: sorted copies in each polarized group, and strictly
     increasing indices for every pair of single-copy variables whose swap
@@ -487,29 +487,46 @@ def _canonical_poly(pairs):
     return {m: c.numerator if c.denominator == 1 else c for m, c in poly.items()}
 
 
+def _leaf_tree(tree, leaf):
+    """A ("var"/"prod") term as a binary tree over the ints leaf(label),
+    read at the leaves from left to right."""
+    if tree[0] == "var":
+        return leaf(tree[1])
+    return (_leaf_tree(tree[1], leaf), _leaf_tree(tree[2], leaf))
+
+
+def term_poly(tree, leaf):
+    """A term tree distributed and collected as {canonical monomial:
+    coefficient}, each variable v read as the int leaf(v)."""
+    return _canonical_poly((c, _leaf_tree(t, leaf)) for c, t in _flatten(tree))
+
+
 def polarize(idf: IdentityDef) -> Component:
-    """The fully polarized form of idf, one multilinear Component (uncompiled)."""
-    terms = _flatten(idf.lhs) + [(-c, t) for c, t in _flatten(idf.rhs)]
-    groups = []
-    variables = []
+    """The fully polarized form of idf, one multilinear Component (uncompiled).
+
+    A variable of degree m > 1 becomes m copies. Each flattened term of
+    lhs - rhs, once for each way of placing its occurrences on the copies of
+    every variable (the per-variable orders taken as `product` over their
+    `permutations`), goes as a tree over variable positions straight into
+    `_canonical_poly`, so only the collected polynomial is kept.
+    """
+    groups, variables, orders = [], [], []
     for v in idf.variables:
         m = idf.profile.get(v, 0)
         copies = (v,) if m <= 1 else tuple(f"{v}{i}" for i in range(1, m + 1))
+        start = len(variables)
+        orders.append(list(permutations(range(start, start + len(copies)))))
         groups.append(copies)
         variables.extend(copies)
-    new_terms = []
-    for coef, tree in terms:
-        expansions = [(coef, tree)]
-        for v, copies in zip(idf.variables, groups):
-            if len(copies) == 1:
-                continue
-            nxt = []
-            for c, t in expansions:
-                for perm in permutations(copies):
-                    nxt.append((c, _replace_occurrences(t, v, perm, [0])))
-            expansions = nxt
-        new_terms.extend(expansions)
-    return Component(variables, groups, idf.variables, new_terms)
+    terms = _flatten(idf.lhs) + [(-c, t) for c, t in _flatten(idf.rhs)]
+
+    def placed():
+        for coef, tree in terms:
+            for order in product(*orders):
+                at = dict(zip(idf.variables, map(iter, order)))
+                yield coef, _leaf_tree(tree, lambda v: next(at[v]))
+
+    return Component(variables, groups, idf.variables, _canonical_poly(placed()))
 
 
 @dataclass(frozen=True)

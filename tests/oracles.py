@@ -7,7 +7,9 @@ equal to:
   and `change_basis`, an algebra re-expressed in a new ordered basis;
 * `evaluate_term`: any identity term tree evaluated directly, product by
   product, and `lhs_minus_rhs`, an identity as one such tree;
-* `component_evaluate`: a polarized component evaluated on its raw terms;
+* `raw_polarized_terms`: an identity fully polarized into its raw terms,
+  one per term and placement of its occurrences on the copies, with no
+  canonical form, and `component_evaluate`, those terms evaluated directly;
 * `jacobi_on_quotient_basis`: every basis triple of a free quotient with
   nonzero Jacobian, multiplied inside the quotient;
 * `reference_free_quotient`: a free quotient built without generator
@@ -48,7 +50,7 @@ from skewalg.freealg import (
     _record_degree,
     parse_word,
 )
-from skewalg.identities import IdentityDef, _basis_tuples, parse_identity
+from skewalg.identities import IdentityDef, _basis_tuples, _flatten, parse_identity
 from skewalg.linalg import Echelon, _scale_to_int, _sparse, add_scaled, invert_rows, null_space
 
 
@@ -123,14 +125,56 @@ def evaluate_term(tree, env, A: Algebra):
     return out
 
 
-def component_evaluate(comp, A: Algebra, vectors):
-    """Dense evaluation of the raw terms: vectors aligned with comp.variables."""
+def _replace_occurrences(tree, var, labels, pos):
+    if tree[0] == "var":
+        if tree[1] == var:
+            lab = labels[pos[0]]
+            pos[0] += 1
+            return ("var", lab)
+        return tree
+    return (
+        "prod",
+        _replace_occurrences(tree[1], var, labels, pos),
+        _replace_occurrences(tree[2], var, labels, pos),
+    )
+
+
+def raw_polarized_terms(idf: IdentityDef):
+    """(variables, terms): the copies `polarize` names, and every raw
+    polarized term as (coef, tree) over those labels, uncollected."""
+    terms = _flatten(idf.lhs) + [(-c, t) for c, t in _flatten(idf.rhs)]
+    groups = []
+    variables = []
+    for v in idf.variables:
+        m = idf.profile.get(v, 0)
+        copies = (v,) if m <= 1 else tuple(f"{v}{i}" for i in range(1, m + 1))
+        groups.append(copies)
+        variables.extend(copies)
+    new_terms = []
+    for coef, tree in terms:
+        expansions = [(coef, tree)]
+        for v, copies in zip(idf.variables, groups):
+            if len(copies) == 1:
+                continue
+            nxt = []
+            for c, t in expansions:
+                for perm in permutations(copies):
+                    nxt.append((c, _replace_occurrences(t, v, perm, [0])))
+            expansions = nxt
+        new_terms.extend(expansions)
+    return tuple(variables), tuple(new_terms)
+
+
+def component_evaluate(raw, A: Algebra, vectors):
+    """Dense evaluation of `raw_polarized_terms`' (variables, terms):
+    vectors aligned with the variables."""
+    variables, terms = raw
     env = {
         v: {i: c for i, c in enumerate(vec) if c}
-        for v, vec in zip(comp.variables, vectors)
+        for v, vec in zip(variables, vectors)
     }
     out = [0] * A.dim
-    for coef, tree in comp.terms:
+    for coef, tree in terms:
         val = _eval_sparse(A, tree, env)
         for k, x in val.items():
             out[k] += coef * x
@@ -200,7 +244,7 @@ def certificate_over_all_rows(F, word):
         if row:
             ech.insert(row, {len(sources): 1})
             sources.append(source)
-    acc = ech.express(F.expand_to_row(tree, d))
+    acc = ech.express({F.col[d][m]: c for m, c in F.word_poly(tree).items()})
     return [(acc[t], _describe(F, sources[t])) for t in sorted(acc)]
 
 

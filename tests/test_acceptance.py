@@ -220,7 +220,7 @@ def test_criterion_09_conjecture_computation():
     assert cert.routes_agree
     if cert.verdict == "zero":
         target = {}
-        for coef, mono in F.expand_to_monomials(parse_word(CONJECTURE_WORD)):
+        for mono, coef in F.word_poly(parse_word(CONJECTURE_WORD)).items():
             nv = target.get(mono, 0) + coef
             if nv:
                 target[mono] = nv

@@ -392,6 +392,27 @@ ERROR_CASES = {
         ["free", "--variety", "lie", *FREE_3_2, "--eval", "*".join(["a"] * 1500)], 2,
         f"{NESTING} (at position 201)",
     ),
+    # a word is parsed as a word: no '=' is expected and positions are the word's
+    "free-eval-two-words": (
+        ["free", "--variety", "lie", *FREE_3_2, "--eval", "a b"], 2,
+        "unexpected trailing input (at position 2)",
+    ),
+    "free-eval-unopened-parenthesis": (
+        ["free", "--variety", "lie", *FREE_3_2, "--eval", "a)"], 2,
+        "unexpected trailing input (at position 1)",
+    ),
+    "free-eval-open-product": (
+        ["free", "--variety", "lie", *FREE_3_2, "--eval", "a*"], 2,
+        "expected a variable, 'J(', or '(' (at position 2)",
+    ),
+    "free-eval-non-homogeneous": (
+        ["free", "--variety", "lie", *FREE_3_2, "--eval", "a+b*a"], 2,
+        "non-homogeneous word: term degrees {'b': 1, 'a': 1} vs {'a': 1} (at position 0)",
+    ),
+    "free-extra-relation-open-product": (
+        ["free", "--variety", "lie", *FREE_3_2, "--extra-relation", "a*"], 2,
+        "expected a variable, 'J(', or '(' (at position 2)",
+    ),
     "free-identities-nested": (
         ["free", "--identities", "{dir}/deep.ids", *FREE_3_2], 2,
         f"{{dir}}/deep.ids: line 2: {NESTING} (at position 100)",

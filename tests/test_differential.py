@@ -106,6 +106,7 @@ from oracles import (
     lhs_minus_rhs,
     parse_algebra_dense,
     products_over_all_pairs,
+    raw_polarized_terms,
     reference_derivations,
     reference_null_triples,
 )
@@ -144,13 +145,13 @@ def exhaustive_check(A, idf):
     A collapsed witness (each group of copies on one basis vector) is
     evaluated on the unpolarized identity, independently of the checker.
     """
-    comp = polarize(idf)
+    comp, raw = polarize(idf), raw_polarized_terms(idf)
     pools = [
         list(combinations_with_replacement(range(A.dim), len(g))) for g in comp.groups
     ]
     for combo in product(*pools):
         vectors = [A.basis_element(i).coords for picks in combo for i in picks]
-        value = component_evaluate(comp, A, vectors)
+        value = component_evaluate(raw, A, vectors)
         if any(value):
             collapsed = all(len(set(picks)) == 1 for picks in combo)
             if collapsed:

@@ -38,12 +38,16 @@ from skewalg.identities import (
     check_identity,
     get_variety,
     parse_identity,
-    polarize,
     sort_key,
 )
-from skewalg.linalg import Echelon
+from skewalg.linalg import Echelon, _scale_to_int
 
-from oracles import certificate_over_all_rows, orbit_least_codes, reference_free_quotient
+from oracles import (
+    certificate_over_all_rows,
+    orbit_least_codes,
+    raw_polarized_terms,
+    reference_free_quotient,
+)
 
 
 # --- oracles ---------------------------------------------------------------
@@ -235,7 +239,7 @@ def test_build_deterministic():
 
 def _symmetry(identities, g, d, extra):
     F = build_free_quotient(identities, g, d, extra_relations=extra)
-    words = [freealg._word_row(F, tree) for _deg, _text, tree in F.extra]
+    words = [_scale_to_int(F.word_poly(tree)) for _deg, _text, tree in F.extra]
     sym = _generator_symmetry(F, [row for row in words if row])
     return None if sym is None else (sorted(sym.perms), sym.free)
 
@@ -261,7 +265,7 @@ def test_generator_symmetry_keeps_the_permutations_that_fix_the_words():
     )
     # past six letters a word's letters stay fixed (a*b -> b*a would fix it)
     F = freealg.FreeQuotient([], "abcdefghi", 7)
-    word = freealg._word_row(F, parse_word("((a*b)*(c*d))*((e*f)*g)"))
+    word = _scale_to_int(F.word_poly(parse_word("((a*b)*(c*d))*((e*f)*g)")))
     sym = _generator_symmetry(F, [word])
     assert (sym.perms, sym.free) == ([tuple(range(9))], [7, 8])
 
@@ -309,7 +313,7 @@ def test_split_keeps_the_least_code_of_each_orbit():
     for source, g, d, extra in SYMMETRY_CASES:
         identities = get_variety(source) if source in builtin_varieties() else [source]
         F = build_free_quotient(identities, g, d, extra_relations=extra)
-        words = [freealg._word_row(F, tree) for _deg, _text, tree in F.extra]
+        words = [_scale_to_int(F.word_poly(tree)) for _deg, _text, tree in F.extra]
         sym = _generator_symmetry(F, [row for row in words if row])
         if sym is None:
             continue
@@ -503,7 +507,7 @@ def test_relation_combination_reproduces_zero_word():
             total[col] = total.get(col, 0) + coef * val
     total = {k: v for k, v in total.items() if v}
     expansion = {}
-    for coef, mono in F.expand_to_monomials(parse_word("J(a,b,a*c)")):
+    for mono, coef in F.word_poly(parse_word("J(a,b,a*c)")).items():
         expansion[mono] = expansion.get(mono, 0) + coef
     expansion = {k: v for k, v in expansion.items() if v}
     assert total == expansion
@@ -575,21 +579,21 @@ def oracle_rows(F, d, types=None, keep=None):
     and canonicalized from its leaves, rows described as they are printed.
     Every type's rows are made; `types` and `keep` are accepted and ignored."""
     for idf in F.identities:
-        comp = polarize(idf)
-        k = len(comp.variables)
+        variables, terms = raw_polarized_terms(idf)
+        k = len(variables)
         if k > d:
             continue
         for combo in _assignments(F.monomials, k, d):
-            env = dict(zip(comp.variables, combo))
+            env = dict(zip(variables, combo))
             frow = {}
-            for coef, tree in comp.terms:
+            for coef, tree in terms:
                 res = canonicalize(_subst(tree, env))
                 if res is None:
                     continue
                 c = F.col[d][res[1]]
                 frow[c] = frow.get(c, 0) + coef * res[0]
             assign = ", ".join(
-                f"{v} = {F.label(m)}" for v, m in zip(comp.variables, combo)
+                f"{v} = {F.label(m)}" for v, m in zip(variables, combo)
             )
             yield f"{idf.text} [{assign}]", _int_row(frow)
     for e in range(1, d):

@@ -1,17 +1,24 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewalg import cli, identities
 from skewalg.algebra import Algebra, jacobian
 from skewalg.catalog import get_catalog, lie_catalog
 from skewalg.construction import random_w_algebra
 from skewalg.formats import emit_algebra, parse_algebra_file
+from skewalg.freealg import FreeQuotient, parse_word
 from skewalg.identities import (
     BudgetExceeded,
     IdentityParseError,
+    _flatten,
     builtin_varieties,
+    canonicalize,
     check_identity,
     classify,
     get_variety,
@@ -19,7 +26,7 @@ from skewalg.identities import (
     polarize,
 )
 
-from oracles import component_evaluate, evaluate_term, lhs_minus_rhs
+from oracles import component_evaluate, evaluate_term, lhs_minus_rhs, raw_polarized_terms
 
 F = Fraction
 
@@ -128,35 +135,40 @@ def test_parse_rejects_nonhomogeneous():
 
 
 def test_polarize_multilinear_identity_unchanged():
-    comp = polarize(parse_identity("J(x,y,z*u) = 0"))
+    idf = parse_identity("J(x,y,z*u) = 0")
+    comp = polarize(idf)
     assert comp.groups == (("x",), ("y",), ("z",), ("u",))
     assert comp.variables == ("x", "y", "z", "u")
     rng = random.Random(3)
     A = random_anticommutative(rng, 4)
     xs = [rand_elt(rng, A) for _ in range(4)]
-    got = component_evaluate(comp, A, [x.coords for x in xs])
+    got = component_evaluate(raw_polarized_terms(idf), A, [x.coords for x in xs])
     want = jacobian(xs[0], xs[1], xs[2] * xs[3])
     assert tuple(got) == want.coords
 
 
 def test_polarize_square():
-    comp = polarize(parse_identity("x*x = 0"))
+    idf = parse_identity("x*x = 0")
+    comp = polarize(idf)
     assert comp.variables == ("x1", "x2")
     rng = random.Random(4)
     A = random_anticommutative(rng, 4)
     u, v = rand_elt(rng, A), rand_elt(rng, A)
-    got = component_evaluate(comp, A, [u.coords, v.coords])
+    got = component_evaluate(raw_polarized_terms(idf), A, [u.coords, v.coords])
     want = u * v + v * u
     assert tuple(got) == want.coords
 
 
 def test_polarize_malcev_component():
-    comp = polarize(parse_identity("J(x,y,x*z) = J(x,y,z)*x"))
+    idf = parse_identity("J(x,y,x*z) = J(x,y,z)*x")
+    comp = polarize(idf)
     assert comp.variables == ("x1", "x2", "y", "z")
     rng = random.Random(5)
     A = random_anticommutative(rng, 5)
     u1, u2, w, s = (rand_elt(rng, A) for _ in range(4))
-    got = component_evaluate(comp, A, [u1.coords, u2.coords, w.coords, s.coords])
+    got = component_evaluate(
+        raw_polarized_terms(idf), A, [u1.coords, u2.coords, w.coords, s.coords]
+    )
     want = (
         jacobian(u1, w, u2 * s)
         + jacobian(u2, w, u1 * s)
@@ -167,7 +179,8 @@ def test_polarize_malcev_component():
 
 
 def test_polarized_component_is_multilinear():
-    comp = polarize(parse_identity("J(x,y,x*y) = 0"))
+    idf = parse_identity("J(x,y,x*y) = 0")
+    comp, raw = polarize(idf), raw_polarized_terms(idf)
     rng = random.Random(6)
     A = random_anticommutative(rng, 4)
     for slot in range(len(comp.variables)):
@@ -180,11 +193,11 @@ def test_polarized_component_is_multilinear():
         args_v[slot] = v.coords
         args_mix = list(args)
         args_mix[slot] = tuple(al * a + be * b for a, b in zip(u.coords, v.coords))
-        lhs = component_evaluate(comp, A, args_mix)
+        lhs = component_evaluate(raw, A, args_mix)
         rhs = [
             al * a + be * b
             for a, b in zip(
-                component_evaluate(comp, A, args_u), component_evaluate(comp, A, args_v)
+                component_evaluate(raw, A, args_u), component_evaluate(raw, A, args_v)
             )
         ]
         assert list(lhs) == rhs
@@ -427,7 +440,7 @@ def test_square_compiles_to_zero():
 def test_malcev_and_binary_lie_have_eight_canonical_terms():
     for text in ("J(x,y,x*z) = J(x,y,z)*x", "J(x,y,x*y) = 0"):
         comp = compiled(text)
-        assert len(comp.terms) == 12
+        assert len(raw_polarized_terms(parse_identity(text))[1]) == 12
         assert len(comp.poly) == 8
 
 
@@ -437,6 +450,123 @@ def test_renamed_identities_share_one_key():
     assert w.key == lam.key
     assert w.key != compiled("J(x,y,z)*t = 0").key
     assert compiled("J(x,y,x*z) = 0").key != compiled("J(x,y,z*u) = 0").key
+
+
+# ---------- the one polynomial form ----------
+
+COEFS = ("", "2*", "1/2*", "3/4*", "0*")
+
+
+@st.composite
+def term_texts(draw, leaves, sums=1):
+    """A term over the letters `leaves`, each occurrence used once: products
+    and J(...) split them in order; a parenthesized sum (at most `sums` deep)
+    adds a second term over a reordering of the same letters."""
+    if len(leaves) == 1:
+        return leaves[0]
+    kinds = ["prod"] + ["J"] * (len(leaves) >= 3) + ["sum"] * (sums > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "sum":
+        a = draw(term_texts(leaves, sums - 1))
+        b = draw(term_texts(draw(st.permutations(leaves)), sums - 1))
+        return f"({a} {draw(st.sampled_from('+-'))} {draw(st.sampled_from(COEFS))}({b}))"
+    if kind == "prod":
+        k = draw(st.integers(1, len(leaves) - 1))
+        return f"({draw(term_texts(leaves[:k], sums))})*({draw(term_texts(leaves[k:], sums))})"
+    i = draw(st.integers(1, len(leaves) - 2))
+    j = draw(st.integers(i + 1, len(leaves) - 1))
+    args = (leaves[:i], leaves[i:j], leaves[j:])
+    return "J(" + ",".join(draw(term_texts(part, sums)) for part in args) + ")"
+
+
+@st.composite
+def sum_texts(draw, leaves):
+    """A sum of one to three terms, each over a reordering of `leaves`."""
+    parts = [
+        f"{draw(st.sampled_from('+-'))} {draw(st.sampled_from(COEFS))}"
+        f"{draw(term_texts(draw(st.permutations(leaves))))}"
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return " ".join(parts)
+
+
+@st.composite
+def identity_texts(draw):
+    """Homogeneous identities with repeated variables, rational coefficients,
+    sums and J(...) on both sides."""
+    leaves = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=5))
+    rhs = draw(st.one_of(st.just("0"), sum_texts(leaves)))
+    return f"{draw(sum_texts(leaves))} = {rhs}"
+
+
+def _collect(pairs):
+    """{canonical monomial: coefficient} from (coef, tree) pairs, first
+    occurrences first, a cancelled monomial dropped."""
+    out = {}
+    for coef, tree in pairs:
+        res = canonicalize(tree)
+        if res is None:
+            continue
+        v = out.get(res[1], 0) + res[0] * coef
+        if v:
+            out[res[1]] = v
+        else:
+            out.pop(res[1], None)
+    return out
+
+
+def _leaves_at(tree, index):
+    if tree[0] == "var":
+        return index[tree[1]]
+    return (_leaves_at(tree[1], index), _leaves_at(tree[2], index))
+
+
+@settings(max_examples=80, deadline=None)
+@given(identity_texts())
+def test_polarized_poly_is_the_raw_terms_collected(text):
+    """`polarize` collects as it goes: the same monomials, coefficients and
+    order as the raw polarized terms (`oracles.raw_polarized_terms`) put on
+    variable positions and collected afterwards."""
+    idf = parse_identity(text)
+    comp = polarize(idf)
+    variables, terms = raw_polarized_terms(idf)
+    assert comp.variables == variables
+    index = {v: i for i, v in enumerate(variables)}
+    want = _collect((c, _leaves_at(t, index)) for c, t in terms)
+    assert list(comp.poly.items()) == list(want.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from("abc"), min_size=1, max_size=6).flatmap(sum_texts))
+def test_word_poly_is_the_flattened_word_collected(text):
+    """`FreeQuotient.word_poly` against `_flatten` and `canonicalize` over
+    the generator indices, collected here."""
+    F = FreeQuotient((), "abc", 1)
+    tree = parse_word(text)
+    want = _collect((c, _leaves_at(t, {"a": 0, "b": 1, "c": 2})) for c, t in _flatten(tree))
+    assert list(F.word_poly(tree).items()) == list(want.items())
+
+
+def test_word_poly_names_an_unknown_generator():
+    with pytest.raises(ValueError, match="^unknown generator 'c'$"):
+        FreeQuotient((), "ab", 1).word_poly(parse_word("(a*b)*c"))
+
+
+def test_compiled_form_keeps_no_raw_terms(monkeypatch):
+    """Compiling a product of seven copies of x (7! = 5,040 placements)
+    keeps only the collected polynomial: under 1 MB stays allocated, where
+    the 5,040 raw polarized terms took about 4 MB."""
+    monkeypatch.setattr(identities, "_COMPILED", {})
+    idf = parse_identity("*".join(["x"] * 7) + " = 0")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        identities._compiled(idf)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000
 
 
 def test_parsed_algebra_stores_integral_constants_as_int():

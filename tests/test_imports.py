@@ -1,13 +1,16 @@
-"""The runtime is stdlib-only: every module under src/skewalg imports only
-the standard library and skewalg itself."""
+"""Static checks on src/skewalg: the runtime is stdlib-only (every module
+imports only the standard library and skewalg itself), and it defines no
+function that only tests call."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import skewalg
 
 SRC = Path(skewalg.__file__).parent
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _imported_roots(path):
@@ -26,3 +29,38 @@ def test_runtime_imports_only_the_standard_library():
     for path in files:
         for root in _imported_roots(path):
             assert root in sys.stdlib_module_names or root == "skewalg", (path.name, root)
+
+
+def _names(tree, strings=False):
+    """The names a syntax tree uses: variables and attributes, and with
+    `strings` the dotted parts of string constants (the benchmark tracer
+    names what it wraps by strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def test_every_function_has_a_caller_outside_tests():
+    """Each non-dunder function or method under src/skewalg is named in
+    src/ outside its own definition, or in perfbench/."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    used = Counter(name for tree in trees for name in _names(tree))
+    bench = {
+        name
+        for path in PERFBENCH.glob("*.py")
+        for name in _names(ast.parse(path.read_text()), strings=True)
+    }
+    unused = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name.startswith("__") and name.endswith("__") or name in bench:
+                    continue
+                if used[name] - Counter(_names(node))[name] <= 0:
+                    unused.append(name)
+    assert unused == []
