@@ -26,9 +26,12 @@ searches use it to skip, in their own order, every pair or tuple whose
 products are all zero.
 
 A `Subspace` spanned by elimination keeps the engine's integer rows and
-forms its canonical rref only when it is read (`Subspace.from_echelon`).
-`product_space` is spanned once per algebra and cached; both series start
-from it and multiply their terms' integer rows, reading only their dims.
+forms its canonical rref only when it is read (`Subspace.from_echelon`);
+the whole space, the first term of both series, is the unit rows in an
+engine. `product_space` is spanned once per algebra and cached; both series
+start from it and multiply their terms' integer rows, reading only their
+dims. A span or closure reads its vectors only until the rank reaches its
+bound (A.dim for a closure), so the dependent rest is never read.
 """
 
 from __future__ import annotations
@@ -71,14 +74,16 @@ class Algebra:
             if key in seen:
                 raise ValueError(f"duplicate product pair for basis ({key[0]},{key[1]})")
             seen.add(key)
-            sign = 1 if i < j else -1
             row = {}
             for k, v in combo.items():
                 if not 0 <= k < self.dim:
                     raise ValueError(f"coefficient index {k} out of range")
                 if v:
-                    row[k] = sign * (v.numerator if v.denominator == 1 else v)
-                    denominator = lcm(denominator, v.denominator)
+                    if v.denominator == 1:
+                        v = v.numerator
+                    else:
+                        denominator = lcm(denominator, v.denominator)
+                    row[k] = v if i < j else -v
             if row:
                 rows[key] = row
         self._rows = rows
@@ -405,17 +410,30 @@ def _span(A, vectors, max_rank=None):
     """Subspace spanned by sparse vectors, read lazily until the rank reaches
     max_rank (default A.dim; pass a smaller bound only when it must hold).
     Zero vectors are skipped; the rref waits until the subspace is read."""
-    bound = A.dim if max_rank is None else max_rank
     ech = Echelon()
-    for v in vectors:
-        if v and ech.insert(_scale_to_int(v)) is not None and len(ech.rows) == bound:
-            break
+    _raise_rank(ech, vectors, A.dim if max_rank is None else max_rank)
     return Subspace.from_echelon(A, ech)
 
 
+def _raise_rank(ech, vectors, bound):
+    """Insert the sparse vectors, scaled to integers, into ech (of rank below
+    bound) until its rank reaches bound; return those that raised the rank.
+    Past the bound every vector is dependent, so none is read or inserted."""
+    raised = []
+    for v in map(_scale_to_int, vectors):
+        if v and ech.insert(v) is not None:
+            raised.append(v)
+            if len(ech.rows) == bound:
+                break
+    return raised
+
+
 def _whole(A):
-    n = A.dim
-    return Subspace(A, [tuple(int(k == i) for k in range(n)) for i in range(n)], range(n))
+    """The whole space: unit rows in an `Echelon`, so that the dense canonical
+    rows are formed only when read."""
+    ech = Echelon()
+    ech.rows = {i: {i: 1} for i in range(A.dim)}
+    return Subspace.from_echelon(A, ech)
 
 
 def _closure(A, vectors, expand):
@@ -423,22 +441,14 @@ def _closure(A, vectors, expand):
 
     expand(new, old) yields the products that grow the span; `new` are the
     vectors, scaled to integers, that raised the rank in the previous round
-    and `old` those before, so every product is formed once.
+    and `old` those before, so every product is formed once. The rank is at
+    most A.dim: once it gets there, no further seed vector or product is
+    read, so a closure that spans the whole algebra stops at that vector.
     """
     ech = Echelon()
-    old, new = [], []
-    for v in map(_scale_to_int, vectors):
-        if v and ech.insert(v) is not None:
-            new.append(v)
+    old, new = [], _raise_rank(ech, vectors, A.dim)
     while new and len(ech.rows) < A.dim:
-        grown = []
-        for v in map(_scale_to_int, expand(new, old)):
-            if v and ech.insert(v) is not None:
-                grown.append(v)
-                if len(ech.rows) == A.dim:
-                    break
-        old += new
-        new = grown
+        new, old = _raise_rank(ech, expand(new, old), A.dim), old + new
     return Subspace.from_echelon(A, ech)
 
 

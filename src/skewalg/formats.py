@@ -13,7 +13,12 @@ from .identities import parse_identity
 from .linalg import parse_scalar
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+(?:/\d+)?")
+# one term of an element expression: sign, coefficient, '*', basis name, each
+# optional and each followed by optional whitespace, so that every match
+# succeeds and a missing part shows as a group that did not match
+_TERM_RE = re.compile(
+    r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*(\*\s*)?)?([A-Za-z_][A-Za-z0-9_]*)?\s*"
+)
 
 
 def parse_element(text, names):
@@ -22,66 +27,43 @@ def parse_element(text, names):
     return tuple(Fraction(row.get(k, 0)) for k in range(len(names)))
 
 
-def _scalar(literal):
-    """A `_NUMBER_RE` match as an int, or a `Fraction` when it has a '/'."""
-    return parse_scalar(literal) if "/" in literal else int(literal)
-
-
 def _parse_terms(text, index):
     """Parse "a + 2*b - 1/2*d" into a sparse {basis index: int | Fraction}
     row, index mapping basis names to indices; zero coefficients are
-    dropped. Errors name the 1-based column."""
-    row = {}
-    s = text
-    pos = 0
-    end = len(s)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < end and s[pos].isspace():
-            pos += 1
-
-    skip_ws()
-    if pos == end:
+    dropped, and "0" alone is the zero row. Coefficients are int unless
+    written with a '/'. Errors name the 1-based column."""
+    if not text or text.isspace():
         raise ValueError("empty element expression")
-    first = True
+    row = {}
+    pos, end = 0, len(text)
     while pos < end:
-        sign = 1
-        if s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
-            pos += 1
-            skip_ws()
-        elif not first:
+        m = _TERM_RE.match(text, pos)
+        sign, num, star, name = m.groups()
+        # every term after the first starts past a basis name, at pos > 0
+        if not sign and pos:
             raise ValueError(f"col {pos + 1}: expected '+' or '-'")
         coef = 1
-        mnum = _NUMBER_RE.match(s, pos)
-        if mnum:
+        if num:
             try:
-                coef = _scalar(mnum.group(0))
+                coef = parse_scalar(num) if "/" in num else int(num)
             except ValueError as exc:
-                raise ValueError(f"col {pos + 1}: {exc}") from None
-            pos = mnum.end()
-            skip_ws()
-            if pos < end and s[pos] == "*":
-                pos += 1
-                skip_ws()
-            elif coef == 0 and first and pos == end:
-                return {}
-            else:
+                raise ValueError(f"col {m.start(2) + 1}: {exc}") from None
+            if not star:
+                at = m.start(4) if name else m.end()
+                if coef == 0 and not pos and at == end:
+                    return {}
                 raise ValueError(
-                    f"col {pos + 1}: expected '*' between coefficient and basis name"
+                    f"col {at + 1}: expected '*' between coefficient and basis name"
                 )
-        mname = _NAME_RE.match(s, pos)
-        if not mname:
-            raise ValueError(f"col {pos + 1}: expected a basis name")
-        name = mname.group(0)
-        if name not in index:
-            raise ValueError(f"col {pos + 1}: unknown basis name {name!r}")
-        k = index[name]
-        row[k] = row.get(k, 0) + sign * coef
-        pos = mname.end()
-        skip_ws()
-        first = False
+        if not name:
+            raise ValueError(f"col {m.end() + 1}: expected a basis name")
+        k = index.get(name)
+        if k is None:
+            raise ValueError(f"col {m.start(4) + 1}: unknown basis name {name!r}")
+        if sign == "-":
+            coef = -coef
+        row[k] = row[k] + coef if k in row else coef
+        pos = m.end()
     return {k: v for k, v in row.items() if v}
 
 

@@ -803,7 +803,8 @@ def relation_combination(F: FreeQuotient, word):
 
 @dataclass
 class ConjectureCertificate:
-    """CONJECTURE_WORD's value in `quotient`, with SANITY_WORD's value."""
+    """CONJECTURE_WORD's value in `quotient`, with SANITY_WORD's value;
+    `word` is CONJECTURE_WORD as parsed once, for other quotients to read."""
 
     value: WordValue
     sanity: WordValue
@@ -811,6 +812,7 @@ class ConjectureCertificate:
     routes_agree: bool
     zero_combination: list | None
     quotient: FreeQuotient
+    word: tuple
 
 
 def conjecture_certificate(budget=DEFAULT_RELATION_BUDGET) -> ConjectureCertificate:
@@ -821,12 +823,11 @@ def conjecture_certificate(budget=DEFAULT_RELATION_BUDGET) -> ConjectureCertific
     asserted as ground truth.
     """
     F = build_free_quotient(get_variety("v"), 3, 6, budget=budget)
-    via_products = evaluate_word(F, CONJECTURE_WORD)
-    via_expansion = expand_evaluate(F, CONJECTURE_WORD)
+    word = parse_word(CONJECTURE_WORD)
+    via_products = evaluate_word(F, word)
+    via_expansion = expand_evaluate(F, word)
     verdict = "zero" if via_products.is_zero() else "nonzero"
-    combination = (
-        relation_combination(F, CONJECTURE_WORD) if verdict == "zero" else None
-    )
+    combination = relation_combination(F, word) if verdict == "zero" else None
     return ConjectureCertificate(
         value=via_products,
         sanity=evaluate_word(F, SANITY_WORD),
@@ -834,4 +835,5 @@ def conjecture_certificate(budget=DEFAULT_RELATION_BUDGET) -> ConjectureCertific
         routes_agree=via_products == via_expansion,
         zero_combination=combination,
         quotient=F,
+        word=word,
     )

@@ -3,10 +3,11 @@
 Scalars are `fractions.Fraction`; plain ints are accepted anywhere a scalar
 is and mix freely. A sparse vector is a dict `{key: scalar}` without zero
 entries; `add_scaled` is its accumulator, and `render_terms` prints one as
-a linear combination. There is one elimination engine, `Echelon`: sparse rows
-(`{column: int}`) in fraction-free integer echelon form, each row divided by
-the gcd of its entries and signed so that its leading (lowest) column is
-positive. A rational row enters it scaled to integers (`_scale_to_int`).
+a linear combination; it and `format_scalar` print an `int` scalar
+directly and make a `Fraction` only of any other scalar. There is one
+elimination engine, `Echelon`: sparse rows (`{column: int}`) in
+fraction-free integer echelon form, each row divided by the gcd of its
+entries and signed so that its leading (lowest) column is positive. A rational row enters it scaled to integers (`_scale_to_int`).
 Rows may carry provenance tags, `{tag: coefficient}`, which follow every
 elimination step, so that a reduction can say which inserted rows it used.
 
@@ -44,10 +45,13 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def format_scalar(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """The scalar as "p" or "p/q" in lowest terms; an int prints as it is."""
+    if type(x) is not int:
+        x = Fraction(x)
+        if x.denominator != 1:
+            return f"{x.numerator}/{x.denominator}"
+        x = x.numerator
+    return str(x)
 
 
 def render_terms(terms):
@@ -57,9 +61,10 @@ def render_terms(terms):
     for label, v in terms:
         if v == 0:
             continue
-        v = Fraction(v)
-        mag = format_scalar(abs(v))
-        body = label if mag == "1" else f"{mag}*{label}"
+        if type(v) is not int:
+            v = Fraction(v)
+        mag = abs(v)
+        body = label if mag == 1 else f"{format_scalar(mag)}*{label}"
         if not parts:
             parts.append(body if v > 0 else f"-{body}")
         else:

@@ -167,7 +167,7 @@ def run_conjecture(variant_generators=False, budget=DEFAULT_RELATION_BUDGET) -> 
     Fw = build_free_quotient(get_variety("w"), 3, F.max_degree, budget=budget)
     rep.add(
         f"{CONJECTURE_WORD} in free w",
-        value_text(Fw, evaluate_word(Fw, CONJECTURE_WORD)),
+        value_text(Fw, evaluate_word(Fw, cert.word)),
     )
     rep.add_section("certificate")
     if cert.verdict == "zero":

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from skewalg.algebra import (
     restrict,
     subalgebra_generated,
 )
+from skewalg.linalg import Echelon
 
 from oracles import change_basis
 
@@ -307,3 +310,35 @@ def test_element_rendering():
     assert str(-1 * L.basis_element(3)) == "-d"
     e = L.element([1, 2, 0, F(-1, 2)])
     assert str(e) == "a + 2*b - 1/2*d"
+
+
+def _insert_ranks(monkeypatch):
+    """The rank of the engine before each `Echelon.insert` call."""
+    ranks = []
+    insert = Echelon.insert
+
+    def spy(self, row, tags=None):
+        ranks.append(len(self.rows))
+        return insert(self, row, tags)
+
+    monkeypatch.setattr(Echelon, "insert", spy)
+    return ranks
+
+
+def test_closures_insert_nothing_at_full_rank(monkeypatch):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    # the input of the spaces task r-14-0.5-v0: its 221 Jacobian values span
+    # the algebra after 14 of them
+    A = workloads.random_algebra(14, "0.5", 0)
+    assert len(A.integral_twin().jacobians()) == 221
+    ranks = _insert_ranks(monkeypatch)
+    assert jacobian_ideal(A).dim == 14
+    assert ranks and max(ranks) < 14
+    # generators that span the algebra before the last one is read
+    gens = [A.basis_element(i) for i in range(14)] + [A.basis_element(0) + A.basis_element(1)]
+    for closure in (ideal_generated, subalgebra_generated):
+        ranks.clear()
+        assert closure(gens).dim == 14
+        assert ranks == list(range(14))

@@ -16,9 +16,11 @@ from skewalg.formats import (
     parse_construction_file,
     parse_element,
     parse_identities_file,
+    _parse_terms,
 )
 
 NAMES = ("a", "b", "c", "d")
+F = Fraction
 
 
 def test_parse_element_combinations():
@@ -47,6 +49,58 @@ def test_parse_element_errors():
         parse_element("a + 0", NAMES)
     with pytest.raises(ValueError):
         parse_element("a b", NAMES)
+
+
+STAR = "expected '*' between coefficient and basis name"
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("", "empty element expression"),
+        (" \t  ", "empty element expression"),
+        ("a b", "col 3: expected '+' or '-'"),
+        ("a\t\tb", "col 4: expected '+' or '-'"),
+        ("a ++ b", "col 4: expected a basis name"),
+        ("1/0*a", "col 1: zero denominator: '1/0'"),
+        ("a -  2/0 * b", "col 6: zero denominator: '2/0'"),
+        ("2b", f"col 2: {STAR}"),
+        ("2 \t b", f"col 5: {STAR}"),
+        ("1/a", f"col 2: {STAR}"),
+        ("2 ", f"col 3: {STAR}"),
+        ("a + 0", f"col 6: {STAR}"),
+        ("0 a", f"col 3: {STAR}"),
+        ("*a", "col 1: expected a basis name"),
+        ("a +", "col 4: expected a basis name"),
+        ("a -\t 3 *\t", "col 10: expected a basis name"),
+        ("-  -a", "col 4: expected a basis name"),
+        ("q", "col 1: unknown basis name 'q'"),
+        ("a \t+  q2", "col 7: unknown basis name 'q2'"),
+        ("2*\tzz", "col 4: unknown basis name 'zz'"),
+        ("0", {}),
+        ("-0", {}),
+        (" +0\t", {}),
+        ("0/3", {}),
+        ("0*a", {}),
+        ("a - a", {}),
+        ("\ta\t+  2 *\tb", {0: 1, 1: 2}),
+        ("-  3/4 *c", {2: F(-3, 4)}),
+        ("2/2*d", {3: F(1)}),
+        ("  -b\t-\t\tb ", {1: -2}),
+        ("a+b-c", {0: 1, 1: 1, 2: -1}),
+    ],
+)
+def test_parse_terms_exact(text, want):
+    """Exact rows (int unless written with '/') and exact error texts."""
+    index = {n: i for i, n in enumerate(NAMES)}
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            _parse_terms(text, index)
+        assert str(err.value) == want
+    else:
+        row = _parse_terms(text, index)
+        assert row == want
+        assert [type(v) for v in row.values()] == [type(v) for v in want.values()]
 
 
 def test_emit_algebra_paper_L_display_pairs():

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skewalg.linalg import (
     Echelon,
     format_scalar,
     null_space,
     parse_scalar,
+    render_terms,
     rref_rows,
     span_membership,
 )
@@ -209,6 +212,15 @@ def test_scalar_text_round_trip():
         assert format_scalar(parse_scalar(text)) == text
     assert parse_scalar("4/2") == 2
     assert format_scalar(F(4, 2)) == "2"
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-(10**30), 10**30)), max_size=8),
+    st.integers(),
+)
+def test_int_scalars_print_as_their_fractions(terms, n):
+    assert render_terms(terms) == render_terms((label, F(v)) for label, v in terms)
+    assert format_scalar(n) == format_scalar(F(n)) == str(n)
 
 
 def test_parse_scalar_rejects_junk():

@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from skewalg import freealg
 from skewalg.algebra import jacobian, subalgebra_generated
 from skewalg.catalog import get_catalog
 from skewalg.construction import random_w_algebra
 from skewalg.freealg import (
     CONJECTURE_WORD,
+    SANITY_WORD,
     RelationBudgetExceeded,
     build_free_quotient,
     evaluate_word,
@@ -183,6 +186,19 @@ def test_run_conjecture_report_shape():
 
 def test_run_conjecture_is_byte_deterministic():
     assert run_conjecture().render() == run_conjecture().render()
+
+
+def test_run_conjecture_parses_each_word_once(monkeypatch):
+    parsed = []
+    parse = freealg.parse_word
+
+    def spy(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(freealg, "parse_word", spy)
+    run_conjecture(variant_generators=True)
+    assert Counter(parsed) == {CONJECTURE_WORD: 1, SANITY_WORD: 1}
 
 
 def test_run_conjecture_variant_mode():
