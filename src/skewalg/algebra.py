@@ -25,13 +25,15 @@ e_i*e_j != 0; the twin has the same support. The series and the identity
 searches use it to skip, in their own order, every pair or tuple whose
 products are all zero.
 
-A `Subspace` spanned by elimination keeps the engine's integer rows and
-forms its canonical rref only when it is read (`Subspace.from_echelon`);
-the whole space, the first term of both series, is the unit rows in an
-engine. `product_space` is spanned once per algebra and cached; both series
-start from it and multiply their terms' integer rows, reading only their
-dims. A span or closure reads its vectors only until the rank reaches its
-bound (A.dim for a closure), so the dependent rest is never read.
+Every `Subspace` is an `Echelon`: `_span` and `_closure` fill one through
+`Echelon.extend`, the one bounded insert loop, and the subspace keeps the
+engine's integer rows and forms its canonical rref only when it is read.
+A kernel (`center`, `lie_center`) is the span of `linalg.sparse_kernel`'s
+basis. `product_space` is spanned once per algebra and cached; both series
+(`_series`) start from it and multiply their terms' integer rows, reading
+only their dims. A span or closure reads its vectors only until the rank
+reaches its bound (A.dim for a closure), so the dependent rest is never
+read.
 """
 
 from __future__ import annotations
@@ -39,15 +41,7 @@ from __future__ import annotations
 from itertools import chain
 from math import lcm
 
-from .linalg import (
-    Echelon,
-    _scale_to_int,
-    _sparse,
-    render_terms,
-    rref_rows,
-    sparse_kernel,
-    sparse_rref,
-)
+from .linalg import Echelon, _sparse, render_terms, sparse_kernel
 
 
 class Algebra:
@@ -309,37 +303,29 @@ def jacobian(x: Element, y: Element, z: Element) -> Element:
 
 
 class Subspace:
-    """Subspace of an algebra, with a canonical reduced echelon form.
+    """Subspace of an algebra: the row space of an `Echelon` over its
+    coordinates, which the subspace takes over. `_span` is the way to build
+    one from vectors.
 
-    The canonical form, `rows` (dense, pivot entry 1) and `pivots`, is
-    formed the first time one of them is read, `==`, `hash`, `coords_of`,
-    `contains` and `basis_elements` included, and then kept. A subspace
-    spanned by elimination (`from_echelon`) holds the engine's primitive
-    integer rows until then: `dim` counts them and `int_rows` hands them to
-    the products of the series, so a space nobody reads never forms its
-    rref.
+    The canonical reduced echelon form, `rows` (dense, pivot entry 1) and
+    `pivots`, is formed the first time one of them is read, `==`, `hash`,
+    `coords_of`, `contains` and `basis_elements` included, and then kept.
+    Until then the subspace holds the engine's primitive integer rows:
+    `dim` counts them and `int_rows` hands them to the products of the
+    series, so a space nobody reads never forms its rref.
     """
 
     __slots__ = ("algebra", "_echelon", "_rows", "_pivots")
 
-    def __init__(self, algebra, rows, pivots):
+    def __init__(self, algebra, ech):
         self.algebra = algebra
-        self._echelon = None
-        self._rows = tuple(tuple(r) for r in rows)
-        self._pivots = tuple(pivots)
+        self._echelon = ech
+        self._rows = self._pivots = None
 
     @classmethod
     def from_vectors(cls, algebra, vectors):
-        rows, pivots = rref_rows(list(vectors), algebra.dim)
-        return cls(algebra, rows, pivots)
-
-    @classmethod
-    def from_echelon(cls, algebra, ech):
-        """The row space of an `Echelon` over algebra's coordinates; the
-        subspace takes the engine over and reduces it when first read."""
-        S = cls.__new__(cls)
-        S.algebra, S._echelon, S._rows, S._pivots = algebra, ech, None, None
-        return S
+        """The span of dense coordinate vectors."""
+        return _span(algebra, map(_sparse, vectors))
 
     def _canonical(self):
         if self._rows is None:
@@ -360,16 +346,11 @@ class Subspace:
 
     @property
     def dim(self):
-        if self._echelon is not None:
-            return len(self._echelon.rows)
-        return len(self._rows)
+        return len(self._echelon.rows)
 
     def int_rows(self):
-        """Sparse integer rows spanning the subspace: the engine's rows, or
-        else the canonical rows scaled to integers."""
-        if self._echelon is not None:
-            return list(self._echelon.rows.values())
-        return [_scale_to_int(_sparse(r)) for r in self._rows]
+        """Sparse integer rows spanning the subspace: the engine's rows."""
+        return list(self._echelon.rows.values())
 
     def coords_of(self, x):
         """Coefficients over the echelon basis, or None if x is outside."""
@@ -411,29 +392,8 @@ def _span(A, vectors, max_rank=None):
     max_rank (default A.dim; pass a smaller bound only when it must hold).
     Zero vectors are skipped; the rref waits until the subspace is read."""
     ech = Echelon()
-    _raise_rank(ech, vectors, A.dim if max_rank is None else max_rank)
-    return Subspace.from_echelon(A, ech)
-
-
-def _raise_rank(ech, vectors, bound):
-    """Insert the sparse vectors, scaled to integers, into ech (of rank below
-    bound) until its rank reaches bound; return those that raised the rank.
-    Past the bound every vector is dependent, so none is read or inserted."""
-    raised = []
-    for v in map(_scale_to_int, vectors):
-        if v and ech.insert(v) is not None:
-            raised.append(v)
-            if len(ech.rows) == bound:
-                break
-    return raised
-
-
-def _whole(A):
-    """The whole space: unit rows in an `Echelon`, so that the dense canonical
-    rows are formed only when read."""
-    ech = Echelon()
-    ech.rows = {i: {i: 1} for i in range(A.dim)}
-    return Subspace.from_echelon(A, ech)
+    ech.extend(vectors, A.dim if max_rank is None else max_rank)
+    return Subspace(A, ech)
 
 
 def _closure(A, vectors, expand):
@@ -446,10 +406,10 @@ def _closure(A, vectors, expand):
     read, so a closure that spans the whole algebra stops at that vector.
     """
     ech = Echelon()
-    old, new = [], _raise_rank(ech, vectors, A.dim)
-    while new and len(ech.rows) < A.dim:
-        new, old = _raise_rank(ech, expand(new, old), A.dim), old + new
-    return Subspace.from_echelon(A, ech)
+    old, new = [], ech.extend(vectors, A.dim)
+    while new:
+        new, old = ech.extend(expand(new, old), A.dim), old + new
+    return Subspace(A, ech)
 
 
 def _subalgebra_products(A):
@@ -474,18 +434,21 @@ def _ideal_products(A):
     return expand
 
 
-def subalgebra_generated(gens) -> Subspace:
+def _generated(gens, products):
+    """The closure of the generators under products(twin), the expand of
+    `_closure` on their algebra's integral twin."""
     if not gens:
         raise ValueError("need at least one generator")
     A = gens[0].algebra
-    return _closure(A, [_sparse(g.coords) for g in gens], _subalgebra_products(A.integral_twin()))
+    return _closure(A, [_sparse(g.coords) for g in gens], products(A.integral_twin()))
+
+
+def subalgebra_generated(gens) -> Subspace:
+    return _generated(gens, _subalgebra_products)
 
 
 def ideal_generated(gens) -> Subspace:
-    if not gens:
-        raise ValueError("need at least one generator")
-    A = gens[0].algebra
-    return _closure(A, [_sparse(g.coords) for g in gens], _ideal_products(A.integral_twin()))
+    return _generated(gens, _ideal_products)
 
 
 def product_space(A: Algebra) -> Subspace:
@@ -497,8 +460,7 @@ def product_space(A: Algebra) -> Subspace:
 
 def _kernel_space(A, constraints):
     """Subspace of x with sum_j x_j * row[j] = 0 for every sparse row."""
-    reduced, pivots = sparse_rref(constraints, A.dim)
-    return _span(A, sparse_kernel(reduced, pivots, A.dim))
+    return _span(A, sparse_kernel(constraints, A.dim))
 
 
 def center(A: Algebra) -> Subspace:
@@ -548,36 +510,36 @@ def _products(A, S, T):
     return (mul(r, t) for r, near in zip(rs, reach) for t in ts if not near.isdisjoint(t))
 
 
-def derived_series(A: Algebra):
-    # every term lies in the one before, so a term of full rank ends the
-    # series; the second term, A*A, is the product space
-    series = [_whole(A)]
+def _series(A, products):
+    """[A, A*A, ...] with each next term spanned by products(series so far).
+    Every term lies in the one before, so a term of full rank ends the
+    series, and so does the zero term; the second term, A*A, is the
+    product space."""
+    series = [_span(A, ({i: 1} for i in range(A.dim)))]
     nxt = product_space(A)
     while nxt.dim < series[-1].dim:
         series.append(nxt)
         if nxt.dim == 0:
             break
-        nxt = _span(A, _products(A, nxt, nxt), nxt.dim)
+        nxt = _span(A, products(series), nxt.dim)
     return series
+
+
+def derived_series(A: Algebra):
+    return _series(A, lambda series: _products(A, series[-1], series[-1]))
 
 
 def lower_central_series(A: Algebra):
-    # C_{n+1} = sum of C_i * C_{n+1-i} (1-based); it lies in C_n, and
-    # C_i * C_j = C_j * C_i, so each unordered pair of terms is taken once;
-    # C_2 = A*A is the product space
-    series = [_whole(A)]
-    nxt = product_space(A)
-    while nxt.dim < series[-1].dim:
-        series.append(nxt)
-        if nxt.dim == 0:
-            break
+    # C_{n+1} = sum of C_i * C_{n+1-i} (1-based), and C_i * C_j = C_j * C_i,
+    # so each unordered pair of terms is taken once
+    def products(series):
         n = len(series)
-        vecs = chain.from_iterable(
+        return chain.from_iterable(
             _products(A, series[i - 1], series[n - i])
             for i in range(1, (n + 1) // 2 + 1)
         )
-        nxt = _span(A, vecs, nxt.dim)
-    return series
+
+    return _series(A, products)
 
 
 def restrict(A: Algebra, S: Subspace, name=None) -> Algebra:
@@ -593,11 +555,18 @@ def restrict(A: Algebra, S: Subspace, name=None) -> Algebra:
             combo = {k: v for k, v in enumerate(coeffs) if v}
             if combo:
                 products[(i, j)] = combo
+    # a unit row keeps its basis name; any other row is named v{idx}, or
+    # v{idx}_1, v{idx}_2, ... when A's basis already has that name
+    taken = set(A.basis_names)
     names = []
     for idx, r in enumerate(rows):
         hot = [k for k, v in enumerate(r) if v != 0]
         if len(hot) == 1 and r[hot[0]] == 1:
             names.append(A.basis_names[hot[0]])
         else:
-            names.append(f"v{idx}")
+            label, m = f"v{idx}", 0
+            while label in taken:
+                m += 1
+                label = f"v{idx}_{m}"
+            names.append(label)
     return Algebra(name or f"{A.name}|sub", names, products)

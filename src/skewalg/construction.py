@@ -16,18 +16,12 @@ in `int` arithmetic over the base algebra's integral twin (see
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .algebra import Algebra, center, lie_center, restrict
 from .identities import check_identity, get_variety
-from .linalg import (
-    Echelon,
-    _sparse,
-    add_scaled,
-    rref_rows,
-    sparse_kernel,
-    sparse_rref,
-)
+from .linalg import Echelon, _sparse, add_scaled, sparse_kernel, sparse_rref
 
 
 def _unit(k, n):
@@ -158,9 +152,8 @@ def derivations(A: Algebra) -> list:
                 for k, v in units[i][m].items():
                     add_scaled(rows[k], {j * n + m: -v})
             cons.extend(rows)
-    reduced, pivots = sparse_rref(cons, n * n)
     basis = []
-    for v in sparse_kernel(reduced, pivots, n * n):
+    for v in sparse_kernel(cons, n * n):
         M = _matrix(v, n)
         if not _is_derivation(A, M):
             raise ValueError("derivation solver produced a non-derivation")
@@ -237,10 +230,10 @@ class ConstructionData:
         for v in self.L0:
             if len(v) != n:
                 raise ValueError("L0 vector has the wrong length")
-        stacked = [list(r) for r in Z.rows] + [list(v) for v in self.L0]
-        reduced, _ = rref_rows(stacked, n)
         # n - dim Z vectors that span L together with Z are independent
-        if len(reduced) != n or len(self.L0) != n - Z.dim:
+        ech = Echelon()
+        ech.extend(chain(Z.int_rows(), map(_sparse, self.L0)), n)
+        if len(ech.rows) != n or len(self.L0) != n - Z.dim:
             raise ValueError("L0 is not a complement of the center of the base algebra")
         parts = _inner_parts(L, self.L0, self.psi)
         for (i, j), x in parts.items():

@@ -784,12 +784,6 @@ class Classification:
     algebra_name: str
     verdicts: tuple
 
-    def member(self, variety):
-        for v in self.verdicts:
-            if v.variety == variety:
-                return v.member
-        raise KeyError(variety)
-
 
 def classify(A: Algebra, budget=DEFAULT_EVAL_BUDGET) -> Classification:
     """Membership of A in every builtin variety, with the first failing

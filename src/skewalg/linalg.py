@@ -7,19 +7,26 @@ a linear combination; it and `format_scalar` print an `int` scalar
 directly and make a `Fraction` only of any other scalar. There is one
 elimination engine, `Echelon`: sparse rows (`{column: int}`) in
 fraction-free integer echelon form, each row divided by the gcd of its
-entries and signed so that its leading (lowest) column is positive. A rational row enters it scaled to integers (`_scale_to_int`).
+entries and signed so that its leading (lowest) column is positive.
 Rows may carry provenance tags, `{tag: coefficient}`, which follow every
 elimination step, so that a reduction can say which inserted rows it used.
+
+`Echelon.extend` is the one bounded insert loop: it scales each rational
+row to integers (`_scale_to_int`), skips zero rows, and reads rows only
+until the rank reaches its bound. Every span, rank and kernel of `algebra`
+(every `Subspace`) and `construction` is built through it; tagged rows and
+the free quotients' relation rows go in one at a time (`insert`).
 
 `Echelon.rref` fully reduces the engine and divides each row by its pivot:
 the canonical reduced row echelon form of the row space (pivots are the
 leading columns, left to right), which doubles as a normal form.
-`sparse_rref` feeds it sparse rational rows, skipping zero rows and
-stopping once the rank reaches its bound; `sparse_kernel` reads a kernel
-basis off the result. The dense entry points take lists of equal-length
-rows and convert to and from sparse rows around them: `rref_rows(rows,
-cols)`, `null_space(rows, cols)`, `invert_rows(rows)` and
-`span_membership(basis, v)`. No floats, no pivot heuristics.
+`sparse_rref` is `extend` then `rref` on a fresh engine, and
+`sparse_kernel` reduces its rows the same way and reads a kernel basis
+off the result. The dense functions `rref_rows(rows, cols)`,
+`null_space(rows, cols)`, `invert_rows(rows)` and `span_membership(basis,
+v)` are thin adapters that convert lists of equal-length rows to and from
+sparse rows around them; no other module calls them. No floats, no pivot
+heuristics.
 """
 
 from __future__ import annotations
@@ -167,6 +174,19 @@ class Echelon:
                 tags = _combine(tags, b // g, self.tags[lead], a // g)
         return None
 
+    def extend(self, rows, bound):
+        """Insert sparse rational rows, each scaled to integers, until the
+        rank reaches bound; return the scaled rows that raised it. Zero rows
+        are skipped and no row is read at the bound, so `rows` may be lazy."""
+        raised = []
+        if len(self.rows) < bound:
+            for row in map(_scale_to_int, rows):
+                if row and self.insert(row) is not None:
+                    raised.append(row)
+                    if len(self.rows) == bound:
+                        break
+        return raised
+
     def reduce_full(self):
         """Clear pivot columns from every other row (descending pass)."""
         for p in sorted(self.rows, reverse=True):
@@ -211,24 +231,19 @@ class Echelon:
 
 
 def sparse_rref(rows, max_rank):
-    """Canonical rref (`Echelon.rref`) of sparse rational rows ({column: scalar}).
-
-    Zero rows are skipped, and rows are read only until the rank reaches
-    max_rank (the column count, or any bound known to hold), so `rows` may
-    be a lazy iterable.
-    """
+    """Canonical rref (`Echelon.rref`) of sparse rational rows ({column:
+    scalar}), read through `Echelon.extend` up to rank max_rank (the column
+    count, or any bound known to hold)."""
     ech = Echelon()
-    for row in rows:
-        if row:
-            ech.insert(_scale_to_int(row))
-            if len(ech.rows) == max_rank:
-                break
+    ech.extend(rows, max_rank)
     return ech.rref()
 
 
-def sparse_kernel(reduced, pivots, cols):
-    """Right-kernel basis of an rref (sparse_rref's output), one vector per
-    non-pivot column: 1 there and minus that column at the pivots."""
+def sparse_kernel(rows, cols):
+    """Right-kernel basis of sparse rational rows over range(cols), one
+    vector per non-pivot column of their rref: 1 there and minus that
+    column at the pivots."""
+    reduced, pivots = sparse_rref(rows, cols)
     pivot_set = set(pivots)
     basis = []
     for free in range(cols):
@@ -267,10 +282,9 @@ def rref_rows(rows, cols: int | None = None):
 def null_space(rows, cols):
     """Basis of the right kernel of the rows (each of length cols), one
     vector per non-pivot column."""
-    reduced, pivots = sparse_rref(map(_sparse, rows), cols)
     return [
         tuple(Fraction(v.get(c, 0)) for c in range(cols))
-        for v in sparse_kernel(reduced, pivots, cols)
+        for v in sparse_kernel(map(_sparse, rows), cols)
     ]
 
 

@@ -27,7 +27,8 @@ equal to:
   rows, and `parse_algebra_dense`, the algebra file format read through
   `parse_element`'s dense coordinate tuples;
 * `jacobians_over_all_triples`: the Jacobian table from `jacobian` on the
-  basis `Element`s of every triple a < b < c.
+  basis `Element`s of every triple a < b < c;
+* `member`: a `classify` verdict on one variety, read by its name.
 """
 
 from itertools import combinations, permutations
@@ -52,6 +53,14 @@ from skewalg.freealg import (
 )
 from skewalg.identities import IdentityDef, _basis_tuples, _flatten, parse_identity
 from skewalg.linalg import Echelon, _scale_to_int, _sparse, add_scaled, invert_rows, null_space
+
+
+def member(classification, variety) -> bool:
+    """Whether `classify` put the algebra in the named variety."""
+    for v in classification.verdicts:
+        if v.variety == variety:
+            return v.member
+    raise KeyError(variety)
 
 
 def verify_isomorphism(A: Algebra, B: Algebra, rows) -> bool:

@@ -18,6 +18,8 @@ from skewalg.cli import main
 from skewalg.construction import build_from_construction, decompose
 from skewalg.formats import emit_algebra, emit_construction, parse_algebra_file
 
+from oracles import change_basis
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -271,6 +273,39 @@ def test_construct_decompose_round_trip(tmp_path, capsys):
         for j in range(B.dim):
             for k in range(B.dim):
                 assert rebuilt.c(i, j, k) == B.c(i, j, k)
+
+
+# a member of w whose Lie center has a non-unit row, in a basis named like
+# the v{idx} that `restrict` falls back to for such rows
+FALLBACK_NAMED = """name: rb
+dim: 4
+basis: v0 v1 v2 v3
+v0*v1 = -3*v1 + 3*v2 + 3*v3
+v0*v2 = -2*v1 + 2*v2 + 2*v3
+v0*v3 = -3*v1 + 3*v2 + 3*v3
+v1*v3 = 4*v1 - 4*v2 - 4*v3
+v2*v3 = 2*v1 - 2*v2 - 2*v3
+"""
+
+
+def test_decompose_output_constructs_when_basis_names_look_like_fallbacks(tmp_path, capsys):
+    alg_path = tmp_path / "rb.alg"
+    alg_path.write_text(FALLBACK_NAMED)
+    rc, out, err = run(capsys, "decompose", str(alg_path))
+    assert (rc, err) == (0, "")
+    assert "[L]\nname: rb|L\ndim: 1\nbasis: v0_1\n" in out
+    cons_path = tmp_path / "rb.cons"
+    cons_path.write_text(out)
+    rc, out, err = run(capsys, "construct", str(cons_path))
+    assert (rc, err) == (0, "")
+    B = parse_algebra_file(FALLBACK_NAMED)
+    rebuilt = parse_algebra_file(out)
+    assert rebuilt.basis_names == ("v0", "v2", "v3", "v0_1")
+    rebased = change_basis(B, list(decompose(B).ambient_basis), list(rebuilt.basis_names))
+    for i in range(B.dim):
+        for j in range(B.dim):
+            for k in range(B.dim):
+                assert rebased.c(i, j, k) == rebuilt.c(i, j, k)
 
 
 def test_decompose_rejects_non_member(tmp_path, capsys):

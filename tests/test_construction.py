@@ -15,11 +15,12 @@ from skewalg.construction import (
     inner_derivations,
     random_w_algebra,
 )
+from skewalg.formats import emit_construction, parse_construction_file
 from skewalg.identities import classify
-from skewalg.linalg import Echelon, rref_rows
+from skewalg.linalg import Echelon, invert_rows, rref_rows
 from skewalg.moufang import sample_null_triples
 
-from oracles import change_basis, verify_isomorphism
+from oracles import change_basis, member, verify_isomorphism
 
 
 def one_dim():
@@ -157,7 +158,7 @@ def test_build_reference_table():
     assert B.c(1, 2, 3) == 1  # ab = c
     assert B.c(1, 3, 3) == 0 and B.c(2, 3, 3) == 0  # ac = bc = 0
     assert B.c(3, 0, 3) == 1  # ct = c
-    assert classify(B).member("w")
+    assert member(classify(B), "w")
 
 
 def test_build_general_parameters():
@@ -200,9 +201,9 @@ def test_inner_parts_over_a_rational_base_and_complement():
         ]
         ad = [list((L.element(x) * L.basis_element(k)).coords) for k in range(n)]
         assert ad == comm
-    assert classify(build_from_construction(data)).member("w")
+    assert member(classify(build_from_construction(data)), "w")
     B = random_w_algebra(L, p_dim=2, seed=3)
-    assert classify(B).member("w")
+    assert member(classify(B), "w")
     assert build_from_construction(decompose(B)).dim == B.dim
 
 
@@ -345,7 +346,7 @@ def test_members_and_null_triples_are_built_on_sparse_int_rows(monkeypatch):
     assert dense == []
     assert operands and all(type(v) is int for v in operands)
     monkeypatch.undo()
-    assert classify(B).member("w")
+    assert member(classify(B), "w")
     for x1, x2, x3 in triples:
         assert jacobian(x1, x2, x3).is_zero()
 
@@ -406,6 +407,42 @@ def test_decompose_build_round_trip():
                     assert rebased.c(i, j, k) == rebuilt.c(i, j, k)
 
 
+def test_decompose_construct_round_trip_on_members_named_like_fallbacks():
+    """Members of w in a seeded random integer basis named v0, v1, ...,
+    the names `restrict` falls back to for a non-unit row: a basis name of
+    L that is also one of the member's names is a unit row, and the
+    construction file that decompose's data emits parses and constructs the
+    algebra back."""
+    entries = lie_catalog()
+    members = [
+        random_w_algebra(entries[s % len(entries)].algebra, p_dim=1 + s % 3, seed=s)
+        for s in range(21)
+    ]
+    members.append(get_catalog("paper-L").algebra)
+    # at seeds 80 and 102 a bare v{idx} fallback is also a name in P
+    for seed in range(110):
+        A = members[seed % len(members)]
+        rng = random.Random(f"fallback-names-{seed}")
+        while True:
+            rows = [[rng.randint(-2, 2) for _ in range(A.dim)] for _ in range(A.dim)]
+            if invert_rows(rows) is not None:
+                break
+        B = change_basis(A, rows, [f"v{i}" for i in range(A.dim)])
+        data = decompose(B)
+        # a name L shares with B names the same vector of B
+        n_p = len(data.p_names)
+        for name, row in zip(data.L.basis_names, data.ambient_basis[n_p:]):
+            if name in B.basis_names:
+                k = B.basis_names.index(name)
+                assert row == tuple(int(m == k) for m in range(B.dim)), (seed, name)
+        rebuilt = build_from_construction(parse_construction_file(emit_construction(data)))
+        rebased = change_basis(B, list(data.ambient_basis), list(rebuilt.basis_names))
+        for i in range(B.dim):
+            for j in range(i + 1, B.dim):
+                for k in range(B.dim):
+                    assert rebased.c(i, j, k) == rebuilt.c(i, j, k), (seed, B.name)
+
+
 # --- isomorphism checking --------------------------------------------------
 
 
@@ -464,7 +501,7 @@ def test_random_w_algebra_members_and_round_trip():
     for s in rng_seeds:
         L = entries[s % len(entries)].algebra
         B = random_w_algebra(L, p_dim=1 + s % 3, seed=s)
-        assert classify(B).member("w")
+        assert member(classify(B), "w")
         data = decompose(B)
         rebuilt = build_from_construction(data)
         rebased = change_basis(

@@ -50,6 +50,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -104,6 +105,7 @@ from oracles import (
     first_failure_over_all_tuples,
     jacobians_over_all_triples,
     lhs_minus_rhs,
+    member,
     parse_algebra_dense,
     products_over_all_pairs,
     raw_polarized_terms,
@@ -353,9 +355,27 @@ def test_engine_edge_cases():
 # --- invariants against their Element-based definitions ---------------------
 
 
+class DenseSpace(NamedTuple):
+    """A subspace as the oracle's own canonical rref: (rows, pivots)."""
+
+    rows: tuple
+    pivots: tuple
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+
 def dense_space(A, vectors):
     rows, pivots = dense_rref_rows(list(vectors), A.dim)
-    return Subspace(A, rows, pivots)
+    return DenseSpace(tuple(map(tuple, rows)), tuple(pivots))
+
+
+def canonical(A, S):
+    """A `Subspace` of A as its canonical rref, to compare with a
+    `DenseSpace` of A."""
+    assert S.algebra is A
+    return DenseSpace(S.rows, S.pivots)
 
 
 def dense_closure(A, start, expand):
@@ -519,16 +539,17 @@ def test_invariants_match_element_definitions():
     verdicts = set()
     for A in invariant_algebras():
         units = [A.basis_element(i).coords for i in range(A.dim)]
-        assert center(A) == oracle_center(A), A.name
+        assert canonical(A, center(A)) == oracle_center(A), A.name
         LC = lie_center(A)
-        assert LC == oracle_lie_center(A), A.name
-        assert jacobian_ideal(A) == oracle_jacobian_ideal(A), A.name
-        assert derived_series(A) == oracle_derived_series(A), A.name
-        assert lower_central_series(A) == oracle_lower_central_series(A), A.name
+        assert canonical(A, LC) == oracle_lie_center(A), A.name
+        assert canonical(A, jacobian_ideal(A)) == oracle_jacobian_ideal(A), A.name
+        assert [canonical(A, S) for S in derived_series(A)] == oracle_derived_series(A), A.name
+        assert [canonical(A, S) for S in lower_central_series(A)] == oracle_lower_central_series(A), A.name
         PS = product_space(A)
-        assert PS == dense_space(A, [A.mul_coords(r, s) for r in units for s in units]), A.name
+        assert canonical(A, PS) == dense_space(A, [A.mul_coords(r, s) for r in units for s in units]), A.name
         gens = units[: min(2, A.dim)]
-        assert subalgebra_generated([A.element(g) for g in gens]) == oracle_subalgebra(A, gens), A.name
+        got = subalgebra_generated([A.element(g) for g in gens])
+        assert canonical(A, got) == oracle_subalgebra(A, gens), A.name
         # structure theorem: w holds iff the product space lies in the Lie center
         in_w = all(check_identity(A, idf).holds for idf in get_variety("w"))
         assert in_w == all(LC.contains(r) for r in PS.rows), A.name
@@ -817,7 +838,7 @@ def test_j_check_evaluates_only_tuples_with_a_nonzero_product(monkeypatch):
     evaluated.clear()
     products.clear()
     assert check_identity(A, parse_identity("J(x,y,z) = 0")).holds
-    assert classify(A).member("lie")
+    assert member(classify(A), "lie")
     assert (evaluated, products) == ([], [])
 
 
@@ -872,10 +893,12 @@ def sparse_vector_lists(draw):
 @given(sparse_vector_lists())
 def test_lazy_subspace_equals_from_vectors(case):
     """A subspace formed lazily from an echelon, directly or through
-    `_span`, is the one `Subspace.from_vectors` forms on the same vectors,
-    and reading `dim` or `int_rows` does not form its rref."""
+    `_span` (and so `Subspace.from_vectors`), has the canonical rref that
+    dense elimination forms on the same vectors, and reading `dim` or
+    `int_rows` does not form its rref."""
     n, vectors = case
     A = Algebra("abelian", [f"e{i}" for i in range(n)], {})
+    dense = [[v.get(k, 0) for k in range(n)] for v in vectors]
     formed = []
     real = Echelon.rref
 
@@ -889,19 +912,21 @@ def test_lazy_subspace_equals_from_vectors(case):
         for v in vectors:
             if v:
                 ech.insert(_scale_to_int(v))
-        lazy = [Subspace.from_echelon(A, ech), algebra._span(A, vectors)]
+        lazy = [Subspace(A, ech), algebra._span(A, vectors), Subspace.from_vectors(A, dense)]
         dims = [S.dim for S in lazy]
         spanning = [S.int_rows() for S in lazy]
         assert formed == []
-        want = Subspace.from_vectors(A, [tuple(v.get(k, 0) for k in range(n)) for v in vectors])
     finally:
         Echelon.rref = real
-    assert dims == [want.dim] * 2
+    rows, pivots = dense_rref_rows(dense, n)
+    want = DenseSpace(tuple(map(tuple, rows)), tuple(pivots))
+    assert dims == [want.dim] * 3
     for S, rows in zip(lazy, spanning):
         assert all(type(x) is int for r in rows for x in r.values())
-        assert algebra._span(A, rows) == want
-        assert S == want and hash(S) == hash(want)
-        assert (S.rows, S.pivots) == (want.rows, want.pivots)
+        respan = algebra._span(A, rows)
+        assert canonical(A, respan) == want
+        assert S == respan and hash(S) == hash(respan)
+        assert canonical(A, S) == want
         assert S.dim == want.dim
 
 

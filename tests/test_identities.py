@@ -26,7 +26,7 @@ from skewalg.identities import (
     polarize,
 )
 
-from oracles import component_evaluate, evaluate_term, lhs_minus_rhs, raw_polarized_terms
+from oracles import component_evaluate, evaluate_term, lhs_minus_rhs, member, raw_polarized_terms
 
 F = Fraction
 
@@ -353,7 +353,7 @@ def test_classify_searches_only_jacobi_on_lie_algebras(monkeypatch, tmp_path, ca
     # seed 14 is in w but not Lie: every distinct polynomial is searched
     searched.clear()
     cls = classify(seeded_w_member(14))
-    assert not cls.member("lie") and cls.member("w")
+    assert not member(cls, "lie") and member(cls, "w")
     assert searched == list(SEARCH_ORDER)
     # check decides each identity on its own, with no J search to lean on
     searched.clear()

@@ -1,10 +1,12 @@
 """Static checks on src/skewalg: the runtime is stdlib-only (every module
-imports only the standard library and skewalg itself), and it defines no
-function that only tests call."""
+imports only the standard library and skewalg itself), it defines no
+function that only tests call, and only `linalg` names its dense
+adapters."""
 
 import ast
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import skewalg
@@ -64,3 +66,22 @@ def test_every_function_has_a_caller_outside_tests():
                 if used[name] - Counter(_names(node))[name] <= 0:
                     unused.append(name)
     assert unused == []
+
+
+DENSE_ADAPTERS = {"rref_rows", "null_space", "invert_rows", "span_membership"}
+
+
+def test_only_linalg_names_the_dense_adapters():
+    """The dense adapters are shims for the benchmark tracer and the tests;
+    every other module reaches the echelon engine through `Echelon`."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = (
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        )
+        assert DENSE_ADAPTERS.isdisjoint(chain(_names(tree), imported)), path.name
