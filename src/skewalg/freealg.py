@@ -31,11 +31,21 @@ of words to itself up to scalars.  The representative is the orbit's least
 type code.  Each other type gets the relabelled images of its
 representative's independent generated rows.  The final elimination returns
 the unique rref, so the quotient is the same as from every row.
+
+A build eliminates and checks only the representative types.  The other
+types of a degree stay pending (`_Pending`) until read: a rewrite entry
+read through `FreeQuotient.product`, `evaluate_word` or `expand_evaluate`
+relabels, eliminates and checks its own type, and reading `basis`,
+`rewrite` or `relations_rref` does so for every pending type.  The next
+degree's rows read the lower degrees in full, so only the top degree can
+stay pending, and `dims` counts each moved type at its representative's
+rank.  A failing check names the first failing row of the whole degree, as
+`FreeQuotient.self_check` does.
 """
 
 from dataclasses import dataclass
 from itertools import islice, permutations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from string import ascii_lowercase
 
@@ -144,6 +154,7 @@ class FreeQuotient:
     The build adds degree d (its monomials, by `add_degree`, then its
     relation rows, basis and rewrites) only after charging the relation
     budget for it, so an abort enumerates nothing of the degree it stops at.
+    Its top degree's moved types stay pending until read (module docstring).
     """
 
     def __init__(self, identities, generators, max_degree):
@@ -156,12 +167,32 @@ class FreeQuotient:
         self.monomials = [[]]
         self.col = [{}]
         self.rank = {}
-        self.basis = [()]
-        self.rewrite = {}
-        self.relations_rref = [[]]
+        self._basis = [()]
+        self._rewrite = {}
+        self._rref = [[]]
+        self._pending = None
         self.extra = []
         self._pair_cache = {}
         self.add_degree()
+
+    @property
+    def basis(self):
+        """Per degree, the monomials that survive, in rank order."""
+        self._complete()
+        return self._basis
+
+    @property
+    def rewrite(self):
+        """{canonical monomial: its image over the basis}, every degree."""
+        self._complete()
+        return self._rewrite
+
+    @property
+    def relations_rref(self):
+        """Per degree, the reduced relation rows (primitive integer rows
+        keyed by column index) in pivot order."""
+        self._complete()
+        return self._rref
 
     def add_degree(self):
         """Enumerate, index and rank the monomials of the next degree."""
@@ -176,10 +207,53 @@ class FreeQuotient:
         self.rank.update((m, start + i) for i, m in enumerate(mons))
 
     def dims(self):
-        return [len(self.basis[d]) for d in range(1, self.max_degree + 1)]
+        p = self._pending
+        return [
+            p.dim if p is not None and d == p.degree else len(self._basis[d])
+            for d in range(1, self.max_degree + 1)
+        ]
 
     def label(self, m):
         return mono_label(m, self.generators)
+
+    def _rewritten(self, m):
+        """The rewrite entry of a canonical monomial, its type eliminated
+        and checked first when it is pending."""
+        image = self._rewrite.get(m)
+        if image is None:
+            p = self._pending
+            self._settle([p.codes[self.col[p.degree][m]]])
+            image = self._rewrite[m]
+        return image
+
+    def _settle(self, codes):
+        """Eliminate the pending types `codes` and check their rows."""
+        d = self._pending.degree
+        rows = self._eliminate(codes)
+        if d > 1:
+            _check_degree(self, d, rows)
+
+    def _complete(self):
+        if self._pending is not None:
+            self._settle(list(self._pending.moved))
+
+    def _eliminate(self, codes):
+        """Relabel, eliminate and record the pending types `codes`; return
+        their (source, row) pairs for the caller to check. The last one
+        completes the degree's basis and relations rref."""
+        p = self._pending
+        d = p.degree
+        moved = {code: p.moved.pop(code) for code in codes}
+        rows = list(_relabelled(self, d, moved, p.independent, p.memos))
+        ech = Echelon()
+        for _source, row in rows:
+            ech.insert(row)
+        _write_rewrites(self, d, ech, [c for code in codes for c in p.groups[code]])
+        p.rows.update(ech.rows)
+        if not p.moved:
+            self._pending = None
+            self._rref[d], self._basis[d] = _closed(self.monomials[d], p.rows)
+        return rows
 
     def _pair_product(self, m1, m2):
         """Rewrite image of the product of two canonical monomials."""
@@ -191,7 +265,7 @@ class FreeQuotient:
             else:
                 sign, mono = res
                 cached = {
-                    bm: sign * bc for bm, bc in self.rewrite[mono].items()
+                    bm: sign * bc for bm, bc in self._rewritten(mono).items()
                 }
             self._pair_cache[(m1, m2)] = cached
         return cached
@@ -227,7 +301,11 @@ class FreeQuotient:
 
     def self_check(self):
         """Regenerate every defining relation and verify that it vanishes
-        under the rewrite map (the build checks the rows it used)."""
+        under the rewrite map (the build checks the rows it used). Pending
+        types are eliminated first and not checked apart: their rows are
+        among those regenerated, which are checked in degree order."""
+        if self._pending is not None:
+            self._eliminate(list(self._pending.moved))
         for d in range(2, self.max_degree + 1):
             _check_rows(self, d, _degree_rows(self, d))
 
@@ -406,29 +484,53 @@ def _check_rows(F, d, rows):
     """Raise if a (source, row) pair of degree d does not vanish under the
     rewrite map; the message names the first such row's source.
 
-    When the rewrite map has denominators at degree d, the check runs on L
-    times it, L their lcm, keyed by column index, so it stays in integers:
-    a row vanishes under one exactly when it vanishes under the other."""
-    rewrite = [F.rewrite[m] for m in F.monomials[d]]
-    scale = lcm(*{v.denominator for r in rewrite for v in r.values()})
-    if scale != 1:
-        col = F.col[d]
-        rewrite = [
-            {col[m]: v.numerator * (scale // v.denominator) for m, v in r.items()}
-            for r in rewrite
-        ]
+    The check stays in integers, keyed by column index. Each column c's
+    rewrite is read once, as D_c times it, D_c the lcm of its denominators,
+    and a row is summed as L times its image, L a multiple of the D_c of
+    its columns, which grows when a column needs it: the row vanishes
+    under one exactly when it vanishes under the other."""
+    mons, col, rewrite = F.monomials[d], F.col[d], F._rewrite
+    scaled = {}  # column -> (D_c, D_c times its rewrite, keyed by column)
     for source, row in rows:
         image = {}
+        scale = 1
         # inline, not add_scaled: runs per entry of every checked row
         for c, v in row.items():
-            for b, bc in rewrite[c].items():
-                nv = image.get(b, 0) + v * bc
+            hit = scaled.get(c)
+            if hit is None:
+                r = rewrite[mons[c]]
+                den = lcm(*(x.denominator for x in r.values()))
+                hit = scaled[c] = den, {
+                    col[m]: x.numerator * (den // x.denominator) for m, x in r.items()
+                }
+            den, r = hit
+            if scale % den:
+                grow = den // gcd(scale, den)
+                scale *= grow
+                for b in image:
+                    image[b] *= grow
+            f = v * (scale // den)
+            for b, bc in r.items():
+                nv = image.get(b, 0) + f * bc
                 if nv:
                     image[b] = nv
                 elif b in image:
                     del image[b]
         if image:
             raise ValueError(f"self-check failed at degree {d}: {_describe(F, source)}")
+
+
+def _check_degree(F, d, rows):
+    """`_check_rows` on some rows of degree d. When one fails, the message
+    names the first failing row of the whole stream, as `self_check` does,
+    with every pending type of the degree eliminated first."""
+    try:
+        _check_rows(F, d, rows)
+    except ValueError:
+        if F._pending is not None:
+            F._eliminate(list(F._pending.moved))
+        _check_rows(F, d, _degree_rows(F, d))
+        raise
 
 
 def _describe(F, source):
@@ -598,11 +700,11 @@ def build_free_quotient(
 
     Before a degree's monomials are enumerated and its rows generated, the
     relation budget is charged with their unpruned count (`_row_count`).
-    Each degree's distinct generated rows and relabelled rows (see the module
-    docstring) are checked against its final rewrite map; every other row of
-    the degree is a combination of them.  When one fails, the message names
-    the first failing row of the whole stream, as `FreeQuotient.self_check`
-    does.
+    Each degree's distinct generated rows are checked against its rewrite
+    map here, and each moved type's relabelled rows when it is eliminated
+    (see the module docstring); every other row of the degree is a
+    combination of them.  When one fails, the message names the first
+    failing row of the whole stream, as `FreeQuotient.self_check` does.
     """
     idfs = tuple(
         parse_identity(t) if isinstance(t, str) else t for t in identities
@@ -637,8 +739,8 @@ def build_free_quotient(
         if d > reach and not F.monomials[d - 1]:
             F.monomials.append([])
             F.col.append({})
-            F.relations_rref.append([])
-            F.basis.append(())
+            F._rref.append([])
+            F._basis.append(())
             continue
         generated = _row_count(F, d)
         count += generated
@@ -663,19 +765,43 @@ def build_free_quotient(
                 if ech.insert(row) is not None and moved:
                     code = types.codes[d][next(iter(row))]
                     independent.setdefault(code, []).append((source, row))
-        checked = list(kept.values())
-        for source, image in _relabelled(F, d, moved, independent, memos):
-            ech.insert(image)
-            checked.append((source, image))
-        _record_degree(F, d, ech)
-        if d > 1 and checked:
-            try:
-                _check_rows(F, d, checked)
-            except ValueError:
-                # name the first failing row of the whole stream, as self_check
-                _check_rows(F, d, _degree_rows(F, d))
-                raise
+        if moved:
+            groups = types.groups[d]
+            _write_rewrites(F, d, ech, [c for code in reps for c in groups[code]])
+            F._pending = _Pending(d, moved, independent, memos, types, ech.rows)
+            F._rref.append(None)
+            F._basis.append(None)
+        else:
+            _record_degree(F, d, ech)
+        if d > 1 and kept:
+            _check_degree(F, d, kept.values())
     return F
+
+
+class _Pending:
+    """The moved types of a degree (`_Symmetry.split`), not yet relabelled,
+    eliminated or checked.
+
+    `moved` maps each pending type code to (representative, perm);
+    `independent` holds the representatives' independent generated rows,
+    `memos` the per-permutation images of monomials, `codes` each monomial's
+    type code and `groups` each type's columns. `rows` gathers the reduced
+    relation rows by pivot, the representatives' first. A moved type has
+    its representative's rank, so `dim` is known before any is eliminated.
+    """
+
+    __slots__ = ("degree", "moved", "independent", "memos", "codes", "groups", "rows", "dim")
+
+    def __init__(self, d, moved, independent, memos, types, rows):
+        self.degree = d
+        self.moved = moved
+        self.independent = independent
+        self.memos = memos
+        self.codes = types.codes[d]
+        self.groups = types.groups[d]
+        self.rows = dict(rows)
+        rank = len(rows) + sum(len(independent.get(rep, ())) for rep, _perm in moved.values())
+        self.dim = len(self.codes) - rank
 
 
 def _relabelled(F, d, moved, independent, memos):
@@ -684,7 +810,7 @@ def _relabelled(F, d, moved, independent, memos):
     rows in `independent`, `source` naming the row relabelled. `memos` keeps
     per permutation the images of monomials."""
     mons, col, rank = F.monomials[d], F.col[d], F.rank
-    for rep, perm in (moved or {}).values():
+    for rep, perm in moved.values():
         memo = memos.setdefault(perm, {})
         for source, row in independent.get(rep, ()):
             image = {}
@@ -695,18 +821,29 @@ def _relabelled(F, d, moved, independent, memos):
             yield source, image
 
 
-def _record_degree(F, d, ech):
-    """Read degree d's relations rref, basis and rewrites off the echelon of
-    its relation rows."""
+def _write_rewrites(F, d, ech, cols):
+    """Write the rewrites of the degree-d monomials at columns `cols`, which
+    hold every row of `ech`, from its rref."""
     reduced, pivots = ech.rref()
-    mons = F.monomials[d]
-    F.relations_rref.append([ech.rows[p] for p in pivots])
-    basis = tuple(m for i, m in enumerate(mons) if i not in ech.rows) if pivots else tuple(mons)
-    F.basis.append(basis)
-    rewrite = F.rewrite
-    rewrite.update((m, {m: 1}) for m in basis)
+    mons, rewrite = F.monomials[d], F._rewrite
+    rewrite.update((mons[c], {mons[c]: 1}) for c in cols if c not in ech.rows)
     for lead, row in zip(pivots, reduced):
         rewrite[mons[lead]] = {mons[c]: -v for c, v in row.items() if c != lead}
+
+
+def _closed(mons, rows):
+    """(relations rref, basis) of a degree from its reduced relation rows
+    {pivot: row}."""
+    return [rows[c] for c in sorted(rows)], tuple(m for i, m in enumerate(mons) if i not in rows)
+
+
+def _record_degree(F, d, ech):
+    """Record degree d, every type at once, from the echelon of its
+    relation rows: its rewrites, relations rref and basis."""
+    _write_rewrites(F, d, ech, range(len(F.monomials[d])))
+    rref, basis = _closed(F.monomials[d], ech.rows)
+    F._rref.append(rref)
+    F._basis.append(basis)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -714,7 +851,7 @@ def _record_degree(F, d, ech):
 
 def _eval_ast(F, tree):
     if tree[0] == "var":
-        return 1, dict(F.rewrite[F._index(tree[1])])
+        return 1, dict(F._rewritten(F._index(tree[1])))
     if tree[0] == "prod":
         dl, vl = _eval_ast(F, tree[1])
         dr, vr = _eval_ast(F, tree[2])
@@ -750,7 +887,7 @@ def expand_evaluate(F: FreeQuotient, word) -> WordValue:
     tree, d = _word(F, word)
     out = {}
     for mono, coef in F.word_poly(tree).items():
-        add_scaled(out, F.rewrite[mono], coef)
+        add_scaled(out, F._rewritten(mono), coef)
     return WordValue(d, out)
 
 

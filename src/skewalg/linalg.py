@@ -122,21 +122,19 @@ def _row_normalize(row):
 def _combine(row, fb, other, fa):
     """fb * row - fa * other, sparse."""
     out = {c: v * fb for c, v in row.items()}
+    return _subtract(out, other, fa)
+
+
+def _subtract(row, other, f):
+    """row -= f * other on sparse rows, in place; returns row."""
     # inline, not add_scaled: one call per elimination step costs time everywhere
     for c, v in other.items():
-        nv = out.get(c, 0) - fa * v
+        nv = row.get(c, 0) - f * v
         if nv:
-            out[c] = nv
-        elif c in out:
-            del out[c]
-    return out
-
-
-def _eliminate(row, pivot_row, col):
-    """Integer multiple of row minus one of pivot_row with column col cleared."""
-    a, b = row[col], pivot_row[col]
-    g = gcd(a, b)
-    return _combine(row, b // g, pivot_row, a // g)
+            row[c] = nv
+        elif c in row:
+            del row[c]
+    return row
 
 
 class Echelon:
@@ -169,9 +167,13 @@ class Echelon:
                 return lead
             a, b = row[lead], piv[lead]
             g = gcd(a, b)
-            row = _combine(row, b // g, piv, a // g)
+            fb, fa = b // g, a // g
+            if fb != 1:
+                for c in row:
+                    row[c] *= fb
+            _subtract(row, piv, fa)
             if tags is not None:
-                tags = _combine(tags, b // g, self.tags[lead], a // g)
+                tags = _combine(tags, fb, self.tags[lead], fa)
         return None
 
     def extend(self, rows, bound):
@@ -188,16 +190,29 @@ class Echelon:
         return raised
 
     def reduce_full(self):
-        """Clear pivot columns from every other row (descending pass)."""
-        for p in sorted(self.rows, reverse=True):
-            row = self.rows[p]
-            while True:
-                hits = [c for c in row if c != p and c in self.rows]
-                if not hits:
-                    break
-                c = min(hits)
-                row = _eliminate(row, self.rows[c], c)
-            self.rows[p] = _row_normalize(row)
+        """Clear pivot columns from every other row, one pass per row.
+
+        Rows are reduced in descending pivot order, so the rows a row is
+        cleared against are reduced already: each has no pivot column but
+        its own, and clearing one hit leaves the row's other hits alone.
+        With L the least integer that makes every multiplier integral, the
+        row becomes L * row minus (L * row[c] / piv_c[c]) * piv_c for each
+        hit c, then is normalized."""
+        rows = self.rows
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            hits = [c for c in row if c != p and c in rows]
+            if not hits:
+                continue
+            scale = 1
+            for c in hits:
+                b = rows[c][c]
+                scale = lcm(scale, b // gcd(row[c], b))
+            out = {c: v * scale for c, v in row.items()}
+            for c in hits:
+                piv = rows[c]
+                _subtract(out, piv, scale * row[c] // piv[c])
+            rows[p] = _row_normalize(out)
 
     def rref(self):
         """Canonical rref of the row space: (rows with pivot entry 1 in pivot

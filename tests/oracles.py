@@ -28,12 +28,16 @@ equal to:
   `parse_element`'s dense coordinate tuples;
 * `jacobians_over_all_triples`: the Jacobian table from `jacobian` on the
   basis `Element`s of every triple a < b < c;
-* `member`: a `classify` verdict on one variety, read by its name.
+* `member`: a `classify` verdict on one variety, read by its name;
+* `echelon_one_step_at_a_time`: the elimination engine's rows as a fresh
+  dict per elimination step, and its full reduction clearing one pivot
+  column at a time.
 """
 
 from itertools import combinations, permutations
 
 from fractions import Fraction
+from math import gcd
 
 from skewalg.algebra import Algebra, Subspace, jacobian
 from skewalg.formats import (
@@ -52,7 +56,16 @@ from skewalg.freealg import (
     parse_word,
 )
 from skewalg.identities import IdentityDef, _basis_tuples, _flatten, parse_identity
-from skewalg.linalg import Echelon, _scale_to_int, _sparse, add_scaled, invert_rows, null_space
+from skewalg.linalg import (
+    Echelon,
+    _content,
+    _row_normalize,
+    _scale_to_int,
+    _sparse,
+    add_scaled,
+    invert_rows,
+    null_space,
+)
 
 
 def member(classification, variety) -> bool:
@@ -389,3 +402,48 @@ def parse_algebra_dense(text) -> Algebra:
         if combo:
             products[(i, j)] = combo
     return Algebra(name, names, products)
+
+
+def _fresh_combination(row, fb, other, fa):
+    """fb * row - fa * other as a new sparse row."""
+    out = {c: v * fb for c, v in row.items()}
+    for c, v in other.items():
+        nv = out.get(c, 0) - fa * v
+        if nv:
+            out[c] = nv
+        elif c in out:
+            del out[c]
+    return out
+
+
+def echelon_one_step_at_a_time(rows):
+    """`Echelon` rows from nonzero integer rows, by the loops before the
+    engine worked in place: (rows by pivot after every insert, rows by
+    pivot after the full reduction). An insert step makes a fresh row of
+    fb * row - fa * pivot row; the reduction walks the pivots downwards
+    and clears each row's least other pivot column, one at a time, until
+    none is left, then normalizes it."""
+    ech = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            piv = ech.get(lead)
+            if piv is None:
+                g = _content(row, lead)
+                ech[lead] = {c: v // g for c, v in row.items()}
+                break
+            g = gcd(row[lead], piv[lead])
+            row = _fresh_combination(row, piv[lead] // g, piv, row[lead] // g)
+    inserted = {p: dict(row) for p, row in ech.items()}
+    for p in sorted(ech, reverse=True):
+        row = ech[p]
+        while True:
+            hits = [c for c in row if c != p and c in ech]
+            if not hits:
+                break
+            c = min(hits)
+            g = gcd(row[c], ech[c][c])
+            row = _fresh_combination(row, ech[c][c] // g, ech[c], row[c] // g)
+        ech[p] = _row_normalize(row)
+    return inserted, ech

@@ -1,10 +1,12 @@
 import gc
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
 from pathlib import Path
+from string import ascii_lowercase
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from skewalg.freealg import (
     relation_combination,
 )
 from skewalg.catalog import get_catalog
+from skewalg.cli import main
 from skewalg.identities import (
     _compiled,
     _flatten,
@@ -41,6 +44,7 @@ from skewalg.identities import (
     sort_key,
 )
 from skewalg.linalg import Echelon, _scale_to_int
+from skewalg.moufang import value_text
 
 from oracles import (
     certificate_over_all_rows,
@@ -903,3 +907,142 @@ def test_relation_combination_matches_oracle_rows(monkeypatch):
     want = [(c, text) for c, text, _row in relation_combination(F, CONJECTURE_WORD)]
     assert got == want
     assert len(got) == 3
+
+
+# --- pending types -------------------------------------------------------------
+
+
+def _relabel_spy(monkeypatch):
+    """The (degree, type codes) of every batch of moved types relabelled
+    for elimination, in order."""
+    seen = []
+    relabelled = freealg._relabelled
+
+    def spy(F, d, moved, independent, memos):
+        seen.append((d, sorted(moved)))
+        return relabelled(F, d, moved, independent, memos)
+
+    monkeypatch.setattr(freealg, "_relabelled", spy)
+    return seen
+
+
+def _type_code(word, g, cap):
+    """The type code (base cap + 1) of a homogeneous word on g letters."""
+    F = freealg.FreeQuotient([], ascii_lowercase[:g], cap)
+    leaves = freealg._leaves(next(iter(F.word_poly(parse_word(word)))))
+    return sum((cap + 1) ** leaf for leaf in leaves)
+
+
+def test_free_without_eval_eliminates_no_top_degree_type(monkeypatch, capsys):
+    """`free` prints dims only, so the moved types of the top degree are
+    never relabelled; every lower degree's are, for the next degree's rows."""
+    seen = _relabel_spy(monkeypatch)
+    assert main(["free", "--variety", "w", "--generators", "4", "--max-degree", "5"]) == 0
+    R = reference_free_quotient(get_variety("w"), 4, 5)
+    dims = ", ".join(f"{d}: {len(R.basis[d])}" for d in range(1, 6))
+    assert f"dims: {dims}\n" in capsys.readouterr().out
+    assert [d for d, _codes in seen] == [1, 2, 3, 4]
+
+
+PENDING_DIMS_CASES = [
+    (name, g, d, extra)
+    for name in builtin_varieties()
+    for g, d in [(3, 6), (4, 5)]
+    for extra in [(), ("J(a,b,c)",)]
+]
+
+
+@pytest.mark.parametrize(
+    "name, g, d, extra",
+    PENDING_DIMS_CASES,
+    ids=[f"{n}-{g}-{d}-{'+'.join(e) or 'no-word'}" for n, g, d, e in PENDING_DIMS_CASES],
+)
+def test_dims_read_first_match_the_reference(monkeypatch, name, g, d, extra):
+    """Read before anything else, `dims` counts each moved type at its
+    representative's rank without eliminating it, and gives the dims that
+    eliminating every row gives."""
+    seen = _relabel_spy(monkeypatch)
+    F = build_free_quotient(get_variety(name), g, d, extra_relations=extra)
+    dims = F.dims()
+    assert all(deg < d for deg, _codes in seen)
+    R = reference_free_quotient(get_variety(name), g, d, extra_relations=extra)
+    assert dims == R.dims()
+
+
+def test_eval_eliminates_only_its_words_type(monkeypatch, capsys):
+    """`--eval` of a degree-5 word on w 4 5 eliminates the one pending
+    type its products land in, and prints the reference's value."""
+    word = "J(b,c,d)*(c*d)"
+    seen = _relabel_spy(monkeypatch)
+    argv = ["free", "--variety", "w", "--generators", "4", "--max-degree", "5", "--eval", word]
+    assert main(argv) == 0
+    top = [codes for deg, codes in seen if deg == 5]
+    assert top == [[_type_code(word, 4, 5)]]
+    R = reference_free_quotient(get_variety("w"), 4, 5)
+    value = value_text(R, evaluate_word(R, word))
+    assert f"value: {value}\n" in capsys.readouterr().out
+
+
+def test_words_on_pending_types_match_the_reference():
+    """Words read through products and through full expansion, one type at
+    a time, agree with the reference quotient, and the quotient they leave
+    completes to the reference's."""
+    rng = random.Random(20261019)
+    F = build_free_quotient(get_variety("malcev"), 3, 6, extra_relations=["J(a,b,c)"])
+    R = reference_free_quotient(get_variety("malcev"), 3, 6, extra_relations=["J(a,b,c)"])
+
+    def random_tree(d):
+        if d == 1:
+            return ("var", "abc"[rng.randrange(3)])
+        e = rng.randint(1, d - 1)
+        return ("prod", random_tree(e), random_tree(d - e))
+
+    for _ in range(40):
+        tree = random_tree(rng.randint(4, 6))
+        assert evaluate_word(F, tree) == evaluate_word(R, tree)
+        assert expand_evaluate(F, tree) == expand_evaluate(R, tree)
+    assert F.relations_rref == R.relations_rref
+    assert F.basis == R.basis
+    assert F.rewrite == R.rewrite
+
+
+def test_failing_pending_type_reports_what_self_check_reports(monkeypatch):
+    """A fault in the elimination of a pending type fails the word that
+    reads it with the text that `self_check` then gives: the first failing
+    row of the whole degree."""
+    F = build_free_quotient(get_variety("w"), 4, 5)
+    reduce_full = Echelon.reduce_full
+
+    def faulty(self):
+        reduce_full(self)
+        for p in sorted(self.rows):
+            if len(self.rows[p]) > 1:
+                del self.rows[p][max(self.rows[p])]
+                return
+
+    monkeypatch.setattr(Echelon, "reduce_full", faulty)
+    with pytest.raises(ValueError) as inline:
+        evaluate_word(F, "J(b,c,d)*(c*d)")
+    with pytest.raises(ValueError) as regenerated:
+        F.self_check()
+    assert str(inline.value) == str(regenerated.value)
+    assert str(inline.value).startswith("self-check failed at degree 5: ")
+
+
+@pytest.mark.parametrize("read", ["nothing", "a word", "basis"])
+def test_built_quotient_is_freed_without_the_collector(read):
+    """A quotient with pending types, partly eliminated or complete, holds
+    no reference cycle: with the collector off it dies with its last name."""
+    gc.collect()
+    gc.disable()
+    try:
+        F = build_free_quotient(get_variety("w"), 4, 5, extra_relations=["J(a,b,c)"])
+        if read == "a word":
+            evaluate_word(F, "J(b,c,d)*(c*d)")
+        elif read == "basis":
+            assert F.basis
+        ref = weakref.ref(F)
+        del F
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -1,7 +1,7 @@
 """Static checks on src/skewalg: the runtime is stdlib-only (every module
 imports only the standard library and skewalg itself), it defines no
-function that only tests call, and only `linalg` names its dense
-adapters."""
+function that only tests call, only `linalg` names its dense adapters, and
+only `freealg` names a free quotient's pending state or storage."""
 
 import ast
 import sys
@@ -13,6 +13,7 @@ import skewalg
 
 SRC = Path(skewalg.__file__).parent
 PERFBENCH = SRC.parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 
 def _imported_roots(path):
@@ -85,3 +86,38 @@ def test_only_linalg_names_the_dense_adapters():
             for alias in node.names
         )
         assert DENSE_ADAPTERS.isdisjoint(chain(_names(tree), imported)), path.name
+
+
+def _quotient_internals():
+    """The private attributes `FreeQuotient.__init__` sets (the pending
+    record and the storage behind `basis`, `rewrite` and `relations_rref`)
+    and the pending record's class."""
+    tree = ast.parse((SRC / "freealg.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FreeQuotient")
+    init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    attrs = {
+        target.attr
+        for node in ast.walk(init)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute) and target.attr.startswith("_")
+    }
+    classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef) and "Pending" in n.name}
+    return attrs | classes
+
+
+def test_only_freealg_names_the_quotients_pending_state():
+    """Every other module, the benchmark and the tests read a quotient
+    through its public names, which complete a pending degree; only
+    `freealg` reaches past them."""
+    internals = _quotient_internals()
+    assert {"_pending", "_rewrite", "_basis"} <= internals
+    paths = [
+        *(path for path in SRC.glob("*.py") if path.name != "freealg.py"),
+        *PERFBENCH.glob("*.py"),
+        *(path for path in TESTS.glob("*.py") if path.name != Path(__file__).name),
+    ]
+    assert len(paths) > 20
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert internals.isdisjoint(_names(tree, strings=True)), path.name

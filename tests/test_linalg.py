@@ -15,6 +15,8 @@ from skewalg.linalg import (
     span_membership,
 )
 
+from oracles import echelon_one_step_at_a_time
+
 F = Fraction
 
 
@@ -227,3 +229,22 @@ def test_parse_scalar_rejects_junk():
     for bad in ["", " 1", "1 ", "1/ 2", "1//2", "a", "1/0", "2/-3", "+-1"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 9), st.integers(-30, 30).filter(bool), min_size=1, max_size=7),
+        max_size=12,
+    )
+)
+def test_in_place_elimination_matches_the_step_by_step_loops(rows):
+    """`Echelon.insert` subtracting in place leaves the rows a fresh row per
+    step leaves, and `reduce_full` in one pass per row gives the rows that
+    clearing one pivot column at a time gives."""
+    ech = Echelon()
+    for row in rows:
+        ech.insert(row)
+    inserted, reduced = echelon_one_step_at_a_time(rows)
+    assert ech.rows == inserted
+    ech.reduce_full()
+    assert ech.rows == reduced
