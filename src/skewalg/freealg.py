@@ -33,14 +33,15 @@ representative's independent generated rows.  The final elimination returns
 the unique rref, so the quotient is the same as from every row.
 
 A build eliminates and checks only the representative types.  The other
-types of a degree stay pending (`_Pending`) until read: a rewrite entry
-read through `FreeQuotient.product`, `evaluate_word` or `expand_evaluate`
-relabels, eliminates and checks its own type, and reading `basis`,
-`rewrite` or `relations_rref` does so for every pending type.  The next
-degree's rows read the lower degrees in full, so only the top degree can
-stay pending, and `dims` counts each moved type at its representative's
-rank.  A failing check names the first failing row of the whole degree, as
-`FreeQuotient.self_check` does.
+types of a degree stay pending (`_Pending`) until read: the first read of
+a pending rewrite entry, through `FreeQuotient.product`, `evaluate_word`
+or `expand_evaluate`, or of `basis`, `rewrite` or `relations_rref`,
+relabels, eliminates and checks every pending type of the degree.  The
+next degree's rows read the lower degrees in full, so only the top degree
+can stay pending, and `dims` counts each moved type at its
+representative's rank.  A failing check names the first failing row of
+the whole degree, as `FreeQuotient.self_check` does, and every later read
+of the quotient's rewrites raises it again.
 """
 
 from dataclasses import dataclass
@@ -171,6 +172,7 @@ class FreeQuotient:
         self._rewrite = {}
         self._rref = [[]]
         self._pending = None
+        self._failure = None
         self.extra = []
         self._pair_cache = {}
         self.add_degree()
@@ -217,42 +219,42 @@ class FreeQuotient:
         return mono_label(m, self.generators)
 
     def _rewritten(self, m):
-        """The rewrite entry of a canonical monomial, its type eliminated
-        and checked first when it is pending."""
+        """The rewrite entry of a canonical monomial, its degree completed
+        first when it is pending."""
         image = self._rewrite.get(m)
-        if image is None:
-            p = self._pending
-            self._settle([p.codes[self.col[p.degree][m]]])
+        if image is None or self._failure is not None:
+            self._complete()
             image = self._rewrite[m]
         return image
 
-    def _settle(self, codes):
-        """Eliminate the pending types `codes` and check their rows."""
-        d = self._pending.degree
-        rows = self._eliminate(codes)
-        if d > 1:
-            _check_degree(self, d, rows)
-
     def _complete(self):
-        if self._pending is not None:
-            self._settle(list(self._pending.moved))
-
-    def _eliminate(self, codes):
-        """Relabel, eliminate and record the pending types `codes`; return
-        their (source, row) pairs for the caller to check. The last one
-        completes the degree's basis and relations rref."""
+        """Eliminate and check every pending type; once a check of the
+        quotient has failed, raise that failure instead."""
         p = self._pending
+        if p is not None and self._failure is None:
+            rows = self._eliminate()
+            try:
+                if p.degree > 1:
+                    _check_degree(self, p.degree, rows)
+            except ValueError as failure:
+                self._failure = str(failure)
+        if self._failure is not None:
+            raise ValueError(self._failure)
+
+    def _eliminate(self):
+        """Relabel, eliminate and record every pending type, unchecked;
+        return their (source, row) pairs for the caller to check."""
+        p = self._pending
+        if p is None:
+            return []
+        self._pending = None
         d = p.degree
-        moved = {code: p.moved.pop(code) for code in codes}
-        rows = list(_relabelled(self, d, moved, p.independent, p.memos))
+        rows = list(_relabelled(self, d, p.moved, p.independent, p.memos))
         ech = Echelon()
         for _source, row in rows:
             ech.insert(row)
-        _write_rewrites(self, d, ech, [c for code in codes for c in p.groups[code]])
-        p.rows.update(ech.rows)
-        if not p.moved:
-            self._pending = None
-            self._rref[d], self._basis[d] = _closed(self.monomials[d], p.rows)
+        _write_rewrites(self, d, ech, [c for code in p.moved for c in p.groups[code]])
+        self._rref[d], self._basis[d] = _closed(self.monomials[d], {**p.rows, **ech.rows})
         return rows
 
     def _pair_product(self, m1, m2):
@@ -303,11 +305,15 @@ class FreeQuotient:
         """Regenerate every defining relation and verify that it vanishes
         under the rewrite map (the build checks the rows it used). Pending
         types are eliminated first and not checked apart: their rows are
-        among those regenerated, which are checked in degree order."""
-        if self._pending is not None:
-            self._eliminate(list(self._pending.moved))
-        for d in range(2, self.max_degree + 1):
-            _check_rows(self, d, _degree_rows(self, d))
+        among those regenerated, which are checked in degree order. A
+        failure is raised again on every later read, as in `_complete`."""
+        self._eliminate()
+        try:
+            for d in range(2, self.max_degree + 1):
+                _check_rows(self, d, _degree_rows(self, d))
+        except ValueError as failure:
+            self._failure = str(failure)
+            raise
 
 
 def _ast_degree(tree):
@@ -527,8 +533,7 @@ def _check_degree(F, d, rows):
     try:
         _check_rows(F, d, rows)
     except ValueError:
-        if F._pending is not None:
-            F._eliminate(list(F._pending.moved))
+        F._eliminate()
         _check_rows(F, d, _degree_rows(F, d))
         raise
 
@@ -701,7 +706,7 @@ def build_free_quotient(
     Before a degree's monomials are enumerated and its rows generated, the
     relation budget is charged with their unpruned count (`_row_count`).
     Each degree's distinct generated rows are checked against its rewrite
-    map here, and each moved type's relabelled rows when it is eliminated
+    map here, and the moved types' relabelled rows when they are eliminated
     (see the module docstring); every other row of the degree is a
     combination of them.  When one fails, the message names the first
     failing row of the whole stream, as `FreeQuotient.self_check` does.
@@ -768,7 +773,7 @@ def build_free_quotient(
         if moved:
             groups = types.groups[d]
             _write_rewrites(F, d, ech, [c for code in reps for c in groups[code]])
-            F._pending = _Pending(d, moved, independent, memos, types, ech.rows)
+            F._pending = _Pending(d, moved, independent, memos, groups, ech.rows)
             F._rref.append(None)
             F._basis.append(None)
         else:
@@ -784,24 +789,23 @@ class _Pending:
 
     `moved` maps each pending type code to (representative, perm);
     `independent` holds the representatives' independent generated rows,
-    `memos` the per-permutation images of monomials, `codes` each monomial's
-    type code and `groups` each type's columns. `rows` gathers the reduced
-    relation rows by pivot, the representatives' first. A moved type has
-    its representative's rank, so `dim` is known before any is eliminated.
+    `memos` the per-permutation images of monomials and `groups` each
+    type's columns. `rows` holds the representatives' reduced relation rows
+    by pivot. A moved type has its representative's rank, so `dim` is known
+    before any is eliminated.
     """
 
-    __slots__ = ("degree", "moved", "independent", "memos", "codes", "groups", "rows", "dim")
+    __slots__ = ("degree", "moved", "independent", "memos", "groups", "rows", "dim")
 
-    def __init__(self, d, moved, independent, memos, types, rows):
+    def __init__(self, d, moved, independent, memos, groups, rows):
         self.degree = d
         self.moved = moved
         self.independent = independent
         self.memos = memos
-        self.codes = types.codes[d]
-        self.groups = types.groups[d]
-        self.rows = dict(rows)
+        self.groups = groups
+        self.rows = rows
         rank = len(rows) + sum(len(independent.get(rep, ())) for rep, _perm in moved.values())
-        self.dim = len(self.codes) - rank
+        self.dim = sum(map(len, groups.values())) - rank
 
 
 def _relabelled(F, d, moved, independent, memos):

@@ -969,24 +969,38 @@ def test_dims_read_first_match_the_reference(monkeypatch, name, g, d, extra):
     assert dims == R.dims()
 
 
-def test_eval_eliminates_only_its_words_type(monkeypatch, capsys):
-    """`--eval` of a degree-5 word on w 4 5 eliminates the one pending
-    type its products land in, and prints the reference's value."""
-    word = "J(b,c,d)*(c*d)"
+def _eval_on_w_4_5(monkeypatch, capsys, word):
+    """The top-degree batches relabelled by `free --eval word` on w 4 5,
+    after checking that it prints the reference's value."""
     seen = _relabel_spy(monkeypatch)
     argv = ["free", "--variety", "w", "--generators", "4", "--max-degree", "5", "--eval", word]
     assert main(argv) == 0
-    top = [codes for deg, codes in seen if deg == 5]
-    assert top == [[_type_code(word, 4, 5)]]
     R = reference_free_quotient(get_variety("w"), 4, 5)
     value = value_text(R, evaluate_word(R, word))
     assert f"value: {value}\n" in capsys.readouterr().out
+    return [codes for deg, codes in seen if deg == 5]
+
+
+def test_eval_on_a_representative_type_leaves_the_degree_pending(monkeypatch, capsys):
+    """A degree-5 word whose type (a2 b c d) is its orbit's representative
+    reads only checked rewrites, so no pending type is eliminated."""
+    assert _eval_on_w_4_5(monkeypatch, capsys, "J(a,b,a*c)*d") == []
+
+
+def test_eval_on_a_moved_type_completes_the_degree(monkeypatch, capsys):
+    """A degree-5 word of a moved type (b c2 d2) completes the degree at
+    its first pending read: every pending type, its own among them, is
+    relabelled in one batch."""
+    word = "J(b,c,d)*(c*d)"
+    top = _eval_on_w_4_5(monkeypatch, capsys, word)
+    assert len(top) == 1 and len(top[0]) == 47
+    assert _type_code(word, 4, 5) in top[0]
 
 
 def test_words_on_pending_types_match_the_reference():
-    """Words read through products and through full expansion, one type at
-    a time, agree with the reference quotient, and the quotient they leave
-    completes to the reference's."""
+    """Words read through products and through full expansion, the first
+    of them read while the top degree is pending, agree with the reference
+    quotient, and so do the quotient's basis, rewrites and relations."""
     rng = random.Random(20261019)
     F = build_free_quotient(get_variety("malcev"), 3, 6, extra_relations=["J(a,b,c)"])
     R = reference_free_quotient(get_variety("malcev"), 3, 6, extra_relations=["J(a,b,c)"])
@@ -1009,7 +1023,9 @@ def test_words_on_pending_types_match_the_reference():
 def test_failing_pending_type_reports_what_self_check_reports(monkeypatch):
     """A fault in the elimination of a pending type fails the word that
     reads it with the text that `self_check` then gives: the first failing
-    row of the whole degree."""
+    row of the whole degree. Every later read raises it again, also of a
+    rewrite that the failed elimination wrote, and so it does after
+    `self_check` meets the fault."""
     F = build_free_quotient(get_variety("w"), 4, 5)
     reduce_full = Echelon.reduce_full
 
@@ -1023,16 +1039,34 @@ def test_failing_pending_type_reports_what_self_check_reports(monkeypatch):
     monkeypatch.setattr(Echelon, "reduce_full", faulty)
     with pytest.raises(ValueError) as inline:
         evaluate_word(F, "J(b,c,d)*(c*d)")
-    with pytest.raises(ValueError) as regenerated:
-        F.self_check()
-    assert str(inline.value) == str(regenerated.value)
     assert str(inline.value).startswith("self-check failed at degree 5: ")
+    monkeypatch.undo()
+    for read in [
+        lambda: evaluate_word(F, "J(b,c,d)*(c*d)"),
+        lambda: expand_evaluate(F, "J(b,c,d)*(c*d)"),
+        lambda: F.basis,
+        lambda: F.rewrite,
+        F.self_check,
+    ]:
+        with pytest.raises(ValueError) as again:
+            read()
+        assert str(again.value) == str(inline.value)
+    R = build_free_quotient(get_variety("w"), 4, 5)
+    with monkeypatch.context() as patched:
+        patched.setattr(Echelon, "reduce_full", faulty)
+        with pytest.raises(ValueError) as regenerated:
+            R.self_check()
+    assert str(regenerated.value) == str(inline.value)
+    with pytest.raises(ValueError) as again:
+        evaluate_word(R, "J(b,c,d)*(c*d)")
+    assert str(again.value) == str(inline.value)
 
 
 @pytest.mark.parametrize("read", ["nothing", "a word", "basis"])
 def test_built_quotient_is_freed_without_the_collector(read):
-    """A quotient with pending types, partly eliminated or complete, holds
-    no reference cycle: with the collector off it dies with its last name."""
+    """A quotient with pending types, or completed by a word or by
+    `basis`, holds no reference cycle: with the collector off it dies with
+    its last name."""
     gc.collect()
     gc.disable()
     try:
