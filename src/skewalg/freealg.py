@@ -9,43 +9,34 @@ the surviving monomial basis and a rewrite map sending every canonical
 monomial into it.  Relations come from substitution instances of the
 polarized defining identities plus monomial multiples of lower-degree
 relations; adjoined words enter the ideal without the substitution step.
-Identities and words reach the quotient in the one canonical polynomial
-form of `identities`: a compiled `Component` per identity, and
-`FreeQuotient.word_poly` for a word, which the adjoined rows, the symmetry
-test on the words, `expand_evaluate` and `relation_combination` all read.
-
-Substitution instances are generated once per orbit of the identity's
-symmetries: copies of a polarized variable take sorted values and a skew
-pair of variables strictly increasing ones (`Component.lower`).  Every
-other instance is +1 or -1 times the lexicographically first member of its
-orbit, which comes earlier in the same stream, or zero, so the pruning
-changes neither the row space nor the first occurrence of any row.  The
-relation budget still counts every instance (`_row_count`).
+Identities reach it as compiled `Component`s, words as `word_poly`, and
+substitution instances are generated once per orbit of the identity's
+symmetries (`_assignments`); the budget counts every instance (`_row_count`).
 
 Every relation row has one type, its multidegree in the generators, so each
-degree's echelon is block-diagonal by type.  A build generates, dedupes and
-eliminates rows only for one representative type per orbit of the generator
-permutations that map the relation set to itself (`_Symmetry`): every
-permutation for identities, and with adjoined words those that map the set
-of words to itself up to scalars.  The representative is the orbit's least
-type code.  Each other type gets the relabelled images of its
-representative's independent generated rows.  The final elimination returns
-the unique rref, so the quotient is the same as from every row.
+degree's echelon is block-diagonal by type.  A quotient keeps one table of
+the blocks it has not made, keyed by (degree, type code), and makes a block
+(its rows, rewrites and reduced rows) when something first reads it.  The
+least type of an orbit of the generator permutations that fix the relation
+set (`_Symmetry`) generates, dedupes, eliminates and checks its rows; the
+other types relabel its independent rows.  Elimination returns the unique
+rref, so the quotient is the same as from every row.
 
-A build eliminates and checks only the representative types.  The other
-types of a degree stay pending (`_Pending`) until read: the first read of
-a pending rewrite entry, through `FreeQuotient.product`, `evaluate_word`
-or `expand_evaluate`, or of `basis`, `rewrite` or `relations_rref`,
-relabels, eliminates and checks every pending type of the degree.  The
-next degree's rows read the lower degrees in full, so only the top degree
-can stay pending, and `dims` counts each moved type at its
-representative's rank.  A failing check names the first failing row of
-the whole degree, as `FreeQuotient.self_check` does, and every later read
-of the quotient's rewrites raises it again.
+A full build makes every representative block degree by degree, and each
+degree in full before the next degree's multiples read it, so only the top
+degree's moved types wait; `dims` counts each at its representative's rank.
+A word read (`FreeQuotient.product`, `evaluate_word`, `expand_evaluate`)
+makes the block of each monomial it reads; `basis`, `rewrite`,
+`relations_rref` and `self_check` make every block.  A word-restricted build
+makes only the types at most its words' types, and a word read outside them
+raises ValueError.  A failing check names the first failing row of its
+degree's whole stream, as `FreeQuotient.self_check` does, and every later
+read of the quotient's rewrites raises it again.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations, product
 from math import gcd, lcm
 from operator import mul
 from string import ascii_lowercase
@@ -53,6 +44,8 @@ from string import ascii_lowercase
 from .identities import (  # noqa: F401  (canonicalize, parse_word: re-exported)
     _canonical_poly,
     _compiled,
+    _flatten,
+    _leaf_tree,
     canonicalize,
     get_variety,
     parse_identity,
@@ -70,17 +63,14 @@ SANITY_WORD = "J(a,b,a*c)"
 
 class RelationBudgetExceeded(RuntimeError):
     def __init__(self, budget, degree):
-        super().__init__(
-            f"relation budget of {budget} rows exceeded at degree {degree}"
-        )
+        super().__init__(f"relation budget of {budget} rows exceeded at degree {degree}")
         self.budget = budget
         self.degree = degree
 
 
 # --- canonical monomials ----------------------------------------------------
 # `sort_key` and `canonicalize` live in identities, which compiles identities
-# into the same form; a quotient orders its own monomials by `rank`, their
-# position in that order.
+# into the same form; a quotient ranks its own monomials in that order.
 
 
 def _cmul(rank, a, b):
@@ -102,23 +92,16 @@ def mono_label(m, names) -> str:
 
 def monomials_of_degree(by, d):
     """Canonical monomials of degree d >= 2 in the canonical order
-    (`sort_key`), from the lists `by[e]` of the lower degrees e.
-
-    The products come out already ordered: by left factor, each degree's
-    block after the lower ones, then by right factor.
-    """
+    (`sort_key`), from the lists `by[e]` of the lower degrees e: the products
+    come out ordered by left factor, each degree's block after the lower
+    ones, then by right factor."""
     out = []
     for e in range(1, d // 2 + 1):
         f = d - e
         if e < f:
             out.extend((l, r) for l in by[e] for r in by[f])
         else:
-            half = by[e]
-            out.extend(
-                (half[i], half[j])
-                for i in range(len(half))
-                for j in range(i + 1, len(half))
-            )
+            out.extend(combinations(by[e], 2))
     return out
 
 
@@ -150,13 +133,7 @@ class WordValue:
 
 
 class FreeQuotient:
-    """Degree-truncated free algebra of a variety; built by build_free_quotient.
-
-    The build adds degree d (its monomials, by `add_degree`, then its
-    relation rows, basis and rewrites) only after charging the relation
-    budget for it, so an abort enumerates nothing of the degree it stops at.
-    Its top degree's moved types stay pending until read (module docstring).
-    """
+    """Degree-truncated free algebra of a variety (see build_free_quotient)."""
 
     def __init__(self, identities, generators, max_degree):
         if not generators or max_degree < 1:
@@ -168,12 +145,18 @@ class FreeQuotient:
         self.monomials = [[]]
         self.col = [{}]
         self.rank = {}
-        self._basis = [()]
         self._rewrite = {}
-        self._rref = [[]]
-        self._pending = None
+        # per degree: made blocks' reduced rows {pivot: row}, the rref and basis
+        # once every block is made, representatives' independent rows by type
+        self._made, self._rref, self._basis, self._independent = [{}], [[]], [()], [{}]
+        # (degree, type) -> None (generates its rows) or (representative, perm)
+        self._table = {}
+        self._types = _Types(self)
+        self._sym = self._keep = None
+        self._memos = {}  # per permutation, the images of monomials
         self._failure = None
         self.extra = []
+        self._word_rows = []
         self._pair_cache = {}
         self.add_degree()
 
@@ -196,66 +179,83 @@ class FreeQuotient:
         self._complete()
         return self._rref
 
-    def add_degree(self):
-        """Enumerate, index and rank the monomials of the next degree."""
+    def add_degree(self, empty=False):
+        """Enumerate, index, rank and type the monomials of the next degree
+        (none when `empty`) and open its per-degree records."""
         d = len(self.monomials)
         if d == 1:
             mons = list(range(len(self.generators)))
         else:
-            mons = monomials_of_degree(self.monomials, d)
+            mons = [] if empty else monomials_of_degree(self.monomials, d)
         self.monomials.append(mons)
         self.col.append({m: i for i, m in enumerate(mons)})
         start = len(self.rank)
         self.rank.update((m, start + i) for i, m in enumerate(mons))
+        for records, new in ((self._made, {}), (self._rref, None), (self._basis, None)):
+            records.append(new)
+        self._independent.append({})
+        self._types.add(self, d)
+
+    def adjoin(self, word):
+        """Add a word (text or AST) to the relations as a row of its degree,
+        and return the row: `word_poly` scaled to integers."""
+        tree = parse_word(word) if isinstance(word, str) else word
+        deg = _ast_degree(tree)
+        if deg > self.max_degree:
+            raise ValueError(f"adjoined relation has degree {deg} above the cap {self.max_degree}")
+        row = _scale_to_int(self.word_poly(tree))  # names an unknown generator now
+        # a word given as a tree is not parsed, so its type is checked here
+        if len({tuple(sorted(_leaves(m))) for m in row}) > 1:
+            raise ValueError("word is not homogeneous")
+        self.extra.append((deg, word if isinstance(word, str) else "<word>", tree))
+        self._word_rows.append(row)
+        return row
 
     def dims(self):
-        p = self._pending
-        return [
-            p.dim if p is not None and d == p.degree else len(self._basis[d])
-            for d in range(1, self.max_degree + 1)
-        ]
+        """Per degree, the dimension; a moved type that waits counts at its
+        representative's rank. A word-restricted quotient is completed first."""
+        if self._keep is not None:
+            self._complete()
+        ranks = [len(rows) for rows in self._made]
+        for (d, _code), (rep, _perm) in self._table.items():
+            ranks[d] += len(self._independent[d].get(rep, ()))
+        return [len(self.monomials[d]) - ranks[d] for d in range(1, self.max_degree + 1)]
 
     def label(self, m):
         return mono_label(m, self.generators)
 
     def _rewritten(self, m):
-        """The rewrite entry of a canonical monomial, its degree completed
-        first when it is pending."""
+        """The rewrite entry of a canonical monomial, its block made first
+        when it waits; outside a word-restricted quotient's types, raise."""
         image = self._rewrite.get(m)
         if image is None or self._failure is not None:
-            self._complete()
+            code = self._types._code.get(m) or len(_leaves(m))  # a whole index: the degree
+            if self._failure is None and self._keep is not None and code not in self._keep:
+                raise ValueError(f"{self.label(m)} is outside a word-restricted quotient")
+            self._settle(len(_leaves(m)), [code])
             image = self._rewrite[m]
         return image
 
-    def _complete(self):
-        """Eliminate and check every pending type; once a check of the
-        quotient has failed, raise that failure instead."""
-        p = self._pending
-        if p is not None and self._failure is None:
-            rows = self._eliminate()
-            try:
-                if p.degree > 1:
-                    _check_degree(self, p.degree, rows)
-            except ValueError as failure:
-                self._failure = str(failure)
+    def _settle(self, d, codes=None):
+        """Make and check the blocks of degree d of the types `codes` (every
+        type by default).  A failing check names the first failing row of
+        the degree's whole stream, as `self_check` does, every block through
+        degree d made first, unchecked; once a check of the quotient has
+        failed, raise that failure instead."""
+        rows = _fill(self, d, codes) if self._failure is None else ()
+        failure = d > 1 and _check_rows(self, d, rows)
+        if failure:
+            for e in range(1, d + 1):
+                _fill(self, e)
+            self._failure = _check_rows(self, d, _degree_rows(self, d)) or failure
         if self._failure is not None:
             raise ValueError(self._failure)
 
-    def _eliminate(self):
-        """Relabel, eliminate and record every pending type, unchecked;
-        return their (source, row) pairs for the caller to check."""
-        p = self._pending
-        if p is None:
-            return []
-        self._pending = None
-        d = p.degree
-        rows = list(_relabelled(self, d, p.moved, p.independent, p.memos))
-        ech = Echelon()
-        for _source, row in rows:
-            ech.insert(row)
-        _write_rewrites(self, d, ech, [c for code in p.moved for c in p.groups[code]])
-        self._rref[d], self._basis[d] = _closed(self.monomials[d], {**p.rows, **ech.rows})
-        return rows
+    def _complete(self, top=None):
+        """`_settle` every degree through `top` (the cap by default)."""
+        if self._table or self._failure is not None:
+            for d in range(1, (self.max_degree if top is None else top) + 1):
+                self._settle(d)
 
     def _pair_product(self, m1, m2):
         """Rewrite image of the product of two canonical monomials."""
@@ -266,9 +266,7 @@ class FreeQuotient:
                 cached = {}
             else:
                 sign, mono = res
-                cached = {
-                    bm: sign * bc for bm, bc in self._rewritten(mono).items()
-                }
+                cached = {bm: sign * bc for bm, bc in self._rewritten(mono).items()}
             self._pair_cache[(m1, m2)] = cached
         return cached
 
@@ -303,17 +301,16 @@ class FreeQuotient:
 
     def self_check(self):
         """Regenerate every defining relation and verify that it vanishes
-        under the rewrite map (the build checks the rows it used). Pending
-        types are eliminated first and not checked apart: their rows are
-        among those regenerated, which are checked in degree order. A
-        failure is raised again on every later read, as in `_complete`."""
-        self._eliminate()
-        try:
-            for d in range(2, self.max_degree + 1):
-                _check_rows(self, d, _degree_rows(self, d))
-        except ValueError as failure:
-            self._failure = str(failure)
-            raise
+        under the rewrite map. Waiting blocks are made first, unchecked: their
+        rows are among those regenerated, which are checked in degree order.
+        A failure is raised again on every later read, as in `_settle`."""
+        for d in range(1, self.max_degree + 1):
+            _fill(self, d)
+        for d in range(2, self.max_degree + 1):
+            failure = _check_rows(self, d, _degree_rows(self, d))
+            if failure:
+                self._failure = failure
+                raise ValueError(failure)
 
 
 def _ast_degree(tree):
@@ -336,17 +333,12 @@ def _assignments(monomials, k, d, lower=None, types=None, keep=None):
     With `lower` (a component's `Component.lower`), only the tuples with
     rank[q] >= rank[p] + (0, s) for every (p, s) in lower[q] are yielded:
     sorted copies of a polarized variable (s = 0), strictly increasing
-    values on a skew pair (s = 1).  This is exact for relation rows.  A
-    tuple that breaks a bound becomes lexicographically smaller when the
-    pair is swapped, and its row is the same (copies), minus the same (skew
-    pair) or zero (equal values on a skew pair).  So each orbit's
-    lexicographically first tuple is kept, and every dropped row is +1 or
-    -1 times a row yielded before it, or zero.
-
-    With `types` (a `_Types`) and `keep`, a set of type codes, only the
-    tuples whose types add up to a code in `keep` are yielded: the last
-    value is drawn from the monomials of the types that complete the others
-    into `keep`. The tuples of each type keep their order.
+    values on a skew pair (s = 1).  A tuple that breaks a bound becomes
+    lexicographically smaller when the pair is swapped, and its row is the
+    same, minus the same or zero, so every dropped row is +1 or -1 times a
+    row yielded before it, or zero.  With `types` (a `_Types`) and `keep`,
+    a set of type codes, only the tuples whose types add up to a code in
+    `keep` are yielded, in the same order.
     """
     if k == 0:
         if d == 0:
@@ -388,27 +380,47 @@ def _fill_assignments(state, q, left, part):
                 )
 
 
-def _row_count(F, d):
+def _row_count(F, d, keep=None):
     """How many rows `_degree_rows(F, d)` would yield without the orbit
     pruning: every k-tuple of total degree d for each identity with k
-    variables, each R_e row times each monomial of degree d - e, and
-    the adjoined words of degree d."""
-    sizes = [len(F.monomials[e]) for e in range(d)]
-    sizes.append(len(F.monomials[d]) if d < len(F.monomials) else _monomial_count(sizes, d))
-    count = 0
-    # tuples[t]: k-tuples of monomials of total degree t, for k = 0, 1, ...
-    tuples = [1] + [0] * d
+    variables, each R_e row times each monomial of degree d - e, and the
+    adjoined words of degree d; the lower degrees' rows are made.  With
+    `keep`, a restriction (type codes, with every code of fewer letters),
+    only those of the types it keeps, with monomials or not."""
     ks = [len(comp.variables) for comp in F.components]
-    top = max(ks, default=0)
-    for k in range(top + 1):
-        count += tuples[d] * ks.count(k)
-        if k < top:
-            tuples = [0] + [
-                sum(map(mul, tuples[t - 1::-1], sizes[1:t + 1])) for t in range(1, d + 1)
-            ]
-    count += sum(len(F.relations_rref[e]) * sizes[d - e] for e in range(1, d))
-    count += sum(1 for deg, _text, _tree in F.extra if deg == d)
-    return count
+    if keep is None:
+        sizes = [len(F.monomials[e]) for e in range(d)]
+        sizes.append(len(F.monomials[d]) if d < len(F.monomials) else _monomial_count(sizes, d))
+        count = 0
+        tuples = [1] + [0] * d  # tuples[t]: k-tuples of total degree t, k = 0, 1, ...
+        for k in range(max(ks, default=0) + 1):
+            count += tuples[d] * ks.count(k)
+            tuples = [0] + [sum(map(mul, tuples[t - 1::-1], sizes[1:t + 1])) for t in range(1, d + 1)]
+        count += sum(len(F._made[e]) * sizes[d - e] for e in range(1, d))
+        return count + sum(1 for deg, _text, _tree in F.extra if deg == d)
+    types, base = F._types, F._types.base
+    powers = [base**i for i in range(len(F.generators))]
+    # kept type -> degree: a kept type's partial sums are kept, and bounding
+    # their degrees stops carries
+    fits = {c: e for c in keep for e in [sum(c // p % base for p in powers)] if 0 < e <= d}
+    size = {c: len(ix) for e in range(1, d + 1) for c, ix in types.groups[e].items()}
+    parts = [(c, e, size[c]) for c, e in fits.items() if c in size]
+    tops = {c for c, e in fits.items() if e == d}
+    count, tuples = 0, {0: 1}  # k-tuples by the sum of their types
+    for k in range(max(ks, default=0) + 1):
+        count += ks.count(k) * sum(tuples.get(c, 0) for c in tops)
+        grown = {}
+        for c, n in tuples.items():
+            left = d - fits.get(c, 0)
+            for c2, e, n2 in parts:
+                if e <= left and c + c2 in fits:
+                    grown[c + c2] = grown.get(c + c2, 0) + n * n2
+        tuples = grown
+    for e in range(1, d):
+        for t, n in Counter(types.codes[e][p] for p in F._made[e]).items():
+            count += n * sum(size.get(c - t, 0) for c in tops)
+    rows = (row for row in F._word_rows if row)
+    return count + sum(sum(base**i for i in _leaves(next(iter(row)))) in tops for row in rows)
 
 
 def _degree_rows(F, d, types=None, keep=None):
@@ -417,15 +429,15 @@ def _degree_rows(F, d, types=None, keep=None):
     Yields (source, row) pairs; `source` is (identity, component, assignment),
     (e, index, monomial) for R_e[index] * monomial, or (text,) for an
     adjoined word, and `_describe` renders it. Substitution instances come
-    from the compiled canonical polynomial, which is exact because the free
-    quotient is anticommutative, one per orbit of its symmetries
-    (`_assignments`). An identity whose polynomial is empty (x*x = 0)
-    yields none; `_row_count` still charges its instances.
-
-    With `types` (a `_Types`) and `keep`, a set of type codes, only the rows
-    of those types are made: an instance's type is the sum of its values'
-    types, a multiple's the sum of its factors'.
+    from the compiled canonical polynomial, one per orbit of its symmetries
+    (`_assignments`); an identity whose polynomial is empty (x*x = 0)
+    yields none.  With `types` (a `_Types`) and `keep`, a set of type codes,
+    only the rows of those types are made.  The multiples read the lower
+    degrees' made rows; without `types`, every lower block is made first,
+    so that R_e[index] indexes the whole rref.
     """
+    if types is None:
+        F._complete(d - 1)
     col = F.col[d]
     rank = F.rank
     for idf, comp in zip(F.identities, F.components):
@@ -459,7 +471,8 @@ def _degree_rows(F, d, types=None, keep=None):
             yield (idf, comp, combo), _scale_to_int(row)
     for e in range(1, d):
         lower, upper = F.monomials[e], F.monomials[d - e]
-        for idx, r in enumerate(F.relations_rref[e]):
+        made = F._rref[e] or [F._made[e][p] for p in sorted(F._made[e])]
+        for idx, r in enumerate(made):
             mons = upper
             if keep is not None:
                 code = types.codes[e][next(iter(r))]
@@ -479,22 +492,19 @@ def _degree_rows(F, d, types=None, keep=None):
                     elif c2 in row:
                         del row[c2]
                 yield (e, idx, m), row
-    for deg, text, tree in F.extra:
+    for (deg, text, _tree), poly in zip(F.extra, F._word_rows):
         if deg == d:
-            row = _scale_to_int({col[m]: c for m, c in F.word_poly(tree).items()})
+            row = {col[m]: c for m, c in poly.items()}
             if keep is None or row and types.codes[d][next(iter(row))] in keep:
                 yield (text,), row
 
 
 def _check_rows(F, d, rows):
-    """Raise if a (source, row) pair of degree d does not vanish under the
-    rewrite map; the message names the first such row's source.
-
-    The check stays in integers, keyed by column index. Each column c's
-    rewrite is read once, as D_c times it, D_c the lcm of its denominators,
-    and a row is summed as L times its image, L a multiple of the D_c of
-    its columns, which grows when a column needs it: the row vanishes
-    under one exactly when it vanishes under the other."""
+    """The failure message naming the first (source, row) pair of degree d
+    that does not vanish under the rewrite map, or None.  The check
+    stays in integers: each column c's rewrite is read once, as D_c (the lcm
+    of its denominators) times it, and a row is summed as L times its
+    image, L a multiple of its columns' D_c that grows as they need."""
     mons, col, rewrite = F.monomials[d], F.col[d], F._rewrite
     scaled = {}  # column -> (D_c, D_c times its rewrite, keyed by column)
     for source, row in rows:
@@ -523,19 +533,8 @@ def _check_rows(F, d, rows):
                 elif b in image:
                     del image[b]
         if image:
-            raise ValueError(f"self-check failed at degree {d}: {_describe(F, source)}")
-
-
-def _check_degree(F, d, rows):
-    """`_check_rows` on some rows of degree d. When one fails, the message
-    names the first failing row of the whole stream, as `self_check` does,
-    with every pending type of the degree eliminated first."""
-    try:
-        _check_rows(F, d, rows)
-    except ValueError:
-        F._eliminate()
-        _check_rows(F, d, _degree_rows(F, d))
-        raise
+            return f"self-check failed at degree {d}: {_describe(F, source)}"
+    return None
 
 
 def _describe(F, source):
@@ -546,9 +545,7 @@ def _describe(F, source):
         e, idx, m = source
         return f"R{e}[{idx}] * {F.label(m)}"
     idf, comp, combo = source
-    assign = ", ".join(
-        f"{v} = {F.label(m)}" for v, m in zip(comp.variables, combo)
-    )
+    assign = ", ".join(f"{v} = {F.label(m)}" for v, m in zip(comp.variables, combo))
     return f"{idf.text} [{assign}]"
 
 
@@ -561,17 +558,23 @@ class _Types:
     """The type codes of a quotient's monomials, added degree by degree:
     `codes[e][i]` is the code of monomials[e][i], and `groups[e]` maps each
     code to the increasing indices of the degree-e monomials of that type.
-    Codes are read off the monomials, so only `monomials_of_degree` orders them."""
+    A `whole` index codes every monomial by its degree alone, which also
+    adds under products, so that each degree is one block."""
 
-    def __init__(self, F):
+    def __init__(self, F, whole=False):
         self.base = F.max_degree + 1
+        self.whole = whole
         self.codes = [[]]
         self.groups = [{}]
-        self._code = {}  # monomial -> type code, for the lower degrees
+        self._code = {}  # monomial -> type code, for the lower degrees (not whole)
 
     def add(self, F, d):
         """Index degree d, after every lower degree."""
         mons, of = F.monomials[d], self._code
+        if self.whole:
+            self.codes.append([d] * len(mons))
+            self.groups.append({d: range(len(mons))} if mons else {})
+            return
         if d == 1:
             codes = [self.base**i for i in mons]
         else:
@@ -603,25 +606,18 @@ def _word_key(row):
     return frozenset((m, c // g) for m, c in row.items())
 
 
-# permutations of the adjoined words' letters are tried only up to this many
-# letters (720 permutations); past it those letters stay fixed
+# at most this many word letters are permuted (720 permutations); more stay fixed
 _MAX_WORD_LETTERS = 6
 
 
 class _Symmetry:
-    """A group of generator permutations that maps the relation set to itself.
-
-    It is `perms` times every permutation of the letters `free`: `perms` are
-    the permutations of the adjoined words' letters (fixing the rest) that
-    map the set of adjoined words to itself up to scalars, and `free` are the
-    letters no adjoined word uses. Identity instances are invariant under
-    every permutation. A permutation `perm` renames generator i to perm[i].
-
-    The factors move disjoint letters, so a type's least image fills the
-    free letters in order of decreasing count and takes the element of
-    `perms` that gives the least code. `perms` is a group, so `split` forms
-    the renaming back from the representative onto the type directly.
-    """
+    """A group of generator permutations that maps the relation set to itself:
+    `perms` (the permutations of the adjoined words' letters that map the
+    set of words to itself up to scalars) times every permutation of the
+    letters `free` that no word uses.  `perm` renames generator i to
+    perm[i].  The factors move disjoint letters, so a type's least image
+    fills the free letters by decreasing count and takes the element of
+    `perms` that gives the least code."""
 
     def __init__(self, perms, free):
         self.perms = perms
@@ -655,8 +651,8 @@ class _Symmetry:
 def _generator_symmetry(F, words):
     """The `_Symmetry` of F's relation set, given the nonzero rows of its
     adjoined words (`FreeQuotient.word_poly` scaled to integers); None when
-    it is trivial or the relations make no rows (x*x = 0 alone), so that no
-    type is tracked."""
+    it is trivial or the relations make no rows (x*x = 0 alone), so that
+    every type is its own representative."""
     if not words and not any(comp.poly for comp in F.components):
         return None
     g = len(F.generators)
@@ -700,16 +696,19 @@ def build_free_quotient(
     max_degree,
     extra_relations=(),
     budget=DEFAULT_RELATION_BUDGET,
+    restrict_to=None,
 ) -> FreeQuotient:
     """Construct the truncated free algebra of the given variety, degreewise.
 
     Before a degree's monomials are enumerated and its rows generated, the
     relation budget is charged with their unpruned count (`_row_count`).
-    Each degree's distinct generated rows are checked against its rewrite
-    map here, and the moved types' relabelled rows when they are eliminated
-    (see the module docstring); every other row of the degree is a
-    combination of them.  When one fails, the message names the first
-    failing row of the whole stream, as `FreeQuotient.self_check` does.
+    The distinct generated rows, and the relabelled rows of moved types,
+    are checked against the rewrite map when their block is made (module
+    docstring).  With `restrict_to`, a list of words (texts or ASTs), the
+    build is word-restricted: it makes only the blocks whose types are at
+    most a term of a word, letter by letter, and charges the budget for
+    those alone (`_row_count` with the restriction) once their degree is
+    enumerated.
     """
     idfs = tuple(
         parse_identity(t) if isinstance(t, str) else t for t in identities
@@ -717,102 +716,102 @@ def build_free_quotient(
     if not 1 <= generators <= 26:
         raise ValueError("generator count must be between 1 and 26")
     F = FreeQuotient(idfs, ascii_lowercase[:generators], max_degree)
-    words = []
-    for word in extra_relations:
-        tree = parse_word(word) if isinstance(word, str) else word
-        deg = _ast_degree(tree)
-        if deg > max_degree:
-            raise ValueError(
-                f"adjoined relation has degree {deg} above the cap {max_degree}"
-            )
-        row = _scale_to_int(F.word_poly(tree))  # names an unknown generator now
-        # a word given as a tree is not parsed, so its type is checked here
-        if len({tuple(sorted(_leaves(m))) for m in row}) > 1:
-            raise ValueError("word is not homogeneous")
-        F.extra.append((deg, word if isinstance(word, str) else "<word>", tree))
-        if row:
-            words.append(row)
-    # with one generator every degree from 2 on has no monomials; rows reach
-    # them only from a k-variable identity (degree k), R_1 multiples (degree 2)
-    # and adjoined words (their degree), so past those the degrees stay empty
+    words = [row for row in map(F.adjoin, extra_relations) if row]
+    # with one generator, rows reach degrees 2.. only from a k-variable identity
+    # (degree k), R_1 multiples (2) and adjoined words: past those all is empty
     reach = max([2, *(len(c.variables) for c in F.components), *(e for e, _, _ in F.extra)])
-    sym = _generator_symmetry(F, words)
-    types = None if sym is None else _Types(F)
-    memos = {}  # per permutation, the images of monomials
+    F._sym = _generator_symmetry(F, words)
+    if F._sym is None and restrict_to is None:
+        F._types = _Types(F, whole=True)  # every type is its own representative
+        F._types.add(F, 1)
+    if restrict_to is not None:
+        base = F._types.base
+        terms = (t for word in restrict_to for _c, t in _flatten(_word(F, word)[0]))
+        tops = {sum(base**i for i in _leaves(_leaf_tree(t, F._index))) for t in terms}
+        F._keep = _downset(tops, base, generators)
     count = 0
     for d in range(1, max_degree + 1):
         if d > reach and not F.monomials[d - 1]:
-            F.monomials.append([])
-            F.col.append({})
-            F._rref.append([])
-            F._basis.append(())
+            F.add_degree(empty=True)
+            _open(F, d)
             continue
-        generated = _row_count(F, d)
-        count += generated
-        # as if counted row by row: a degree without rows never aborts
-        if generated and count > budget:
-            raise RelationBudgetExceeded(budget, d)
+        if d > 1:
+            F._settle(d - 1, F._keep)  # the multiples of degree d read it
+        if F._keep is None:
+            count = _charge(count, _row_count(F, d), budget, d)
         if d > 1:
             F.add_degree()
-        reps = moved = None
-        if sym is not None:
-            types.add(F, d)
-            reps, moved = sym.split(types, d)
-        ech = Echelon()
-        kept = {}
-        independent = {}
-        for source, row in _degree_rows(F, d, types, reps):
+        reps = _open(F, d)
+        if F._keep is not None:
+            count = _charge(count, _row_count(F, d, F._keep), budget, d)
+        F._settle(d, reps if F._keep is None else F._keep.intersection(reps))
+    return F
+
+
+def _charge(count, generated, budget, d):
+    """The row count after degree d's `generated` rows, past the budget an
+    abort (as if counted row by row: a degree without rows never aborts)."""
+    count += generated
+    if generated and count > budget:
+        raise RelationBudgetExceeded(budget, d)
+    return count
+
+
+def _open(F, d):
+    """Put the blocks of degree d in the table and return the types that
+    generate their rows: each orbit's least code, and a kept type whose
+    representative a restriction leaves out; every other type relabels."""
+    moved = F._sym.split(F._types, d)[1] if F._sym else {}
+    keep = F._keep
+    for code in F._types.groups[d]:
+        how = moved.get(code)
+        if how and keep is not None and code in keep and how[0] not in keep:
+            how = None
+        F._table[d, code] = how
+    if not F._types.groups[d]:
+        _record(F, d, Echelon())  # a degree without monomials is made at once
+    return [code for code in F._types.groups[d] if F._table[d, code] is None]
+
+
+def _fill(F, d, codes=None):
+    """Make the waiting blocks of degree d of the types `codes` (every type
+    by default) and of their representatives, unchecked; return their rows
+    to check: the distinct generated rows, then the relabelled ones."""
+    table, types = F._table, F._types
+    codes = [c for c in (types.groups[d] if codes is None else codes) if (d, c) in table]
+    moved = {c: table[d, c] for c in codes if table[d, c]}
+    reps = {c for c in codes if not table[d, c]}
+    reps.update(rep for rep, _perm in moved.values() if (d, rep) in table)
+    rows = []
+    if reps:
+        ech, kept, independent = Echelon(), {}, F._independent[d]
+        # every type at once is made unfiltered
+        keep = None if len(reps) == len(types.groups[d]) else reps
+        for source, row in _degree_rows(F, d, types, keep):
             if not row:
                 continue
             key = _dedupe_key(row)
             if key not in kept:
                 kept[key] = source, row
-                if ech.insert(row) is not None and moved:
+                if ech.insert(row) is not None and F._sym:  # kept to relabel
                     code = types.codes[d][next(iter(row))]
                     independent.setdefault(code, []).append((source, row))
-        if moved:
-            groups = types.groups[d]
-            _write_rewrites(F, d, ech, [c for code in reps for c in groups[code]])
-            F._pending = _Pending(d, moved, independent, memos, groups, ech.rows)
-            F._rref.append(None)
-            F._basis.append(None)
-        else:
-            _record_degree(F, d, ech)
-        if d > 1 and kept:
-            _check_degree(F, d, kept.values())
-    return F
-
-
-class _Pending:
-    """The moved types of a degree (`_Symmetry.split`), not yet relabelled,
-    eliminated or checked.
-
-    `moved` maps each pending type code to (representative, perm);
-    `independent` holds the representatives' independent generated rows,
-    `memos` the per-permutation images of monomials and `groups` each
-    type's columns. `rows` holds the representatives' reduced relation rows
-    by pivot. A moved type has its representative's rank, so `dim` is known
-    before any is eliminated.
-    """
-
-    __slots__ = ("degree", "moved", "independent", "memos", "groups", "rows", "dim")
-
-    def __init__(self, d, moved, independent, memos, groups, rows):
-        self.degree = d
-        self.moved = moved
-        self.independent = independent
-        self.memos = memos
-        self.groups = groups
-        self.rows = rows
-        rank = len(rows) + sum(len(independent.get(rep, ())) for rep, _perm in moved.values())
-        self.dim = sum(map(len, groups.values())) - rank
+        _record(F, d, ech, reps)
+        rows = list(kept.values())
+    if moved:
+        relabelled = list(_relabelled(F, d, moved, F._independent[d], F._memos))
+        ech = Echelon()
+        for _source, row in relabelled:
+            ech.insert(row)
+        _record(F, d, ech, moved)
+        rows += relabelled
+    return rows
 
 
 def _relabelled(F, d, moved, independent, memos):
     """(source, row) for the rows of every type in `moved` ({type:
     (representative, perm)}): the images under perm of the representative's
-    rows in `independent`, `source` naming the row relabelled. `memos` keeps
-    per permutation the images of monomials."""
+    rows in `independent`; `memos` keeps per perm the images of monomials."""
     mons, col, rank = F.monomials[d], F.col[d], F.rank
     for rep, perm in moved.values():
         memo = memos.setdefault(perm, {})
@@ -825,29 +824,33 @@ def _relabelled(F, d, moved, independent, memos):
             yield source, image
 
 
-def _write_rewrites(F, d, ech, cols):
-    """Write the rewrites of the degree-d monomials at columns `cols`, which
-    hold every row of `ech`, from its rref."""
+def _record(F, d, ech, codes=None):
+    """Make the blocks of degree d of the types `codes` (every type by
+    default) from the echelon of all their rows: write their rewrites, from
+    its rref, and reduced rows, and take them off the table.  The degree's
+    last block closes its relations rref and basis."""
+    groups, mons, rewrite, made = F._types.groups[d], F.monomials[d], F._rewrite, F._made[d]
     reduced, pivots = ech.rref()
-    mons, rewrite = F.monomials[d], F._rewrite
-    rewrite.update((mons[c], {mons[c]: 1}) for c in cols if c not in ech.rows)
+    for code in groups if codes is None else codes:
+        rewrite.update((mons[c], {mons[c]: 1}) for c in groups[code] if c not in ech.rows)
+        F._table.pop((d, code), None)
     for lead, row in zip(pivots, reduced):
         rewrite[mons[lead]] = {mons[c]: -v for c, v in row.items() if c != lead}
+    made.update(ech.rows)
+    if not any((d, code) in F._table for code in groups):
+        F._rref[d] = [made[c] for c in sorted(made)]
+        F._basis[d] = tuple(m for i, m in enumerate(mons) if i not in made)
+        F._independent[d] = {}
 
 
-def _closed(mons, rows):
-    """(relations rref, basis) of a degree from its reduced relation rows
-    {pivot: row}."""
-    return [rows[c] for c in sorted(rows)], tuple(m for i, m in enumerate(mons) if i not in rows)
-
-
-def _record_degree(F, d, ech):
-    """Record degree d, every type at once, from the echelon of its
-    relation rows: its rewrites, relations rref and basis."""
-    _write_rewrites(F, d, ech, range(len(F.monomials[d])))
-    rref, basis = _closed(F.monomials[d], ech.rows)
-    F._rref.append(rref)
-    F._basis.append(basis)
+def _downset(codes, base, g):
+    """Every type code at most one of `codes` letter by letter: the types
+    that a word of one of those types reads."""
+    return {
+        sum(x * base**i for i, x in enumerate(xs))
+        for t in codes
+        for xs in product(*(range(t // base**i % base + 1) for i in range(g)))
+    }
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -874,9 +877,7 @@ def _word(F, word):
     tree = parse_word(word) if isinstance(word, str) else word
     d = _ast_degree(tree)
     if d > F.max_degree:
-        raise ValueError(
-            f"degree overflow: word degree {d} exceeds max degree {F.max_degree}"
-        )
+        raise ValueError(f"degree overflow: word degree {d} exceeds max degree {F.max_degree}")
     return tree, d
 
 
@@ -899,29 +900,25 @@ def expand_evaluate(F: FreeQuotient, word) -> WordValue:
 
 
 def relation_combination(F: FreeQuotient, word):
-    """Express a vanishing word over the degree's relation rows of its type.
-
-    Returns a list of (coefficient, description, row) with rows keyed by
-    monomial; the linear combination reproduces the word's expansion.
-    """
+    """Express a vanishing word over the degree's relation rows of its type:
+    a list of (coefficient, description, row), rows keyed by monomial, whose
+    linear combination reproduces the word's expansion."""
     tree = parse_word(word) if isinstance(word, str) else word
     value = evaluate_word(F, tree)
     if value.coords:
         raise ValueError("word is nonzero in the quotient")
     d = value.degree
+    F._complete(d - 1)  # R_e[index] names a row of the whole rref of degree e
     col = F.col[d]
     v = {col[m]: c for m, c in F.word_poly(tree).items()}
     # only rows of the word's type are made (and kept): a row of another type
     # shares no column with the word, so it never meets the pivots that express it
-    types = _Types(F)
-    for e in range(1, d + 1):
-        types.add(F, e)
-    codes = types.codes[d]
-    want = codes[next(iter(v))] if v else None
+    types = F._types
+    want = {types.codes[d][next(iter(v))]} if v else None
     originals = []
     ech = Echelon()
-    for source, row in _degree_rows(F, d, types, {want}) if v else ():
-        if row and codes[next(iter(row))] == want:
+    for source, row in _degree_rows(F, d, types, want) if v else ():
+        if row:
             ech.insert(row, {len(originals): 1})
             originals.append((source, row))
     acc = ech.express(v)
@@ -932,12 +929,9 @@ def relation_combination(F: FreeQuotient, word):
         add_scaled(check, originals[t][1], coef)
     if check != v:
         raise ValueError("relation combination does not reproduce the word")
+    mons = F.monomials[d]
     return [
-        (
-            acc[t],
-            _describe(F, originals[t][0]),
-            {F.monomials[d][c]: val for c, val in originals[t][1].items()},
-        )
+        (acc[t], _describe(F, originals[t][0]), {mons[c]: v for c, v in originals[t][1].items()})
         for t in sorted(acc)
     ]
 
@@ -958,11 +952,8 @@ class ConjectureCertificate:
 
 def conjecture_certificate(budget=DEFAULT_RELATION_BUDGET) -> ConjectureCertificate:
     """Evaluate the degree-6 test word in the truncated free algebra of v on
-    the generators a, b, c.
-
-    The verdict reports what the computation found; neither outcome is
-    asserted as ground truth.
-    """
+    the generators a, b, c.  The verdict reports what the computation
+    found; neither outcome is asserted as ground truth."""
     F = build_free_quotient(get_variety("v"), 3, 6, budget=budget)
     word = parse_word(CONJECTURE_WORD)
     via_products = evaluate_word(F, word)

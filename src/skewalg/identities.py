@@ -190,7 +190,7 @@ class _Parser:
 
     def term(self):
         self.ws()
-        coef = Fraction(1)
+        coef = 1  # a literal coefficient is a Fraction (`parse_scalar`)
         if self.peek().isdigit():
             pos = self.i
             coef = self.number()
@@ -246,7 +246,7 @@ def _flatten(tree):
     """Distribute sums: list of (coef, tree-with-only-prod/var-nodes)."""
     kind = tree[0]
     if kind == "var":
-        return [(Fraction(1), tree)]
+        return [(1, tree)]
     if kind == "prod":
         out = []
         for cl, tl in _flatten(tree[1]):

@@ -164,7 +164,10 @@ def run_conjecture(variant_generators=False, budget=DEFAULT_RELATION_BUDGET) -> 
     rep.add("routes agree", "yes" if cert.routes_agree else "NO")
     rep.add_section("sanity")
     rep.add(SANITY_WORD, value_text(F, cert.sanity))
-    Fw = build_free_quotient(get_variety("w"), 3, F.max_degree, budget=budget)
+    # the contrast reads one word, so only the types below it are made
+    Fw = build_free_quotient(
+        get_variety("w"), 3, F.max_degree, budget=budget, restrict_to=[cert.word]
+    )
     rep.add(
         f"{CONJECTURE_WORD} in free w",
         value_text(Fw, evaluate_word(Fw, cert.word)),

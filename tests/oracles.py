@@ -52,7 +52,7 @@ from skewalg.freealg import (
     _dedupe_key,
     _degree_rows,
     _describe,
-    _record_degree,
+    _record,
     parse_word,
 )
 from skewalg.identities import IdentityDef, _basis_tuples, _flatten, parse_identity
@@ -239,8 +239,7 @@ def reference_free_quotient(identities, generators, max_degree, extra_relations=
     idfs = [parse_identity(t) if isinstance(t, str) else t for t in identities]
     F = FreeQuotient(idfs, "abcdefghijklmnopqrstuvwxyz"[:generators], max_degree)
     for word in extra_relations:
-        tree = parse_word(word)
-        F.extra.append((_ast_degree(tree), word, tree))
+        F.adjoin(word)
     for d in range(1, max_degree + 1):
         if d > 1:
             F.add_degree()
@@ -251,7 +250,7 @@ def reference_free_quotient(identities, generators, max_degree, extra_relations=
             if row and key not in seen:
                 seen.add(key)
                 ech.insert(row)
-        _record_degree(F, d, ech)
+        _record(F, d, ech)
     return F
 
 

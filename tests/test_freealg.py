@@ -987,14 +987,12 @@ def test_eval_on_a_representative_type_leaves_the_degree_pending(monkeypatch, ca
     assert _eval_on_w_4_5(monkeypatch, capsys, "J(a,b,a*c)*d") == []
 
 
-def test_eval_on_a_moved_type_completes_the_degree(monkeypatch, capsys):
-    """A degree-5 word of a moved type (b c2 d2) completes the degree at
-    its first pending read: every pending type, its own among them, is
-    relabelled in one batch."""
+def test_eval_on_a_moved_type_makes_only_its_block(monkeypatch, capsys):
+    """A degree-5 word of a moved type (b c2 d2) makes its own block at its
+    first read: that type alone is relabelled, and the degree's other 46
+    moved types keep waiting."""
     word = "J(b,c,d)*(c*d)"
-    top = _eval_on_w_4_5(monkeypatch, capsys, word)
-    assert len(top) == 1 and len(top[0]) == 47
-    assert _type_code(word, 4, 5) in top[0]
+    assert _eval_on_w_4_5(monkeypatch, capsys, word) == [[_type_code(word, 4, 5)]]
 
 
 def test_words_on_pending_types_match_the_reference():
@@ -1021,11 +1019,13 @@ def test_words_on_pending_types_match_the_reference():
 
 
 def test_failing_pending_type_reports_what_self_check_reports(monkeypatch):
-    """A fault in the elimination of a pending type fails the word that
+    """A fault in the elimination of a waiting type fails the word that
     reads it with the text that `self_check` then gives: the first failing
     row of the whole degree. Every later read raises it again, also of a
     rewrite that the failed elimination wrote, and so it does after
-    `self_check` meets the fault."""
+    `self_check` meets the fault. (The fault drops an entry once per
+    elimination, and the word's block is eliminated apart from the rest of
+    its degree, so the two quotients' texts are compared each with itself.)"""
     F = build_free_quotient(get_variety("w"), 4, 5)
     reduce_full = Echelon.reduce_full
 
@@ -1056,22 +1056,25 @@ def test_failing_pending_type_reports_what_self_check_reports(monkeypatch):
         patched.setattr(Echelon, "reduce_full", faulty)
         with pytest.raises(ValueError) as regenerated:
             R.self_check()
-    assert str(regenerated.value) == str(inline.value)
+    assert str(regenerated.value).startswith("self-check failed at degree 5: ")
     with pytest.raises(ValueError) as again:
         evaluate_word(R, "J(b,c,d)*(c*d)")
-    assert str(again.value) == str(inline.value)
+    assert str(again.value) == str(regenerated.value)
 
 
-@pytest.mark.parametrize("read", ["nothing", "a word", "basis"])
+@pytest.mark.parametrize("read", ["nothing", "a word", "basis", "restricted"])
 def test_built_quotient_is_freed_without_the_collector(read):
     """A quotient with pending types, or completed by a word or by
-    `basis`, holds no reference cycle: with the collector off it dies with
-    its last name."""
+    `basis`, or word-restricted and read, holds no reference cycle: with
+    the collector off it dies with its last name."""
     gc.collect()
     gc.disable()
     try:
-        F = build_free_quotient(get_variety("w"), 4, 5, extra_relations=["J(a,b,c)"])
-        if read == "a word":
+        restrict = ["J(b,c,d)*(c*d)"] if read == "restricted" else None
+        F = build_free_quotient(
+            get_variety("w"), 4, 5, extra_relations=["J(a,b,c)"], restrict_to=restrict
+        )
+        if read in ("a word", "restricted"):
             evaluate_word(F, "J(b,c,d)*(c*d)")
         elif read == "basis":
             assert F.basis
@@ -1080,3 +1083,127 @@ def test_built_quotient_is_freed_without_the_collector(read):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# --- word-restricted builds ----------------------------------------------------
+
+
+def _leaf_counts(m):
+    return {leaf: freealg._leaves(m).count(leaf) for leaf in set(freealg._leaves(m))}
+
+
+def _within(m, counts):
+    """Whether the monomial's letters are at most `counts`, letter by letter."""
+    return all(n <= counts.get(leaf, 0) for leaf, n in _leaf_counts(m).items())
+
+
+RESTRICTED_CASES = [
+    (name, g, d, word, extra)
+    for name, g, d, word in [
+        ("v", 3, 7, "J(c,b,(c*b)*(c*a))*b"),
+        ("malcev", 4, 5, "J(d,b,c)*(d*a)"),
+        ("binary-lie", 3, 6, CONJECTURE_WORD),
+    ]
+    for extra in [(), ("J(a,b,c)",)]
+] + [("lie", 2, 6, "(((a*b)*b)*b)*(a*b)", ("a*(a*b)",))]
+
+
+@pytest.mark.parametrize(
+    "name, g, d, word, extra",
+    RESTRICTED_CASES,
+    ids=[f"{n}-{g}-{d}-{'+'.join(e) or 'no-word'}" for n, g, d, _w, e in RESTRICTED_CASES],
+)
+def test_restricted_build_equals_the_full_build_on_its_types(name, g, d, word, extra):
+    """A word-restricted build gives the full build's rewrite of every
+    monomial whose letters are at most its word's, at every degree, and the
+    word's value; a monomial past them was never made, so reading it
+    raises. (lie with a*(a*b) has no generator symmetry.)"""
+    F = build_free_quotient(get_variety(name), g, d, extra_relations=extra, restrict_to=[word])
+    R = build_free_quotient(get_variety(name), g, d, extra_relations=extra)
+    assert evaluate_word(F, word) == evaluate_word(R, word)
+    counts = {i: word.count(letter) for i, letter in enumerate(ascii_lowercase[:g])}
+    outside = []
+    for e in range(1, d + 1):
+        for m in R.monomials[e]:
+            if _within(m, counts):
+                assert expand_evaluate(F, F.label(m)).coords == R.rewrite[m]
+            else:
+                outside.append(m)
+    with pytest.raises(ValueError, match="is outside a word-restricted quotient"):
+        expand_evaluate(F, F.label(outside[-1]))
+
+
+def test_read_outside_a_restricted_quotient_raises():
+    """The free w contrast quotient is restricted to the conjecture word's
+    types (a3 b2 c1 and below): a word with two c's raises, through either
+    route, at the top degree and below. Reading the relations makes every
+    block, after which the quotient is the full one."""
+    F = build_free_quotient(get_variety("w"), 3, 6, restrict_to=[CONJECTURE_WORD])
+    assert evaluate_word(F, CONJECTURE_WORD).is_zero()
+    for word in ["J(a,b,c)*(c*b)", "c*(c*b)"]:
+        for read in (evaluate_word, expand_evaluate):
+            with pytest.raises(ValueError, match="outside a word-restricted quotient"):
+                read(F, word)
+    R = build_free_quotient(get_variety("w"), 3, 6)
+    assert F.relations_rref == R.relations_rref
+    assert F.dims() == R.dims()
+    assert evaluate_word(F, "J(a,b,c)*(c*b)") == evaluate_word(R, "J(a,b,c)*(c*b)")
+
+
+@pytest.mark.parametrize(
+    "name, g, cap, extra",
+    [("v", 3, 5, ()), ("w", 3, 5, ("J(a,b,c)",)), ("binary-lie", 2, 6, ())],
+)
+def test_restricted_build_covering_every_type_charges_the_full_count(name, g, cap, extra):
+    """Restricted to one word of every top-degree type, a build makes every
+    block of every degree, so its per-block charges add up, degree by
+    degree, to the full build's `_row_count`: both abort at the same degree
+    for every budget just short of a degree's cumulative count."""
+    F = build_free_quotient(get_variety(name), g, cap, extra_relations=extra)
+    words = [F.label(ms[0]) for ms in _types_of(F.monomials[cap]).values()]
+    total = 0
+    for d in range(1, cap + 1):
+        total += _row_count(F, d)
+        if not _row_count(F, d):
+            continue  # a degree without rows never aborts
+        for restrict in (None, words):
+            with pytest.raises(RelationBudgetExceeded) as info:
+                build_free_quotient(
+                    get_variety(name), g, cap, extra_relations=extra, budget=total - 1,
+                    restrict_to=restrict,
+                )
+            assert info.value.degree == d
+    G = build_free_quotient(
+        get_variety(name), g, cap, extra_relations=extra, budget=total, restrict_to=words
+    )
+    assert G.dims() == F.dims()
+
+
+def _types_of(mons):
+    """{sorted leaves: the monomials of that type}, in order."""
+    out = {}
+    for m in mons:
+        out.setdefault(tuple(sorted(freealg._leaves(m))), []).append(m)
+    return out
+
+
+def test_restricted_build_charges_only_its_blocks():
+    """The free w contrast quotient charges far fewer rows than the full
+    build, so it passes a budget that the full build exceeds."""
+    F = build_free_quotient(get_variety("w"), 3, 6)
+    full = sum(_row_count(F, d) for d in range(1, 7))
+    G = build_free_quotient(get_variety("w"), 3, 6, budget=full // 3, restrict_to=[CONJECTURE_WORD])
+    assert evaluate_word(G, CONJECTURE_WORD) == evaluate_word(F, CONJECTURE_WORD)
+    with pytest.raises(RelationBudgetExceeded):
+        build_free_quotient(get_variety("w"), 3, 6, budget=full // 3)
+
+
+def test_relation_combination_relabels_no_top_degree_type(monkeypatch):
+    """On a fresh v 3 6 quotient the certificate reads its word's type and
+    the lower degrees only: no top-degree type is relabelled, and the
+    quotient still gives the reference's dims."""
+    seen = _relabel_spy(monkeypatch)
+    F = build_free_quotient(get_variety("v"), 3, 6)
+    assert len(relation_combination(F, CONJECTURE_WORD)) == 3
+    assert seen and all(d < 6 for d, _codes in seen)
+    assert F.dims() == reference_free_quotient(get_variety("v"), 3, 6).dims()
