@@ -9,18 +9,31 @@ the surviving monomial basis and a rewrite map sending every canonical
 monomial into it.  Relations come from substitution instances of the
 polarized defining identities plus monomial multiples of lower-degree
 relations; adjoined words enter the ideal without the substitution step.
-Identities reach it as compiled `Component`s, words as `word_poly`, and
-substitution instances are generated once per orbit of the identity's
-symmetries (`_assignments`); the budget counts every instance (`_row_count`).
+Identities and words reach the quotient in the one canonical polynomial
+form of `identities`: a compiled `Component` per identity, and
+`FreeQuotient.word_poly` for a word, which the adjoined rows, the symmetry
+test on the words, `expand_evaluate` and `relation_combination` all read.
+
+Substitution instances are generated once per orbit of the identity's
+symmetries: copies of a polarized variable take sorted values and a skew
+pair of variables strictly increasing ones (`Component.lower`).  Every
+other instance is +1 or -1 times the lexicographically first member of its
+orbit, which comes earlier in the same stream, or zero, so the pruning
+changes neither the row space nor the first occurrence of any row.  The
+relation budget still counts every instance (`_row_count`).
 
 Every relation row has one type, its multidegree in the generators, so each
 degree's echelon is block-diagonal by type.  A quotient keeps one table of
 the blocks it has not made, keyed by (degree, type code), and makes a block
-(its rows, rewrites and reduced rows) when something first reads it.  The
-least type of an orbit of the generator permutations that fix the relation
-set (`_Symmetry`) generates, dedupes, eliminates and checks its rows; the
-other types relabel its independent rows.  Elimination returns the unique
-rref, so the quotient is the same as from every row.
+(its rows, rewrites and reduced rows) when something first reads it.  Rows
+are generated, deduped, eliminated and checked only for one representative
+type per orbit of the generator permutations that map the relation set to
+itself (`_Symmetry`): every permutation for identities, and with adjoined
+words those that map the set of words to itself up to scalars.  The
+representative is the orbit's least type code.  Each other type gets the
+relabelled images of its representative's independent generated rows.  The
+final elimination returns the unique rref, so the quotient is the same as
+from every row.
 
 A full build makes every representative block degree by degree, and each
 degree in full before the next degree's multiples read it, so only the top
@@ -36,7 +49,7 @@ read of the quotient's rewrites raises it again.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations, product
+from itertools import islice, permutations, product
 from math import gcd, lcm
 from operator import mul
 from string import ascii_lowercase
@@ -63,14 +76,17 @@ SANITY_WORD = "J(a,b,a*c)"
 
 class RelationBudgetExceeded(RuntimeError):
     def __init__(self, budget, degree):
-        super().__init__(f"relation budget of {budget} rows exceeded at degree {degree}")
+        super().__init__(
+            f"relation budget of {budget} rows exceeded at degree {degree}"
+        )
         self.budget = budget
         self.degree = degree
 
 
 # --- canonical monomials ----------------------------------------------------
 # `sort_key` and `canonicalize` live in identities, which compiles identities
-# into the same form; a quotient ranks its own monomials in that order.
+# into the same form; a quotient orders its own monomials by `rank`, their
+# position in that order.
 
 
 def _cmul(rank, a, b):
@@ -92,16 +108,23 @@ def mono_label(m, names) -> str:
 
 def monomials_of_degree(by, d):
     """Canonical monomials of degree d >= 2 in the canonical order
-    (`sort_key`), from the lists `by[e]` of the lower degrees e: the products
-    come out ordered by left factor, each degree's block after the lower
-    ones, then by right factor."""
+    (`sort_key`), from the lists `by[e]` of the lower degrees e.
+
+    The products come out already ordered: by left factor, each degree's
+    block after the lower ones, then by right factor.
+    """
     out = []
     for e in range(1, d // 2 + 1):
         f = d - e
         if e < f:
             out.extend((l, r) for l in by[e] for r in by[f])
         else:
-            out.extend(combinations(by[e], 2))
+            half = by[e]
+            out.extend(
+                (half[i], half[j])
+                for i in range(len(half))
+                for j in range(i + 1, len(half))
+            )
     return out
 
 
@@ -133,9 +156,15 @@ class WordValue:
 
 
 class FreeQuotient:
-    """Degree-truncated free algebra of a variety (see build_free_quotient)."""
+    """Degree-truncated free algebra of a variety; built by build_free_quotient.
 
-    def __init__(self, identities, generators, max_degree):
+    A full build adds degree d (its monomials, by `add_degree`, then its
+    relation rows, basis and rewrites) only after charging the relation
+    budget for it, so an abort enumerates nothing of the degree it stops at.
+    Its blocks wait in one table until read (module docstring).
+    """
+
+    def __init__(self, identities, generators, max_degree, budget=DEFAULT_RELATION_BUDGET):
         if not generators or max_degree < 1:
             raise ValueError("need g >= 1 and max_degree >= 1")
         self.identities = tuple(identities)
@@ -155,6 +184,8 @@ class FreeQuotient:
         self._sym = self._keep = None
         self._memos = {}  # per permutation, the images of monomials
         self._failure = None
+        self._budget, self._charged = budget, 0  # the relation budget, rows charged
+        self._partial = {}  # degree -> its rows a restricted build charged
         self.extra = []
         self._word_rows = []
         self._pair_cache = {}
@@ -202,7 +233,9 @@ class FreeQuotient:
         tree = parse_word(word) if isinstance(word, str) else word
         deg = _ast_degree(tree)
         if deg > self.max_degree:
-            raise ValueError(f"adjoined relation has degree {deg} above the cap {self.max_degree}")
+            raise ValueError(
+                f"adjoined relation has degree {deg} above the cap {self.max_degree}"
+            )
         row = _scale_to_int(self.word_poly(tree))  # names an unknown generator now
         # a word given as a tree is not parsed, so its type is checked here
         if len({tuple(sorted(_leaves(m))) for m in row}) > 1:
@@ -245,15 +278,25 @@ class FreeQuotient:
         rows = _fill(self, d, codes) if self._failure is None else ()
         failure = d > 1 and _check_rows(self, d, rows)
         if failure:
-            for e in range(1, d + 1):
-                _fill(self, e)
-            self._failure = _check_rows(self, d, _degree_rows(self, d)) or failure
+            try:  # kept when making the rest exceeds the budget
+                for e in range(1, d + 1):
+                    _fill(self, e)
+                failure = _check_rows(self, d, _degree_rows(self, d)) or failure
+            finally:
+                self._failure = failure
         if self._failure is not None:
             raise ValueError(self._failure)
 
+    def _charge(self, generated, d):
+        """Add degree d's `generated` rows to the row count, or abort past the
+        budget (as if counted row by row: a degree without rows never aborts)."""
+        if generated and self._charged + generated > self._budget:
+            raise RelationBudgetExceeded(self._budget, d)
+        self._charged += generated
+
     def _complete(self, top=None):
         """`_settle` every degree through `top` (the cap by default)."""
-        if self._table or self._failure is not None:
+        if self._table or self._partial or self._failure is not None:
             for d in range(1, (self.max_degree if top is None else top) + 1):
                 self._settle(d)
 
@@ -266,7 +309,9 @@ class FreeQuotient:
                 cached = {}
             else:
                 sign, mono = res
-                cached = {bm: sign * bc for bm, bc in self._rewritten(mono).items()}
+                cached = {
+                    bm: sign * bc for bm, bc in self._rewritten(mono).items()
+                }
             self._pair_cache[(m1, m2)] = cached
         return cached
 
@@ -333,12 +378,17 @@ def _assignments(monomials, k, d, lower=None, types=None, keep=None):
     With `lower` (a component's `Component.lower`), only the tuples with
     rank[q] >= rank[p] + (0, s) for every (p, s) in lower[q] are yielded:
     sorted copies of a polarized variable (s = 0), strictly increasing
-    values on a skew pair (s = 1).  A tuple that breaks a bound becomes
-    lexicographically smaller when the pair is swapped, and its row is the
-    same, minus the same or zero, so every dropped row is +1 or -1 times a
-    row yielded before it, or zero.  With `types` (a `_Types`) and `keep`,
-    a set of type codes, only the tuples whose types add up to a code in
-    `keep` are yielded, in the same order.
+    values on a skew pair (s = 1).  This is exact for relation rows.  A
+    tuple that breaks a bound becomes lexicographically smaller when the
+    pair is swapped, and its row is the same (copies), minus the same (skew
+    pair) or zero (equal values on a skew pair).  So each orbit's
+    lexicographically first tuple is kept, and every dropped row is +1 or
+    -1 times a row yielded before it, or zero.
+
+    With `types` (a `_Types`) and `keep`, a set of type codes, only the
+    tuples whose types add up to a code in `keep` are yielded: the last
+    value is drawn from the monomials of the types that complete the others
+    into `keep`. The tuples of each type keep their order.
     """
     if k == 0:
         if d == 0:
@@ -380,24 +430,34 @@ def _fill_assignments(state, q, left, part):
                 )
 
 
-def _row_count(F, d, keep=None):
+def _row_count(F, d):
     """How many rows `_degree_rows(F, d)` would yield without the orbit
     pruning: every k-tuple of total degree d for each identity with k
-    variables, each R_e row times each monomial of degree d - e, and the
-    adjoined words of degree d; the lower degrees' rows are made.  With
-    `keep`, a restriction (type codes, with every code of fewer letters),
-    only those of the types it keeps, with monomials or not."""
+    variables, each R_e row times each monomial of degree d - e, and
+    the adjoined words of degree d; the lower degrees' rows are made."""
+    sizes = [len(F.monomials[e]) for e in range(d)]
+    sizes.append(len(F.monomials[d]) if d < len(F.monomials) else _monomial_count(sizes, d))
+    count = 0
+    # tuples[t]: k-tuples of monomials of total degree t, for k = 0, 1, ...
+    tuples = [1] + [0] * d
     ks = [len(comp.variables) for comp in F.components]
-    if keep is None:
-        sizes = [len(F.monomials[e]) for e in range(d)]
-        sizes.append(len(F.monomials[d]) if d < len(F.monomials) else _monomial_count(sizes, d))
-        count = 0
-        tuples = [1] + [0] * d  # tuples[t]: k-tuples of total degree t, k = 0, 1, ...
-        for k in range(max(ks, default=0) + 1):
-            count += tuples[d] * ks.count(k)
-            tuples = [0] + [sum(map(mul, tuples[t - 1::-1], sizes[1:t + 1])) for t in range(1, d + 1)]
-        count += sum(len(F._made[e]) * sizes[d - e] for e in range(1, d))
-        return count + sum(1 for deg, _text, _tree in F.extra if deg == d)
+    top = max(ks, default=0)
+    for k in range(top + 1):
+        count += tuples[d] * ks.count(k)
+        if k < top:
+            tuples = [0] + [
+                sum(map(mul, tuples[t - 1::-1], sizes[1:t + 1])) for t in range(1, d + 1)
+            ]
+    count += sum(len(F._made[e]) * sizes[d - e] for e in range(1, d))
+    count += sum(1 for deg, _text, _tree in F.extra if deg == d)
+    return count
+
+
+def _kept_row_count(F, d, keep):
+    """The rows `_row_count(F, d)` counts of the types a restriction `keep`
+    (type codes, with every code of fewer letters) keeps, with monomials or
+    not; the lower degrees' kept rows are made."""
+    ks = [len(comp.variables) for comp in F.components]
     types, base = F._types, F._types.base
     powers = [base**i for i in range(len(F.generators))]
     # kept type -> degree: a kept type's partial sums are kept, and bounding
@@ -429,12 +489,16 @@ def _degree_rows(F, d, types=None, keep=None):
     Yields (source, row) pairs; `source` is (identity, component, assignment),
     (e, index, monomial) for R_e[index] * monomial, or (text,) for an
     adjoined word, and `_describe` renders it. Substitution instances come
-    from the compiled canonical polynomial, one per orbit of its symmetries
-    (`_assignments`); an identity whose polynomial is empty (x*x = 0)
-    yields none.  With `types` (a `_Types`) and `keep`, a set of type codes,
-    only the rows of those types are made.  The multiples read the lower
-    degrees' made rows; without `types`, every lower block is made first,
-    so that R_e[index] indexes the whole rref.
+    from the compiled canonical polynomial, which is exact because the free
+    quotient is anticommutative, one per orbit of its symmetries
+    (`_assignments`). An identity whose polynomial is empty (x*x = 0)
+    yields none; `_row_count` still charges its instances.
+
+    With `types` (a `_Types`) and `keep`, a set of type codes, only the rows
+    of those types are made: an instance's type is the sum of its values'
+    types, a multiple's the sum of its factors'.  The multiples read the
+    lower degrees' made rows; without `types`, every lower block is made
+    first, so that R_e[index] indexes the whole rref.
     """
     if types is None:
         F._complete(d - 1)
@@ -501,10 +565,13 @@ def _degree_rows(F, d, types=None, keep=None):
 
 def _check_rows(F, d, rows):
     """The failure message naming the first (source, row) pair of degree d
-    that does not vanish under the rewrite map, or None.  The check
-    stays in integers: each column c's rewrite is read once, as D_c (the lcm
-    of its denominators) times it, and a row is summed as L times its
-    image, L a multiple of its columns' D_c that grows as they need."""
+    that does not vanish under the rewrite map, or None.
+
+    The check stays in integers, keyed by column index. Each column c's
+    rewrite is read once, as D_c times it, D_c the lcm of its denominators,
+    and a row is summed as L times its image, L a multiple of the D_c of
+    its columns, which grows when a column needs it: the row vanishes
+    under one exactly when it vanishes under the other."""
     mons, col, rewrite = F.monomials[d], F.col[d], F._rewrite
     scaled = {}  # column -> (D_c, D_c times its rewrite, keyed by column)
     for source, row in rows:
@@ -545,7 +612,9 @@ def _describe(F, source):
         e, idx, m = source
         return f"R{e}[{idx}] * {F.label(m)}"
     idf, comp, combo = source
-    assign = ", ".join(f"{v} = {F.label(m)}" for v, m in zip(comp.variables, combo))
+    assign = ", ".join(
+        f"{v} = {F.label(m)}" for v, m in zip(comp.variables, combo)
+    )
     return f"{idf.text} [{assign}]"
 
 
@@ -558,8 +627,9 @@ class _Types:
     """The type codes of a quotient's monomials, added degree by degree:
     `codes[e][i]` is the code of monomials[e][i], and `groups[e]` maps each
     code to the increasing indices of the degree-e monomials of that type.
-    A `whole` index codes every monomial by its degree alone, which also
-    adds under products, so that each degree is one block."""
+    Codes are read off the monomials, so only `monomials_of_degree` orders
+    them.  A `whole` index codes every monomial by its degree alone, which
+    also adds under products, so that each degree is one block."""
 
     def __init__(self, F, whole=False):
         self.base = F.max_degree + 1
@@ -606,18 +676,25 @@ def _word_key(row):
     return frozenset((m, c // g) for m, c in row.items())
 
 
-# at most this many word letters are permuted (720 permutations); more stay fixed
+# permutations of the adjoined words' letters are tried only up to this many
+# letters (720 permutations); past it those letters stay fixed
 _MAX_WORD_LETTERS = 6
 
 
 class _Symmetry:
-    """A group of generator permutations that maps the relation set to itself:
-    `perms` (the permutations of the adjoined words' letters that map the
-    set of words to itself up to scalars) times every permutation of the
-    letters `free` that no word uses.  `perm` renames generator i to
-    perm[i].  The factors move disjoint letters, so a type's least image
-    fills the free letters by decreasing count and takes the element of
-    `perms` that gives the least code."""
+    """A group of generator permutations that maps the relation set to itself.
+
+    It is `perms` times every permutation of the letters `free`: `perms` are
+    the permutations of the adjoined words' letters (fixing the rest) that
+    map the set of adjoined words to itself up to scalars, and `free` are the
+    letters no adjoined word uses. Identity instances are invariant under
+    every permutation. A permutation `perm` renames generator i to perm[i].
+
+    The factors move disjoint letters, so a type's least image fills the
+    free letters in order of decreasing count and takes the element of
+    `perms` that gives the least code. `perms` is a group, so `split` forms
+    the renaming back from the representative onto the type directly.
+    """
 
     def __init__(self, perms, free):
         self.perms = perms
@@ -700,25 +777,30 @@ def build_free_quotient(
 ) -> FreeQuotient:
     """Construct the truncated free algebra of the given variety, degreewise.
 
-    Before a degree's monomials are enumerated and its rows generated, the
-    relation budget is charged with their unpruned count (`_row_count`).
-    The distinct generated rows, and the relabelled rows of moved types,
-    are checked against the rewrite map when their block is made (module
-    docstring).  With `restrict_to`, a list of words (texts or ASTs), the
-    build is word-restricted: it makes only the blocks whose types are at
-    most a term of a word, letter by letter, and charges the budget for
-    those alone (`_row_count` with the restriction) once their degree is
-    enumerated.
+    Before a degree's monomials are enumerated and its rows generated, a
+    full build charges the relation budget with their unpruned count
+    (`_row_count`).  The distinct generated rows, and the relabelled rows
+    of moved types, are checked against the rewrite map when their block is
+    made (module docstring).
+
+    With `restrict_to`, a list of words (texts or ASTs), the build is
+    word-restricted: it makes only the blocks whose types are at most a
+    term of a word, letter by letter.  It charges the budget for those alone
+    (`_kept_row_count`), which reads the sizes of their types, so a
+    degree's monomials are all enumerated, ranked and typed before its
+    charge.  A later read that makes the other blocks of a degree charges
+    their rows then.
     """
     idfs = tuple(
         parse_identity(t) if isinstance(t, str) else t for t in identities
     )
     if not 1 <= generators <= 26:
         raise ValueError("generator count must be between 1 and 26")
-    F = FreeQuotient(idfs, ascii_lowercase[:generators], max_degree)
+    F = FreeQuotient(idfs, ascii_lowercase[:generators], max_degree, budget)
     words = [row for row in map(F.adjoin, extra_relations) if row]
-    # with one generator, rows reach degrees 2.. only from a k-variable identity
-    # (degree k), R_1 multiples (2) and adjoined words: past those all is empty
+    # with one generator every degree from 2 on has no monomials; rows reach
+    # them only from a k-variable identity (degree k), R_1 multiples (degree 2)
+    # and adjoined words (their degree), so past those the degrees stay empty
     reach = max([2, *(len(c.variables) for c in F.components), *(e for e, _, _ in F.extra)])
     F._sym = _generator_symmetry(F, words)
     if F._sym is None and restrict_to is None:
@@ -729,7 +811,6 @@ def build_free_quotient(
         terms = (t for word in restrict_to for _c, t in _flatten(_word(F, word)[0]))
         tops = {sum(base**i for i in _leaves(_leaf_tree(t, F._index))) for t in terms}
         F._keep = _downset(tops, base, generators)
-    count = 0
     for d in range(1, max_degree + 1):
         if d > reach and not F.monomials[d - 1]:
             F.add_degree(empty=True)
@@ -738,23 +819,15 @@ def build_free_quotient(
         if d > 1:
             F._settle(d - 1, F._keep)  # the multiples of degree d read it
         if F._keep is None:
-            count = _charge(count, _row_count(F, d), budget, d)
+            F._charge(_row_count(F, d), d)
         if d > 1:
             F.add_degree()
         reps = _open(F, d)
         if F._keep is not None:
-            count = _charge(count, _row_count(F, d, F._keep), budget, d)
+            F._partial[d] = _kept_row_count(F, d, F._keep)
+            F._charge(F._partial[d], d)
         F._settle(d, reps if F._keep is None else F._keep.intersection(reps))
     return F
-
-
-def _charge(count, generated, budget, d):
-    """The row count after degree d's `generated` rows, past the budget an
-    abort (as if counted row by row: a degree without rows never aborts)."""
-    count += generated
-    if generated and count > budget:
-        raise RelationBudgetExceeded(budget, d)
-    return count
 
 
 def _open(F, d):
@@ -778,6 +851,11 @@ def _fill(F, d, codes=None):
     by default) and of their representatives, unchecked; return their rows
     to check: the distinct generated rows, then the relabelled ones."""
     table, types = F._table, F._types
+    if codes is None and d in F._partial:
+        # every block of a degree that a restricted build charged in part,
+        # every lower degree made: charge the rest of the full count
+        F._charge(_row_count(F, d) - F._partial[d], d)
+        del F._partial[d]
     codes = [c for c in (types.groups[d] if codes is None else codes) if (d, c) in table]
     moved = {c: table[d, c] for c in codes if table[d, c]}
     reps = {c for c in codes if not table[d, c]}
@@ -811,7 +889,8 @@ def _fill(F, d, codes=None):
 def _relabelled(F, d, moved, independent, memos):
     """(source, row) for the rows of every type in `moved` ({type:
     (representative, perm)}): the images under perm of the representative's
-    rows in `independent`; `memos` keeps per perm the images of monomials."""
+    rows in `independent`, `source` naming the row relabelled. `memos` keeps
+    per permutation the images of monomials."""
     mons, col, rank = F.monomials[d], F.col[d], F.rank
     for rep, perm in moved.values():
         memo = memos.setdefault(perm, {})
@@ -877,7 +956,9 @@ def _word(F, word):
     tree = parse_word(word) if isinstance(word, str) else word
     d = _ast_degree(tree)
     if d > F.max_degree:
-        raise ValueError(f"degree overflow: word degree {d} exceeds max degree {F.max_degree}")
+        raise ValueError(
+            f"degree overflow: word degree {d} exceeds max degree {F.max_degree}"
+        )
     return tree, d
 
 
@@ -900,9 +981,11 @@ def expand_evaluate(F: FreeQuotient, word) -> WordValue:
 
 
 def relation_combination(F: FreeQuotient, word):
-    """Express a vanishing word over the degree's relation rows of its type:
-    a list of (coefficient, description, row), rows keyed by monomial, whose
-    linear combination reproduces the word's expansion."""
+    """Express a vanishing word over the degree's relation rows of its type.
+
+    Returns a list of (coefficient, description, row) with rows keyed by
+    monomial; the linear combination reproduces the word's expansion.
+    """
     tree = parse_word(word) if isinstance(word, str) else word
     value = evaluate_word(F, tree)
     if value.coords:
@@ -929,9 +1012,12 @@ def relation_combination(F: FreeQuotient, word):
         add_scaled(check, originals[t][1], coef)
     if check != v:
         raise ValueError("relation combination does not reproduce the word")
-    mons = F.monomials[d]
     return [
-        (acc[t], _describe(F, originals[t][0]), {mons[c]: v for c, v in originals[t][1].items()})
+        (
+            acc[t],
+            _describe(F, originals[t][0]),
+            {F.monomials[d][c]: val for c, val in originals[t][1].items()},
+        )
         for t in sorted(acc)
     ]
 
@@ -952,8 +1038,11 @@ class ConjectureCertificate:
 
 def conjecture_certificate(budget=DEFAULT_RELATION_BUDGET) -> ConjectureCertificate:
     """Evaluate the degree-6 test word in the truncated free algebra of v on
-    the generators a, b, c.  The verdict reports what the computation
-    found; neither outcome is asserted as ground truth."""
+    the generators a, b, c.
+
+    The verdict reports what the computation found; neither outcome is
+    asserted as ground truth.
+    """
     F = build_free_quotient(get_variety("v"), 3, 6, budget=budget)
     word = parse_word(CONJECTURE_WORD)
     via_products = evaluate_word(F, word)

@@ -926,6 +926,11 @@ def _relabel_spy(monkeypatch):
     return seen
 
 
+def _column_types(F, d):
+    """The type code of each monomial of degree d, in column order."""
+    return [sum((F.max_degree + 1) ** leaf for leaf in freealg._leaves(m)) for m in F.monomials[d]]
+
+
 def _type_code(word, g, cap):
     """The type code (base cap + 1) of a homogeneous word on g letters."""
     F = freealg.FreeQuotient([], ascii_lowercase[:g], cap)
@@ -1019,31 +1024,32 @@ def test_words_on_pending_types_match_the_reference():
 
 
 def test_failing_pending_type_reports_what_self_check_reports(monkeypatch):
-    """A fault in the elimination of a waiting type fails the word that
+    """A fault in the elimination of a pending type fails the word that
     reads it with the text that `self_check` then gives: the first failing
     row of the whole degree. Every later read raises it again, also of a
     rewrite that the failed elimination wrote, and so it does after
-    `self_check` meets the fault. (The fault drops an entry once per
-    elimination, and the word's block is eliminated apart from the rest of
-    its degree, so the two quotients' texts are compared each with itself.)"""
+    `self_check` meets the fault. (The fault is one dropped entry of the
+    first reduced row of the word's type, whichever elimination makes it.)"""
+    word = "J(b,c,d)*(c*d)"
     F = build_free_quotient(get_variety("w"), 4, 5)
+    codes, target = _column_types(F, 5), _type_code(word, 4, 5)
     reduce_full = Echelon.reduce_full
 
     def faulty(self):
         reduce_full(self)
         for p in sorted(self.rows):
-            if len(self.rows[p]) > 1:
+            if codes[p] == target and len(self.rows[p]) > 1:
                 del self.rows[p][max(self.rows[p])]
                 return
 
     monkeypatch.setattr(Echelon, "reduce_full", faulty)
     with pytest.raises(ValueError) as inline:
-        evaluate_word(F, "J(b,c,d)*(c*d)")
+        evaluate_word(F, word)
     assert str(inline.value).startswith("self-check failed at degree 5: ")
     monkeypatch.undo()
     for read in [
-        lambda: evaluate_word(F, "J(b,c,d)*(c*d)"),
-        lambda: expand_evaluate(F, "J(b,c,d)*(c*d)"),
+        lambda: evaluate_word(F, word),
+        lambda: expand_evaluate(F, word),
         lambda: F.basis,
         lambda: F.rewrite,
         F.self_check,
@@ -1052,14 +1058,15 @@ def test_failing_pending_type_reports_what_self_check_reports(monkeypatch):
             read()
         assert str(again.value) == str(inline.value)
     R = build_free_quotient(get_variety("w"), 4, 5)
+    assert R.monomials[5] == F.monomials[5]
     with monkeypatch.context() as patched:
         patched.setattr(Echelon, "reduce_full", faulty)
         with pytest.raises(ValueError) as regenerated:
             R.self_check()
-    assert str(regenerated.value).startswith("self-check failed at degree 5: ")
+    assert str(regenerated.value) == str(inline.value)
     with pytest.raises(ValueError) as again:
-        evaluate_word(R, "J(b,c,d)*(c*d)")
-    assert str(again.value) == str(regenerated.value)
+        evaluate_word(R, word)
+    assert str(again.value) == str(inline.value)
 
 
 @pytest.mark.parametrize("read", ["nothing", "a word", "basis", "restricted"])
@@ -1196,6 +1203,88 @@ def test_restricted_build_charges_only_its_blocks():
     assert evaluate_word(G, CONJECTURE_WORD) == evaluate_word(F, CONJECTURE_WORD)
     with pytest.raises(RelationBudgetExceeded):
         build_free_quotient(get_variety("w"), 3, 6, budget=full // 3)
+
+
+_WHOLE_READS = {
+    "dims": lambda F: F.dims(),
+    "basis": lambda F: F.basis,
+    "rewrite": lambda F: F.rewrite,
+    "relations_rref": lambda F: F.relations_rref,
+    "self_check": lambda F: F.self_check(),
+    "certificate": lambda F: relation_combination(F, CONJECTURE_WORD),
+}
+
+
+def _restricted_charge(monkeypatch, words):
+    """The rows a word-restricted w 3 6 build charges: the sum of its
+    `_kept_row_count`s."""
+    charged = []
+    kept_row_count = freealg._kept_row_count
+
+    def spy(F, d, keep):
+        charged.append(kept_row_count(F, d, keep))
+        return charged[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(freealg, "_kept_row_count", spy)
+        build_free_quotient(get_variety("w"), 3, 6, restrict_to=words)
+    return sum(charged)
+
+
+@pytest.mark.parametrize("read", list(_WHOLE_READS))
+def test_completing_a_restricted_quotient_charges_the_budget(monkeypatch, read):
+    """A whole-quotient read of a word-restricted quotient makes the blocks
+    the build left out and charges their rows: past a budget that only the
+    restricted build fits it aborts, and so does every later such read,
+    while the words of the restriction still read; build and reads charge
+    the full build's count, no more (the reads give what the full build
+    gives) and no less (one row short, completing aborts)."""
+    F = build_free_quotient(get_variety("w"), 3, 6)
+    full = sum(_row_count(F, d) for d in range(1, 7))
+    kept = _restricted_charge(monkeypatch, [CONJECTURE_WORD])
+    assert kept < full
+    G = build_free_quotient(get_variety("w"), 3, 6, budget=kept, restrict_to=[CONJECTURE_WORD])
+    with pytest.raises(RelationBudgetExceeded) as info:
+        _WHOLE_READS[read](G)
+    for again in (read, "dims", "basis"):
+        with pytest.raises(RelationBudgetExceeded) as later:
+            _WHOLE_READS[again](G)
+        assert later.value.degree == info.value.degree
+    assert evaluate_word(G, CONJECTURE_WORD) == evaluate_word(F, CONJECTURE_WORD)
+    H = build_free_quotient(get_variety("w"), 3, 6, budget=full, restrict_to=[CONJECTURE_WORD])
+    assert _WHOLE_READS[read](H) == _WHOLE_READS[read](F)
+    assert H.dims() == F.dims()
+    K = build_free_quotient(get_variety("w"), 3, 6, budget=full - 1, restrict_to=[CONJECTURE_WORD])
+    with pytest.raises(RelationBudgetExceeded):
+        K.dims()
+
+
+def test_failure_is_kept_when_naming_its_row_exceeds_the_budget(monkeypatch):
+    """A failing check on a restricted quotient makes the rest of the degree
+    to name the first failing row; past the budget that aborts, and every
+    later read of the failed block raises the failed check."""
+    words = [CONJECTURE_WORD, "J(b,a,(b*a)*(b*c))"]  # the second's type waits
+    kept = _restricted_charge(monkeypatch, words)
+    F = build_free_quotient(get_variety("w"), 3, 6, budget=kept, restrict_to=words)
+    codes, target = _column_types(F, 6), _type_code(words[1], 3, 6)
+    seen = _relabel_spy(monkeypatch)
+    reduce_full = Echelon.reduce_full
+
+    def faulty(self):
+        reduce_full(self)
+        for p in sorted(self.rows):
+            if codes[p] == target and len(self.rows[p]) > 1:
+                del self.rows[p][max(self.rows[p])]
+                return
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Echelon, "reduce_full", faulty)
+        with pytest.raises(RelationBudgetExceeded):
+            evaluate_word(F, words[1])
+    assert seen == [(6, [target])]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="self-check failed at degree 6: "):
+            evaluate_word(F, words[1])
 
 
 def test_relation_combination_relabels_no_top_degree_type(monkeypatch):
