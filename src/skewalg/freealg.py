@@ -128,15 +128,6 @@ def monomials_of_degree(by, d):
     return out
 
 
-def _monomial_count(sizes, d):
-    """len(monomials_of_degree(by, d)) from sizes[e] = len(by[e]), e < d,
-    so that the budget can be charged before degree d is enumerated."""
-    return sum(
-        sizes[e] * sizes[d - e] if 2 * e < d else sizes[e] * (sizes[e] - 1) // 2
-        for e in range(1, d // 2 + 1)
-    )
-
-
 def _dedupe_key(row):
     return tuple(sorted(_row_normalize(dict(row)).items()))
 
@@ -158,10 +149,11 @@ class WordValue:
 class FreeQuotient:
     """Degree-truncated free algebra of a variety; built by build_free_quotient.
 
-    A full build adds degree d (its monomials, by `add_degree`, then its
-    relation rows, basis and rewrites) only after charging the relation
-    budget for it, so an abort enumerates nothing of the degree it stops at.
-    Its blocks wait in one table until read (module docstring).
+    Every build, full or word-restricted, adds degree d (its monomials, by
+    `add_degree`, then its relation rows, basis and rewrites) only after
+    charging the relation budget for it, so an abort enumerates nothing of
+    the degree it stops at.  Its blocks wait in one table until read (module
+    docstring).
     """
 
     def __init__(self, identities, generators, max_degree, budget=DEFAULT_RELATION_BUDGET):
@@ -181,7 +173,7 @@ class FreeQuotient:
         # (degree, type) -> None (generates its rows) or (representative, perm)
         self._table = {}
         self._types = _Types(self)
-        self._sym = self._keep = None
+        self._sym = self._keep = None  # a restriction's {type code: degree}
         self._memos = {}  # per permutation, the images of monomials
         self._failure = None
         self._budget, self._charged = budget, 0  # the relation budget, rows charged
@@ -271,21 +263,29 @@ class FreeQuotient:
 
     def _settle(self, d, codes=None):
         """Make and check the blocks of degree d of the types `codes` (every
-        type by default).  A failing check names the first failing row of
-        the degree's whole stream, as `self_check` does, every block through
-        degree d made first, unchecked; once a check of the quotient has
-        failed, raise that failure instead."""
+        type by default); a failing check is named by `_check_degree`.  Once
+        a check of the quotient has failed, raise that failure instead."""
         rows = _fill(self, d, codes) if self._failure is None else ()
         failure = d > 1 and _check_rows(self, d, rows)
         if failure:
-            try:  # kept when making the rest exceeds the budget
-                for e in range(1, d + 1):
-                    _fill(self, e)
-                failure = _check_rows(self, d, _degree_rows(self, d)) or failure
-            finally:
-                self._failure = failure
+            self._check_degree(d, failure)
         if self._failure is not None:
             raise ValueError(self._failure)
+
+    def _check_degree(self, d, failure=None):
+        """Check degree d's whole row stream, every block through d made
+        first, unchecked (its rows are among those checked), and raise the
+        failure naming its first failing row, kept so that every later read
+        raises it again.  `failure`, a block's failed check, is kept when
+        there is none or making the rest exceeds the budget."""
+        try:
+            for e in range(1, d + 1):
+                _fill(self, e)
+            failure = _check_rows(self, d, _degree_rows(self, d)) or failure
+        finally:
+            self._failure = failure or self._failure
+        if failure:
+            raise ValueError(failure)
 
     def _charge(self, generated, d):
         """Add degree d's `generated` rows to the row count, or abort past the
@@ -346,16 +346,9 @@ class FreeQuotient:
 
     def self_check(self):
         """Regenerate every defining relation and verify that it vanishes
-        under the rewrite map. Waiting blocks are made first, unchecked: their
-        rows are among those regenerated, which are checked in degree order.
-        A failure is raised again on every later read, as in `_settle`."""
-        for d in range(1, self.max_degree + 1):
-            _fill(self, d)
+        under the rewrite map, degree by degree (`_check_degree`)."""
         for d in range(2, self.max_degree + 1):
-            failure = _check_rows(self, d, _degree_rows(self, d))
-            if failure:
-                self._failure = failure
-                raise ValueError(failure)
+            self._check_degree(d)
 
 
 def _ast_degree(tree):
@@ -430,57 +423,68 @@ def _fill_assignments(state, q, left, part):
                 )
 
 
-def _row_count(F, d):
+def _row_count(F, d, keep=None):
     """How many rows `_degree_rows(F, d)` would yield without the orbit
-    pruning: every k-tuple of total degree d for each identity with k
-    variables, each R_e row times each monomial of degree d - e, and
-    the adjoined words of degree d; the lower degrees' rows are made."""
-    sizes = [len(F.monomials[e]) for e in range(d)]
-    sizes.append(len(F.monomials[d]) if d < len(F.monomials) else _monomial_count(sizes, d))
-    count = 0
-    # tuples[t]: k-tuples of monomials of total degree t, for k = 0, 1, ...
-    tuples = [1] + [0] * d
+    pruning, of every type or of the types a restriction `keep` keeps, with
+    monomials or not: every k-tuple of total degree d for each identity
+    with k variables, each R_e row times each monomial of degree d - e, and
+    the adjoined words of degree d.  The lower degrees' rows are made, and
+    degree d need not be enumerated; every type is counted by degree, with
+    no loop per type or row (`_key_sizes`)."""
+    deg, size = _key_sizes(F, d, keep)
+    if keep is None:
+        made = {e: len(F._made[e]) for e in range(1, d)}
+    else:
+        made = Counter(F._types.codes[e][p] for e in range(1, d) for p in F._made[e])
+    tops = [c for c, e in deg.items() if e == d]
     ks = [len(comp.variables) for comp in F.components]
-    top = max(ks, default=0)
-    for k in range(top + 1):
-        count += tuples[d] * ks.count(k)
-        if k < top:
-            tuples = [0] + [
-                sum(map(mul, tuples[t - 1::-1], sizes[1:t + 1])) for t in range(1, d + 1)
-            ]
-    count += sum(len(F._made[e]) * sizes[d - e] for e in range(1, d))
-    count += sum(1 for deg, _text, _tree in F.extra if deg == d)
-    return count
-
-
-def _kept_row_count(F, d, keep):
-    """The rows `_row_count(F, d)` counts of the types a restriction `keep`
-    (type codes, with every code of fewer letters) keeps, with monomials or
-    not; the lower degrees' kept rows are made."""
-    ks = [len(comp.variables) for comp in F.components]
-    types, base = F._types, F._types.base
-    powers = [base**i for i in range(len(F.generators))]
-    # kept type -> degree: a kept type's partial sums are kept, and bounding
-    # their degrees stops carries
-    fits = {c: e for c in keep for e in [sum(c // p % base for p in powers)] if 0 < e <= d}
-    size = {c: len(ix) for e in range(1, d + 1) for c, ix in types.groups[e].items()}
-    parts = [(c, e, size[c]) for c, e in fits.items() if c in size]
-    tops = {c for c, e in fits.items() if e == d}
-    count, tuples = 0, {0: 1}  # k-tuples by the sum of their types
+    parts = [(c, deg[c], n) for c, n in size.items() if n]
+    count, tuples = 0, {0: 1}  # k-tuples by the sum of their keys
     for k in range(max(ks, default=0) + 1):
         count += ks.count(k) * sum(tuples.get(c, 0) for c in tops)
         grown = {}
         for c, n in tuples.items():
-            left = d - fits.get(c, 0)
+            left = d - deg.get(c, 0)
             for c2, e, n2 in parts:
-                if e <= left and c + c2 in fits:
+                if e <= left and c + c2 in deg:
                     grown[c + c2] = grown.get(c + c2, 0) + n * n2
         tuples = grown
-    for e in range(1, d):
-        for t, n in Counter(types.codes[e][p] for p in F._made[e]).items():
-            count += n * sum(size.get(c - t, 0) for c in tops)
-    rows = (row for row in F._word_rows if row)
-    return count + sum(sum(base**i for i in _leaves(next(iter(row)))) in tops for row in rows)
+    count += sum(n * size.get(c - t, 0) for t, n in made.items() for c in tops)
+    # an adjoined word is charged by its letters' type, also when its row is empty
+    for e, _text, tree in F.extra:
+        if e == d:
+            count += keep is None or _term_code(F, _flatten(tree)[0][1]) in tops
+    return count
+
+
+def _key_sizes(F, d, keep=None):
+    """({key: its degree}, {key: how many monomials of degree <= d have
+    it}), keyed by degree or, with a restriction `keep` ({type code: its
+    degree}), by the kept type codes of degree at most d.  Both keys add
+    under products; a kept type's factors have kept types, and bounding a
+    sum's degree by d < base stops carries.  Degree d's sizes come from the
+    products `monomials_of_degree` makes, each pair of distinct lower
+    monomials whose degrees add up to d once, so it need not be enumerated;
+    degree 1 is enumerated with the quotient."""
+    below = range(1, max(d, 2))
+    if keep is None:
+        deg = {e: e for e in range(1, d + 1)}
+        size = {e: len(F.monomials[e]) for e in below}
+    else:
+        deg = {c: e for c, e in keep.items() if 0 < e <= d}
+        size = {c: len(ix) for e in below for c, ix in F._types.groups[e].items() if c in deg}
+    lower = dict(size)
+    for c in [c for c, e in deg.items() if e == d]:
+        for c1, n1 in lower.items():
+            c2 = c - c1
+            if c1 <= c2 and c2 in lower and deg[c1] + deg[c2] == d:
+                size[c] = size.get(c, 0) + (n1 * lower[c2] if c1 < c2 else n1 * (n1 - 1) // 2)
+    return deg, size
+
+
+def _term_code(F, term):
+    """The type code of a ("var"/"prod") term of a word."""
+    return sum(F._types.base**i for i in _leaves(_leaf_tree(term, F._index)))
 
 
 def _degree_rows(F, d, types=None, keep=None):
@@ -777,19 +781,17 @@ def build_free_quotient(
 ) -> FreeQuotient:
     """Construct the truncated free algebra of the given variety, degreewise.
 
-    Before a degree's monomials are enumerated and its rows generated, a
-    full build charges the relation budget with their unpruned count
-    (`_row_count`).  The distinct generated rows, and the relabelled rows
-    of moved types, are checked against the rewrite map when their block is
-    made (module docstring).
+    Every build charges the relation budget for a degree before it
+    enumerates the degree's monomials and generates its rows, with their
+    unpruned count (`_row_count`).  The distinct generated rows, and the
+    relabelled rows of moved types, are checked against the rewrite map
+    when their block is made (module docstring).
 
     With `restrict_to`, a list of words (texts or ASTs), the build is
     word-restricted: it makes only the blocks whose types are at most a
-    term of a word, letter by letter.  It charges the budget for those alone
-    (`_kept_row_count`), which reads the sizes of their types, so a
-    degree's monomials are all enumerated, ranked and typed before its
-    charge.  A later read that makes the other blocks of a degree charges
-    their rows then.
+    term of a word, letter by letter, and charges the budget for those
+    types alone.  A later read that makes the other blocks of a degree
+    charges their rows then.
     """
     idfs = tuple(
         parse_identity(t) if isinstance(t, str) else t for t in identities
@@ -807,10 +809,8 @@ def build_free_quotient(
         F._types = _Types(F, whole=True)  # every type is its own representative
         F._types.add(F, 1)
     if restrict_to is not None:
-        base = F._types.base
         terms = (t for word in restrict_to for _c, t in _flatten(_word(F, word)[0]))
-        tops = {sum(base**i for i in _leaves(_leaf_tree(t, F._index))) for t in terms}
-        F._keep = _downset(tops, base, generators)
+        F._keep = _downset({_term_code(F, t) for t in terms}, F._types.base, generators)
     for d in range(1, max_degree + 1):
         if d > reach and not F.monomials[d - 1]:
             F.add_degree(empty=True)
@@ -818,15 +818,14 @@ def build_free_quotient(
             continue
         if d > 1:
             F._settle(d - 1, F._keep)  # the multiples of degree d read it
-        if F._keep is None:
-            F._charge(_row_count(F, d), d)
+        count = _row_count(F, d, F._keep)
+        if F._keep is not None:
+            F._partial[d] = count
+        F._charge(count, d)
         if d > 1:
             F.add_degree()
         reps = _open(F, d)
-        if F._keep is not None:
-            F._partial[d] = _kept_row_count(F, d, F._keep)
-            F._charge(F._partial[d], d)
-        F._settle(d, reps if F._keep is None else F._keep.intersection(reps))
+        F._settle(d, reps if F._keep is None else F._keep.keys() & reps)
     return F
 
 
@@ -923,10 +922,10 @@ def _record(F, d, ech, codes=None):
 
 
 def _downset(codes, base, g):
-    """Every type code at most one of `codes` letter by letter: the types
-    that a word of one of those types reads."""
+    """{type code: its degree} for every code at most one of `codes` letter
+    by letter: the types that a word of one of those types reads."""
     return {
-        sum(x * base**i for i, x in enumerate(xs))
+        sum(x * base**i for i, x in enumerate(xs)): sum(xs)
         for t in codes
         for xs in product(*(range(t // base**i % base + 1) for i in range(g)))
     }

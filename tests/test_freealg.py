@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -21,7 +22,6 @@ from skewalg.freealg import (
     _dedupe_key,
     _describe,
     _generator_symmetry,
-    _monomial_count,
     _row_count,
     build_free_quotient,
     canonicalize,
@@ -146,12 +146,45 @@ def test_enumeration_counts():
     assert [len(by2[d]) for d in range(1, 6)] == [2, 1, 2, 4, 10]
 
 
-def test_monomial_count_matches_enumeration():
-    for g in (1, 2, 3, 4):
-        by_degree = enumerate_monomials(g, 7)
-        sizes = [len(lst) for lst in by_degree]
-        for d in range(2, 8):
-            assert _monomial_count(sizes[:d], d) == sizes[d]
+@pytest.mark.parametrize(
+    "identities, g, cap, index",
+    [
+        (get_variety("v"), 3, 6, "type"),
+        (get_variety("lie"), 2, 7, "type"),
+        (get_variety("malcev"), 4, 5, "type"),
+        (["x*x = 0"], 4, 6, "whole"),
+        (["x*x = 0"], 2, 7, "whole"),
+    ],
+    ids=["v-3-6-type", "lie-2-7-type", "malcev-4-5-type", "square-4-6-whole", "square-2-7-whole"],
+)
+def test_key_sizes_before_enumeration_match_it(monkeypatch, identities, g, cap, index):
+    """The degree-d sizes that `_row_count` derives when it is called,
+    before degree d is enumerated, equal the enumerated ones: by degree,
+    `len(F.monomials[d])`; by type code, the monomials of each type, on the
+    type index of a build with generator symmetry and on the `whole` index
+    (codes are degrees) of a build without."""
+    derived = {}
+    row_count = freealg._row_count
+
+    def spy(F, d, keep=None):
+        base = F.max_degree + 1
+        every = freealg._downset({sum(cap * base**i for i in range(g))}, base, g)
+        degree, by_key = freealg._key_sizes(F, d, every)
+        by_type = {c: n for c, n in by_key.items() if degree[c] == d and n}
+        derived[d] = len(F.monomials), freealg._key_sizes(F, d)[1][d], by_type
+        return row_count(F, d, keep)
+
+    monkeypatch.setattr(freealg, "_row_count", spy)
+    F = build_free_quotient(identities, g, cap)
+    assert sorted(derived) == list(range(1, cap + 1))
+    for d, (enumerated, by_degree, by_type) in derived.items():
+        assert enumerated == max(d, 2)
+        assert by_degree == len(F.monomials[d])
+        if index == "whole":
+            want = {d: len(F.monomials[d])} if F.monomials[d] else {}
+        else:
+            want = Counter(sum((cap + 1) ** i for i in freealg._leaves(m)) for m in F.monomials[d])
+        assert by_type == want
 
 
 @pytest.mark.parametrize("cap", [8, 12])
@@ -791,9 +824,9 @@ def test_one_generator_build_stops_where_no_row_reaches(monkeypatch, identities,
     counted, enumerated = [], []
     row_count, mons = freealg._row_count, freealg.monomials_of_degree
 
-    def count_spy(F, d):
+    def count_spy(F, d, keep=None):
         counted.append(d)
-        return row_count(F, d)
+        return row_count(F, d, keep)
 
     def mons_spy(by, d):
         enumerated.append(d)
@@ -1159,13 +1192,21 @@ def test_read_outside_a_restricted_quotient_raises():
 
 @pytest.mark.parametrize(
     "name, g, cap, extra",
-    [("v", 3, 5, ()), ("w", 3, 5, ("J(a,b,c)",)), ("binary-lie", 2, 6, ())],
+    [
+        ("v", 3, 5, ()),
+        ("w", 3, 5, ("J(a,b,c)",)),
+        ("binary-lie", 2, 6, ()),
+        ("v", 3, 5, ("a*a", "J(a,b,c)")),
+        ("w", 3, 5, ("(a*b)*(a*b)",)),
+    ],
 )
 def test_restricted_build_covering_every_type_charges_the_full_count(name, g, cap, extra):
     """Restricted to one word of every top-degree type, a build makes every
     block of every degree, so its per-block charges add up, degree by
     degree, to the full build's `_row_count`: both abort at the same degree
-    for every budget just short of a degree's cumulative count."""
+    for every budget just short of a degree's cumulative count.  An
+    adjoined word whose row is empty (a*a, (ab)(ab)) is charged by its
+    letters' type."""
     F = build_free_quotient(get_variety(name), g, cap, extra_relations=extra)
     words = [F.label(ms[0]) for ms in _types_of(F.monomials[cap]).values()]
     total = 0
@@ -1216,19 +1257,42 @@ _WHOLE_READS = {
 
 
 def _restricted_charge(monkeypatch, words):
-    """The rows a word-restricted w 3 6 build charges: the sum of its
-    `_kept_row_count`s."""
+    """The rows a word-restricted w 3 6 build charges, degree by degree:
+    its `_row_count`s."""
     charged = []
-    kept_row_count = freealg._kept_row_count
+    row_count = freealg._row_count
 
-    def spy(F, d, keep):
-        charged.append(kept_row_count(F, d, keep))
+    def spy(F, d, keep=None):
+        charged.append(row_count(F, d, keep))
         return charged[-1]
 
     with monkeypatch.context() as patched:
-        patched.setattr(freealg, "_kept_row_count", spy)
+        patched.setattr(freealg, "_row_count", spy)
         build_free_quotient(get_variety("w"), 3, 6, restrict_to=words)
-    return sum(charged)
+    return charged
+
+
+def test_restricted_abort_enumerates_nothing_of_its_degree(monkeypatch):
+    """A word-restricted build charges a degree before it enumerates it: an
+    abort at degree d has enumerated degrees 2 to d - 1 only."""
+    charged = _restricted_charge(monkeypatch, [CONJECTURE_WORD])
+    enumerated = []
+    mons = freealg.monomials_of_degree
+
+    def spy(by, d):
+        enumerated.append(d)
+        return mons(by, d)
+
+    monkeypatch.setattr(freealg, "monomials_of_degree", spy)
+    for d in range(3, 7):
+        assert charged[d - 1]
+        enumerated.clear()
+        with pytest.raises(RelationBudgetExceeded) as info:
+            build_free_quotient(
+                get_variety("w"), 3, 6, budget=sum(charged[:d - 1]), restrict_to=[CONJECTURE_WORD]
+            )
+        assert info.value.degree == d
+        assert enumerated == list(range(2, d))
 
 
 @pytest.mark.parametrize("read", list(_WHOLE_READS))
@@ -1241,7 +1305,7 @@ def test_completing_a_restricted_quotient_charges_the_budget(monkeypatch, read):
     gives) and no less (one row short, completing aborts)."""
     F = build_free_quotient(get_variety("w"), 3, 6)
     full = sum(_row_count(F, d) for d in range(1, 7))
-    kept = _restricted_charge(monkeypatch, [CONJECTURE_WORD])
+    kept = sum(_restricted_charge(monkeypatch, [CONJECTURE_WORD]))
     assert kept < full
     G = build_free_quotient(get_variety("w"), 3, 6, budget=kept, restrict_to=[CONJECTURE_WORD])
     with pytest.raises(RelationBudgetExceeded) as info:
@@ -1264,7 +1328,7 @@ def test_failure_is_kept_when_naming_its_row_exceeds_the_budget(monkeypatch):
     to name the first failing row; past the budget that aborts, and every
     later read of the failed block raises the failed check."""
     words = [CONJECTURE_WORD, "J(b,a,(b*a)*(b*c))"]  # the second's type waits
-    kept = _restricted_charge(monkeypatch, words)
+    kept = sum(_restricted_charge(monkeypatch, words))
     F = build_free_quotient(get_variety("w"), 3, 6, budget=kept, restrict_to=words)
     codes, target = _column_types(F, 6), _type_code(words[1], 3, 6)
     seen = _relabel_spy(monkeypatch)
