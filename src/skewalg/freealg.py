@@ -3,15 +3,19 @@
 Monomials are binary trees over generator indices kept in a canonical form
 that realizes anticommutativity: at every node the left subtree strictly
 precedes the right in the degree-then-structure order, one sign per swap,
-equal children collapsing to zero.  A FreeQuotient ranks its monomials in
-that order (`FreeQuotient.rank`) and records, degree by degree up to a cap,
-the surviving monomial basis and a rewrite map sending every canonical
-monomial into it.  Relations come from substitution instances of the
-polarized defining identities plus monomial multiples of lower-degree
-relations; adjoined words enter the ideal without the substitution step.
-Identities and words reach the quotient in the one canonical polynomial
-form of `identities`: a compiled `Component` per identity, and
-`FreeQuotient.word_poly` for a word, which the adjoined rows, the symmetry
+equal children collapsing to zero.  A FreeQuotient keys each monomial by its
+rank in that order, an int id: the generators keep their indices, and a
+product's id is read from one table keyed by its two factors' ids.  Rows,
+rewrites, bases and word values are keyed by id; the nested tuples are made
+only for labels (`FreeQuotient.nested`) and read only where a word's
+expansion (`FreeQuotient.word_poly`) enters the quotient.  Degree by degree
+up to a cap, the quotient records the surviving monomial basis and a
+rewrite map sending every monomial into it.  Relations come from
+substitution instances of the polarized defining identities plus monomial
+multiples of lower-degree relations; adjoined words enter the ideal without
+the substitution step.  Identities and words reach the quotient in the one
+canonical polynomial form of `identities`: a compiled `Component` per
+identity, and `word_poly` for a word, which the adjoined rows, the symmetry
 test on the words, `expand_evaluate` and `relation_combination` all read.
 
 Substitution instances are generated once per orbit of the identity's
@@ -19,8 +23,19 @@ symmetries: copies of a polarized variable take sorted values and a skew
 pair of variables strictly increasing ones (`Component.lower`).  Every
 other instance is +1 or -1 times the lexicographically first member of its
 orbit, which comes earlier in the same stream, or zero, so the pruning
-changes neither the row space nor the first occurrence of any row.  The
-relation budget still counts every instance (`_row_count`).
+changes neither the row space nor the first occurrence of any row.
+
+A build generates fewer rows still, from the lower quotient bases (as in
+Albert's practice): a substitution value of degree e < d is a basis monomial
+of degree e, and a multiple R_e * m with e > d - e takes m from the basis of
+degree d - e.  The rows still span the ideal.  A monomial m off the basis is
+rw(m) plus an element of the lower ideal, so an instance at m is one at
+rw(m)'s basis monomials plus lower multiples; and R_e * m is R_e * rw(m)
+plus R_e times lower relations, which the multiples R_{d-e} * (every
+monomial of degree e) give.  The build checks the rows it generates;
+`FreeQuotient.self_check` and `relation_combination` read every row.  The
+relation budget still counts every unpruned instance and multiple
+(`_row_count`).
 
 Every relation row has one type, its multidegree in the generators, so each
 degree's echelon is block-diagonal by type.  A quotient keeps one table of
@@ -47,6 +62,7 @@ degree's whole stream, as `FreeQuotient.self_check` does, and every later
 read of the quotient's rewrites raises it again.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, permutations, product
@@ -85,19 +101,18 @@ class RelationBudgetExceeded(RuntimeError):
 
 # --- canonical monomials ----------------------------------------------------
 # `sort_key` and `canonicalize` live in identities, which compiles identities
-# into the same form; a quotient orders its own monomials by `rank`, their
-# position in that order.
+# into the same form; a quotient keys its own monomials by their rank in that
+# order, and `times[a][b]` is the id of the canonical product of ids a < b.
 
 
-def _cmul(rank, a, b):
-    """(sign, canonical a*b) for canonical monomials a and b ranked by
-    `rank`; None when a == b."""
-    ra, rb = rank[a], rank[b]
-    if ra == rb:
-        return None
-    if ra > rb:
-        return -1, (b, a)
-    return 1, (a, b)
+def _cmul(times, a, b):
+    """(sign, id of canonical a*b) for monomial ids a and b, from a
+    quotient's product table `times`; None when a == b."""
+    if a < b:
+        return 1, times[a][b]
+    if a > b:
+        return -1, times[b][a]
+    return None
 
 
 def mono_label(m, names) -> str:
@@ -108,7 +123,8 @@ def mono_label(m, names) -> str:
 
 def monomials_of_degree(by, d):
     """Canonical monomials of degree d >= 2 in the canonical order
-    (`sort_key`), from the lists `by[e]` of the lower degrees e.
+    (`sort_key`), from the lists `by[e]` of the lower degrees e: nested
+    pairs of them, or of their ids when `by[e]` holds ids.
 
     The products come out already ordered: by left factor, each degree's
     block after the lower ones, then by right factor.
@@ -129,7 +145,8 @@ def monomials_of_degree(by, d):
 
 
 def _dedupe_key(row):
-    return tuple(sorted(_row_normalize(dict(row)).items()))
+    """A nonzero integer row up to a positive or negative scalar."""
+    return frozenset(_row_normalize(row).items())
 
 
 # --- the quotient ------------------------------------------------------------
@@ -137,7 +154,8 @@ def _dedupe_key(row):
 
 @dataclass(frozen=True)
 class WordValue:
-    """Homogeneous element of a FreeQuotient: degree plus monomial coordinates."""
+    """Homogeneous element of a FreeQuotient: degree plus coordinates keyed
+    by monomial id."""
 
     degree: int
     coords: dict
@@ -163,9 +181,10 @@ class FreeQuotient:
         self.generators = tuple(generators)
         self.max_degree = max_degree
         self.components = tuple(_compiled(i) for i in self.identities)
-        self.monomials = [[]]
-        self.col = [{}]
-        self.rank = {}
+        self.monomials = [range(0)]  # per degree, the range of its ids
+        # per id, its factors' ids (a generator: its index), and for each id
+        # that can be a left factor, {right factor's id: the product's id}
+        self._factors, self._times = [], []
         self._rewrite = {}
         # per degree: made blocks' reduced rows {pivot: row}, the rref and basis
         # once every block is made, representatives' independent rows by type
@@ -185,35 +204,41 @@ class FreeQuotient:
 
     @property
     def basis(self):
-        """Per degree, the monomials that survive, in rank order."""
+        """Per degree, the ids of the monomials that survive, in order."""
         self._complete()
         return self._basis
 
     @property
     def rewrite(self):
-        """{canonical monomial: its image over the basis}, every degree."""
+        """{monomial id: its image over the basis}, every degree."""
         self._complete()
         return self._rewrite
 
     @property
     def relations_rref(self):
         """Per degree, the reduced relation rows (primitive integer rows
-        keyed by column index) in pivot order."""
+        keyed by monomial id) in pivot order."""
         self._complete()
         return self._rref
 
     def add_degree(self, empty=False):
-        """Enumerate, index, rank and type the monomials of the next degree
-        (none when `empty`) and open its per-degree records."""
+        """Enumerate, number and type the monomials of the next degree (none
+        when `empty`) and open its per-degree records."""
         d = len(self.monomials)
         if d == 1:
-            mons = list(range(len(self.generators)))
+            pairs = range(len(self.generators))
         else:
-            mons = [] if empty else monomials_of_degree(self.monomials, d)
+            pairs = [] if empty else monomials_of_degree(self.monomials, d)
+        start = len(self._factors)
+        mons = range(start, start + len(pairs))
         self.monomials.append(mons)
-        self.col.append({m: i for i, m in enumerate(mons)})
-        start = len(self.rank)
-        self.rank.update((m, start + i) for i, m in enumerate(mons))
+        self._factors.extend(pairs)
+        if d > 1:
+            times = self._times
+            for m, (l, r) in zip(mons, pairs):
+                times[l][r] = m
+        if 2 * d <= self.max_degree:  # a left factor has at most half the cap
+            self._times.extend({} for _ in mons)
         for records, new in ((self._made, {}), (self._rref, None), (self._basis, None)):
             records.append(new)
         self._independent.append({})
@@ -247,17 +272,26 @@ class FreeQuotient:
         return [len(self.monomials[d]) - ranks[d] for d in range(1, self.max_degree + 1)]
 
     def label(self, m):
-        return mono_label(m, self.generators)
+        return mono_label(self.nested(m), self.generators)
+
+    def nested(self, m):
+        """The canonical monomial of id m as nested pairs of generator indices."""
+        f = self._factors[m]
+        return f if isinstance(f, int) else (self.nested(f[0]), self.nested(f[1]))
+
+    def _id(self, m):
+        """The id of a canonical monomial given as nested pairs (`nested`)."""
+        return m if isinstance(m, int) else self._times[self._id(m[0])][self._id(m[1])]
 
     def _rewritten(self, m):
-        """The rewrite entry of a canonical monomial, its block made first
-        when it waits; outside a word-restricted quotient's types, raise."""
+        """The rewrite entry of a monomial id, its block made first when it
+        waits; outside a word-restricted quotient's types, raise."""
         image = self._rewrite.get(m)
         if image is None or self._failure is not None:
-            code = self._types._code.get(m) or len(_leaves(m))  # a whole index: the degree
+            code = self._types.code[m]
             if self._failure is None and self._keep is not None and code not in self._keep:
                 raise ValueError(f"{self.label(m)} is outside a word-restricted quotient")
-            self._settle(len(_leaves(m)), [code])
+            self._settle(bisect_right([r.stop for r in self.monomials], m), [code])
             image = self._rewrite[m]
         return image
 
@@ -301,10 +335,10 @@ class FreeQuotient:
                 self._settle(d)
 
     def _pair_product(self, m1, m2):
-        """Rewrite image of the product of two canonical monomials."""
+        """Rewrite image of the product of two monomial ids."""
         cached = self._pair_cache.get((m1, m2))
         if cached is None:
-            res = _cmul(self.rank, m1, m2)
+            res = _cmul(self._times, m1, m2)
             if res is None:
                 cached = {}
             else:
@@ -334,8 +368,8 @@ class FreeQuotient:
         return d, out
 
     def word_poly(self, tree):
-        """A word AST's full expansion as {canonical monomial: coefficient}
-        over the generator indices (`identities.term_poly`)."""
+        """A word AST's full expansion as {canonical monomial: coefficient},
+        monomials as nested pairs of generator indices (`identities.term_poly`)."""
         return term_poly(tree, self._index)
 
     def _index(self, label):
@@ -364,12 +398,13 @@ def _ast_degree(tree):
     return degs.pop()
 
 
-def _assignments(monomials, k, d, lower=None, types=None, keep=None):
-    """k-tuples of monomials of total degree d in lexicographic rank order,
-    rank = (degree, index in monomials[degree]).
+def _assignments(values, k, d, lower=None, code=None, groups=None, keep=None):
+    """k-tuples of monomial ids of total degree d in lexicographic order,
+    the values of degree e drawn in order from `values[e]`, an increasing
+    sequence of ids (every monomial of degree e, or a basis).
 
     With `lower` (a component's `Component.lower`), only the tuples with
-    rank[q] >= rank[p] + (0, s) for every (p, s) in lower[q] are yielded:
+    combo[q] >= combo[p] + s for every (p, s) in lower[q] are yielded:
     sorted copies of a polarized variable (s = 0), strictly increasing
     values on a skew pair (s = 1).  This is exact for relation rows.  A
     tuple that breaks a bound becomes lexicographically smaller when the
@@ -378,48 +413,42 @@ def _assignments(monomials, k, d, lower=None, types=None, keep=None):
     lexicographically first tuple is kept, and every dropped row is +1 or
     -1 times a row yielded before it, or zero.
 
-    With `types` (a `_Types`) and `keep`, a set of type codes, only the
-    tuples whose types add up to a code in `keep` are yielded: the last
-    value is drawn from the monomials of the types that complete the others
-    into `keep`. The tuples of each type keep their order.
+    With `keep`, a set of type codes, `code` (per id, its type code) and
+    `groups` (per degree, {type code: the ids of `values` of that type}),
+    only the tuples whose types add up to a code in `keep` are yielded: the
+    last value is drawn from the values of the types that complete the
+    others into `keep`. The tuples of each type keep their order.
     """
     if k == 0:
         if d == 0:
             yield ()
         return
-    state = (monomials, lower or ((),) * k, types, keep, [None] * k, [None] * k)
+    state = (values, lower or ((),) * k, code, groups, keep, [None] * k)
     yield from _fill_assignments(state, 0, d, 0)
 
 
 def _fill_assignments(state, q, left, part):
     """`_assignments` from position q on, with `left` degree still to place
     and `part` the type code of the values before q."""
-    monomials, bounds, types, keep, rank, combo = state
-    k = len(rank)
-    lo_e, lo_i = 1, 0
-    for p, s in bounds[q]:
-        e, i = rank[p]
-        if e > lo_e or e == lo_e and i + s > lo_i:
-            lo_e, lo_i = e, i + s
+    values, bounds, code, groups, keep, combo = state
+    k = len(combo)
+    lo = max([combo[p] + s for p, s in bounds[q]], default=0)
     last = q == k - 1
-    hi = min(left - (k - 1 - q), len(monomials) - 1)
-    for e in range(max(left if last else 1, lo_e), hi + 1):
-        mons = monomials[e]
-        lo = lo_i if e == lo_e else 0
+    hi = min(left - (k - 1 - q), len(values) - 1)
+    for e in range(left if last else 1, hi + 1):
         if last and keep is not None:
-            groups = types.groups[e]
-            span = [i for t in keep for i in groups.get(t - part, ()) if i >= lo]
+            group = groups[e]
+            span = [m for t in keep for m in group.get(t - part, ()) if m >= lo]
         else:
-            span = range(lo, len(mons))
-        codes = types.codes[e] if keep is not None else None
-        for i in span:
-            rank[q] = (e, i)
-            combo[q] = mons[i]
+            vals = values[e]
+            span = vals[bisect_left(vals, lo):]
+        for m in span:
+            combo[q] = m
             if last:
                 yield tuple(combo)
             else:
                 yield from _fill_assignments(
-                    state, q + 1, left - e, part if codes is None else part + codes[i]
+                    state, q + 1, left - e, part if keep is None else part + code[m]
                 )
 
 
@@ -435,7 +464,7 @@ def _row_count(F, d, keep=None):
     if keep is None:
         made = {e: len(F._made[e]) for e in range(1, d)}
     else:
-        made = Counter(F._types.codes[e][p] for e in range(1, d) for p in F._made[e])
+        made = Counter(F._types.code[p] for e in range(1, d) for p in F._made[e])
     tops = [c for c, e in deg.items() if e == d]
     ks = [len(comp.variables) for comp in F.components]
     parts = [(c, deg[c], n) for c, n in size.items() if n]
@@ -487,8 +516,9 @@ def _term_code(F, term):
     return sum(F._types.base**i for i in _leaves(_leaf_tree(term, F._index)))
 
 
-def _degree_rows(F, d, types=None, keep=None):
-    """Relation rows of degree d in a fixed deterministic order.
+def _degree_rows(F, d, types=None, keep=None, basis=False):
+    """Relation rows of degree d, keyed by monomial id, in a fixed
+    deterministic order.
 
     Yields (source, row) pairs; `source` is (identity, component, assignment),
     (e, index, monomial) for R_e[index] * monomial, or (text,) for an
@@ -498,6 +528,11 @@ def _degree_rows(F, d, types=None, keep=None):
     (`_assignments`). An identity whose polynomial is empty (x*x = 0)
     yields none; `_row_count` still charges its instances.
 
+    With `basis`, the rows are those a build generates (module docstring):
+    substitution values of degree e < d are the monomials of degree e
+    outside the made blocks' pivots (the basis once the degree is made),
+    and so is m in R_e[index] * m when e > d - e.
+
     With `types` (a `_Types`) and `keep`, a set of type codes, only the rows
     of those types are made: an instance's type is the sum of its values'
     types, a multiple's the sum of its factors'.  The multiples read the
@@ -506,19 +541,25 @@ def _degree_rows(F, d, types=None, keep=None):
     """
     if types is None:
         F._complete(d - 1)
-    col = F.col[d]
-    rank = F.rank
+    times = F._times
+    values = F.monomials[:d + 1]
+    if basis:
+        values[1:d] = [_outside_pivots(F, e) for e in range(1, d)]
+    code = groups = full = None
+    if keep is not None:
+        code, full = types.code, types.groups
+        groups = full if not basis else [*(_grouped(v, code) for v in values[:d]), full[d]]
     for idf, comp in zip(F.identities, F.components):
         k = len(comp.variables)
         if k > d or not comp.poly:
             continue
-        for combo in _assignments(F.monomials, k, d, comp.lower, types, keep):
+        for combo in _assignments(values, k, d, comp.lower, code, groups, keep):
             # the compiled straight-line program (`Component.compile`): each
-            # proper subproduct once, as (sign, monomial) or None
+            # proper subproduct once, as (sign, id) or None
             vals = [(1, m) for m in combo]
             for l, r, _leaves in comp._nodes:
                 a, b = vals[l], vals[r]
-                res = a and b and _cmul(rank, a[1], b[1])
+                res = a and b and _cmul(times, a[1], b[1])
                 vals.append(res and (a[0] * b[0] * res[0], res[1]))
             row = {}
             # inline, not add_scaled: runs per term of every relation row
@@ -526,11 +567,11 @@ def _degree_rows(F, d, types=None, keep=None):
                 a = vals[l]
                 if r is not None and a:
                     b = vals[r]
-                    res = b and _cmul(rank, a[1], b[1])
+                    res = b and _cmul(times, a[1], b[1])
                     a = res and (a[0] * b[0] * res[0], res[1])
                 if not a:
                     continue
-                c = col[a[1]]
+                c = a[1]
                 nv = row.get(c, 0) + coef * a[0]
                 if nv:
                     row[c] = nv
@@ -538,46 +579,66 @@ def _degree_rows(F, d, types=None, keep=None):
                     del row[c]
             yield (idf, comp, combo), _scale_to_int(row)
     for e in range(1, d):
-        lower, upper = F.monomials[e], F.monomials[d - e]
+        f = d - e
+        upper, by_type = (values[f], groups) if e > f else (F.monomials[f], full)
         made = F._rref[e] or [F._made[e][p] for p in sorted(F._made[e])]
         for idx, r in enumerate(made):
             mons = upper
             if keep is not None:
-                code = types.codes[e][next(iter(r))]
-                groups = types.groups[d - e]
-                mons = [upper[i] for t in keep for i in groups.get(t - code, ())]
+                t = code[next(iter(r))]
+                mons = [m for c in keep for m in by_type[f].get(c - t, ())]
+            # distinct monomials of r give distinct products with m, so the
+            # row's entries are r's, signed: R_e's monomials precede degree
+            # f's when e < f and follow them when e > f
             for m in mons:
-                row = {}
-                # inline, not add_scaled: runs per entry of every multiple
-                for c, v in r.items():
-                    res = _cmul(rank, lower[c], m)
-                    if res is None:
-                        continue
-                    c2 = col[res[1]]
-                    nv = row.get(c2, 0) + v * res[0]
-                    if nv:
-                        row[c2] = nv
-                    elif c2 in row:
-                        del row[c2]
+                if e < f:
+                    row = {times[c][m]: v for c, v in r.items()}
+                elif e > f:
+                    tm = times[m]
+                    row = {tm[c]: -v for c, v in r.items()}
+                else:
+                    row = {}
+                    for c, v in r.items():
+                        if c < m:
+                            row[times[c][m]] = v
+                        elif c > m:
+                            row[times[m][c]] = -v
                 yield (e, idx, m), row
     for (deg, text, _tree), poly in zip(F.extra, F._word_rows):
         if deg == d:
-            row = {col[m]: c for m, c in poly.items()}
-            if keep is None or row and types.codes[d][next(iter(row))] in keep:
+            row = {F._id(m): c for m, c in poly.items()}
+            if keep is None or row and types.code[next(iter(row))] in keep:
                 yield (text,), row
+
+
+def _outside_pivots(F, e):
+    """The ids of degree e that no made block's pivot takes, in order: the
+    basis, once every block of degree e is made."""
+    if F._basis[e] is not None:
+        return F._basis[e]
+    made = F._made[e]
+    return [m for m in F.monomials[e] if m not in made]
+
+
+def _grouped(ids, code):
+    """{type code: the ids of that code, in order}."""
+    groups = {}
+    for m in ids:
+        groups.setdefault(code[m], []).append(m)
+    return groups
 
 
 def _check_rows(F, d, rows):
     """The failure message naming the first (source, row) pair of degree d
     that does not vanish under the rewrite map, or None.
 
-    The check stays in integers, keyed by column index. Each column c's
+    The check stays in integers, keyed by monomial id. Each monomial's
     rewrite is read once, as D_c times it, D_c the lcm of its denominators,
     and a row is summed as L times its image, L a multiple of the D_c of
-    its columns, which grows when a column needs it: the row vanishes
+    its monomials, which grows when a monomial needs it: the row vanishes
     under one exactly when it vanishes under the other."""
-    mons, col, rewrite = F.monomials[d], F.col[d], F._rewrite
-    scaled = {}  # column -> (D_c, D_c times its rewrite, keyed by column)
+    rewrite = F._rewrite
+    scaled = {}  # monomial -> (D_c, D_c times its rewrite)
     for source, row in rows:
         image = {}
         scale = 1
@@ -585,10 +646,10 @@ def _check_rows(F, d, rows):
         for c, v in row.items():
             hit = scaled.get(c)
             if hit is None:
-                r = rewrite[mons[c]]
+                r = rewrite[c]
                 den = lcm(*(x.denominator for x in r.values()))
                 hit = scaled[c] = den, {
-                    col[m]: x.numerator * (den // x.denominator) for m, x in r.items()
+                    m: x.numerator * (den // x.denominator) for m, x in r.items()
                 }
             den, r = hit
             if scale % den:
@@ -629,47 +690,44 @@ def _describe(F, source):
 
 class _Types:
     """The type codes of a quotient's monomials, added degree by degree:
-    `codes[e][i]` is the code of monomials[e][i], and `groups[e]` maps each
-    code to the increasing indices of the degree-e monomials of that type.
-    Codes are read off the monomials, so only `monomials_of_degree` orders
-    them.  A `whole` index codes every monomial by its degree alone, which
-    also adds under products, so that each degree is one block."""
+    `code[m]` is the code of the monomial of id m, and `groups[e]` maps each
+    code to the increasing ids of the degree-e monomials of that type.
+    Codes are read off the monomials' factors, so only `monomials_of_degree`
+    orders them.  A `whole` index codes every monomial by its degree alone,
+    which also adds under products, so that each degree is one block."""
 
     def __init__(self, F, whole=False):
         self.base = F.max_degree + 1
         self.whole = whole
-        self.codes = [[]]
+        self.code = []
         self.groups = [{}]
-        self._code = {}  # monomial -> type code, for the lower degrees (not whole)
 
     def add(self, F, d):
         """Index degree d, after every lower degree."""
-        mons, of = F.monomials[d], self._code
+        mons, code = F.monomials[d], self.code
         if self.whole:
-            self.codes.append([d] * len(mons))
-            self.groups.append({d: range(len(mons))} if mons else {})
+            code.extend([d] * len(mons))
+            self.groups.append({d: mons} if mons else {})
             return
         if d == 1:
-            codes = [self.base**i for i in mons]
+            code.extend(self.base**i for i in mons)
         else:
-            codes = [of[l] + of[r] for l, r in mons]
-        of.update(zip(mons, codes))
-        groups = {}
-        for i, code in enumerate(codes):
-            groups.setdefault(code, []).append(i)
-        self.codes.append(codes)
-        self.groups.append(groups)
+            factors = F._factors
+            code.extend(code[factors[m][0]] + code[factors[m][1]] for m in mons)
+        self.groups.append(_grouped(mons, code))
 
 
-def _relabel(m, perm, memo, rank):
-    """(sign, canonical monomial) of m with each generator i renamed perm[i]."""
-    if isinstance(m, int):
-        return 1, perm[m]
+def _relabel(F, m, perm, memo):
+    """(sign, id) of the monomial of id m with each generator i renamed
+    perm[i]; `memo` keeps the images of products under perm."""
+    f = F._factors[m]
+    if isinstance(f, int):
+        return 1, perm[f]
     hit = memo.get(m)
     if hit is None:
-        sl, left = _relabel(m[0], perm, memo, rank)
-        sr, right = _relabel(m[1], perm, memo, rank)
-        sign, mono = _cmul(rank, left, right)
+        sl, left = _relabel(F, f[0], perm, memo)
+        sr, right = _relabel(F, f[1], perm, memo)
+        sign, mono = _cmul(F._times, left, right)
         hit = memo[m] = sl * sr * sign, mono
     return hit
 
@@ -709,7 +767,7 @@ class _Symmetry:
         representatives (each orbit's least code), and {type:
         (representative, perm)} for every other type, perm mapping the
         representative's monomials onto the type's."""
-        base, powers, free = types.base, types.codes[1], self.free
+        base, powers, free = types.base, types.code[:len(self.perms[0])], self.free
         reps, moved = set(), {}
         for code in sorted(types.groups[d]):
             t = [code // p % base for p in powers]
@@ -783,8 +841,9 @@ def build_free_quotient(
 
     Every build charges the relation budget for a degree before it
     enumerates the degree's monomials and generates its rows, with their
-    unpruned count (`_row_count`).  The distinct generated rows, and the
-    relabelled rows of moved types, are checked against the rewrite map
+    unpruned count (`_row_count`), from every monomial.  The rows it
+    generates come from the lower quotient bases; they, deduplicated, and
+    the relabelled rows of moved types are checked against the rewrite map
     when their block is made (module docstring).
 
     With `restrict_to`, a list of words (texts or ASTs), the build is
@@ -864,14 +923,14 @@ def _fill(F, d, codes=None):
         ech, kept, independent = Echelon(), {}, F._independent[d]
         # every type at once is made unfiltered
         keep = None if len(reps) == len(types.groups[d]) else reps
-        for source, row in _degree_rows(F, d, types, keep):
+        for source, row in _degree_rows(F, d, types, keep, basis=True):
             if not row:
                 continue
             key = _dedupe_key(row)
             if key not in kept:
                 kept[key] = source, row
                 if ech.insert(row) is not None and F._sym:  # kept to relabel
-                    code = types.codes[d][next(iter(row))]
+                    code = types.code[next(iter(row))]
                     independent.setdefault(code, []).append((source, row))
         _record(F, d, ech, reps)
         rows = list(kept.values())
@@ -890,15 +949,13 @@ def _relabelled(F, d, moved, independent, memos):
     (representative, perm)}): the images under perm of the representative's
     rows in `independent`, `source` naming the row relabelled. `memos` keeps
     per permutation the images of monomials."""
-    mons, col, rank = F.monomials[d], F.col[d], F.rank
     for rep, perm in moved.values():
         memo = memos.setdefault(perm, {})
         for source, row in independent.get(rep, ()):
             image = {}
-            for c, v in row.items():
-                m = mons[c]
-                sign, m = memo.get(m) or _relabel(m, perm, memo, rank)
-                image[col[m]] = sign * v
+            for m, v in row.items():
+                sign, m = memo.get(m) or _relabel(F, m, perm, memo)
+                image[m] = sign * v
             yield source, image
 
 
@@ -907,17 +964,17 @@ def _record(F, d, ech, codes=None):
     default) from the echelon of all their rows: write their rewrites, from
     its rref, and reduced rows, and take them off the table.  The degree's
     last block closes its relations rref and basis."""
-    groups, mons, rewrite, made = F._types.groups[d], F.monomials[d], F._rewrite, F._made[d]
+    groups, rewrite, made = F._types.groups[d], F._rewrite, F._made[d]
     reduced, pivots = ech.rref()
     for code in groups if codes is None else codes:
-        rewrite.update((mons[c], {mons[c]: 1}) for c in groups[code] if c not in ech.rows)
+        rewrite.update((m, {m: 1}) for m in groups[code] if m not in ech.rows)
         F._table.pop((d, code), None)
     for lead, row in zip(pivots, reduced):
-        rewrite[mons[lead]] = {mons[c]: -v for c, v in row.items() if c != lead}
+        rewrite[lead] = {c: -v for c, v in row.items() if c != lead}
     made.update(ech.rows)
     if not any((d, code) in F._table for code in groups):
         F._rref[d] = [made[c] for c in sorted(made)]
-        F._basis[d] = tuple(m for i, m in enumerate(mons) if i not in made)
+        F._basis[d] = tuple(m for m in F.monomials[d] if m not in made)
         F._independent[d] = {}
 
 
@@ -972,7 +1029,7 @@ def expand_evaluate(F: FreeQuotient, word) -> WordValue:
     tree, d = _word(F, word)
     out = {}
     for mono, coef in F.word_poly(tree).items():
-        add_scaled(out, F._rewritten(mono), coef)
+        add_scaled(out, F._rewritten(F._id(mono)), coef)
     return WordValue(d, out)
 
 
@@ -983,7 +1040,8 @@ def relation_combination(F: FreeQuotient, word):
     """Express a vanishing word over the degree's relation rows of its type.
 
     Returns a list of (coefficient, description, row) with rows keyed by
-    monomial; the linear combination reproduces the word's expansion.
+    nested monomial (`FreeQuotient.nested`); the linear combination
+    reproduces the word's expansion (`FreeQuotient.word_poly`).
     """
     tree = parse_word(word) if isinstance(word, str) else word
     value = evaluate_word(F, tree)
@@ -991,12 +1049,11 @@ def relation_combination(F: FreeQuotient, word):
         raise ValueError("word is nonzero in the quotient")
     d = value.degree
     F._complete(d - 1)  # R_e[index] names a row of the whole rref of degree e
-    col = F.col[d]
-    v = {col[m]: c for m, c in F.word_poly(tree).items()}
+    v = {F._id(m): c for m, c in F.word_poly(tree).items()}
     # only rows of the word's type are made (and kept): a row of another type
-    # shares no column with the word, so it never meets the pivots that express it
+    # shares no monomial with the word, so it never meets the pivots that express it
     types = F._types
-    want = {types.codes[d][next(iter(v))]} if v else None
+    want = {types.code[next(iter(v))]} if v else None
     originals = []
     ech = Echelon()
     for source, row in _degree_rows(F, d, types, want) if v else ():
@@ -1015,7 +1072,7 @@ def relation_combination(F: FreeQuotient, word):
         (
             acc[t],
             _describe(F, originals[t][0]),
-            {F.monomials[d][c]: val for c, val in originals[t][1].items()},
+            {F.nested(m): val for m, val in originals[t][1].items()},
         )
         for t in sorted(acc)
     ]

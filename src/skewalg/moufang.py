@@ -141,7 +141,7 @@ def render_moufang(report: MoufangReport, classification: Classification, comman
 
 def value_text(F: FreeQuotient, value: WordValue):
     return render_terms(
-        (F.label(m), value.coords[m]) for m in sorted(value.coords, key=F.rank.get)
+        (F.label(m), value.coords[m]) for m in sorted(value.coords)
     )
 
 
@@ -180,7 +180,7 @@ def run_conjecture(variant_generators=False, budget=DEFAULT_RELATION_BUDGET) -> 
             rep.add(idx, f"{format_scalar(coef)} * {desc}")
     else:
         rep.add("status", "nonzero value; coordinates below")
-        for m in sorted(cert.value.coords, key=F.rank.get):
+        for m in sorted(cert.value.coords):
             rep.add(F.label(m), format_scalar(cert.value.coords[m]))
     if variant_generators:
         # J(x1,x2,(x1*x2)*x3) at x1 = a, x2 = b, x3 = a*c is the word itself,

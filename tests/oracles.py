@@ -265,7 +265,8 @@ def certificate_over_all_rows(F, word):
         if row:
             ech.insert(row, {len(sources): 1})
             sources.append(source)
-    acc = ech.express({F.col[d][m]: c for m, c in F.word_poly(tree).items()})
+    ids = {F.nested(m): m for m in F.monomials[d]}
+    acc = ech.express({ids[m]: c for m, c in F.word_poly(tree).items()})
     return [(acc[t], _describe(F, sources[t])) for t in sorted(acc)]
 
 
@@ -275,8 +276,8 @@ def orbit_least_codes(sym, types, d):
     permutation in `sym.perms` after each permutation of the letters
     `sym.free`. A permutation renames generator i to perm[i]."""
     assert len(sym.free) <= 4, "the group is enumerated in full"
-    base, powers = types.base, types.codes[1]
-    g = len(powers)
+    g = len(sym.perms[0])
+    base, powers = types.base, types.code[:g]
     group = []
     for image in permutations(sym.free):
         arrange = list(range(g))

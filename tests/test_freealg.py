@@ -112,6 +112,11 @@ def witt(g, d):
     return total // d
 
 
+def nested(F, coords):
+    """Coordinates keyed by monomial id, keyed by the nested monomials."""
+    return {F.nested(m): c for m, c in coords.items()}
+
+
 # --- canonical form ---------------------------------------------------------
 
 
@@ -183,7 +188,9 @@ def test_key_sizes_before_enumeration_match_it(monkeypatch, identities, g, cap, 
         if index == "whole":
             want = {d: len(F.monomials[d])} if F.monomials[d] else {}
         else:
-            want = Counter(sum((cap + 1) ** i for i in freealg._leaves(m)) for m in F.monomials[d])
+            want = Counter(
+                sum((cap + 1) ** i for i in freealg._leaves(F.nested(m))) for m in F.monomials[d]
+            )
         assert by_type == want
 
 
@@ -269,6 +276,97 @@ def test_build_deterministic():
     assert F.dims() == G.dims()
     assert F.basis == G.basis
     assert F.rewrite == G.rewrite
+
+
+# --- rows from the lower quotient bases ------------------------------------------
+
+
+def _jacobi_word(g):
+    return "J(a,b,a*b)" if g == 2 else "J(a,b,c)"
+
+
+BASIS_ROW_CASES = [
+    (name, g, d, extra)
+    for name in [*builtin_varieties(), "x*x = 0"]
+    for g, d in [(2, 6), (3, 5), (4, 5)]
+    for extra in [(), (_jacobi_word(g),)]
+]
+
+
+@pytest.mark.parametrize(
+    "name, g, d, extra",
+    BASIS_ROW_CASES,
+    ids=[f"{n}-{g}-{d}-{'+'.join(e) or 'no-word'}" for n, g, d, e in BASIS_ROW_CASES],
+)
+def test_rows_from_the_lower_bases_certify_the_whole_ideal(name, g, d, extra):
+    """A build draws substitution values, and a multiple's smaller factor,
+    from the lower quotient bases; `self_check` regenerates every row, from
+    every monomial, and each vanishes under the rewrite map."""
+    identities = get_variety(name) if name in builtin_varieties() else [name]
+    build_free_quotient(identities, g, d, extra_relations=extra).self_check()
+
+
+def test_rows_from_the_lower_bases_certify_a_restricted_build():
+    """The same holds for a word-restricted build, which draws its values
+    from the made blocks of its types; `self_check` completes it first."""
+    word = "J(c,b,(c*b)*(c*a))*b"
+    F = build_free_quotient(
+        get_variety("v"), 3, 7, extra_relations=["J(a,b,c)"], restrict_to=[word]
+    )
+    assert evaluate_word(F, word).is_zero()
+    F.self_check()
+
+
+def _inserts(monkeypatch, build):
+    """How many rows `build()` hands to elimination, with the quotient."""
+    count = [0]
+    insert = Echelon.insert
+
+    def spy(self, row, tags=None):
+        count[0] += 1
+        return insert(self, row, tags)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Echelon, "insert", spy)
+        F = build()
+    return count[0], F
+
+
+def test_rows_from_the_lower_bases_are_fewer(monkeypatch):
+    """malcev 3 7 with J(a,b,c) eliminates fewer rows than a build from
+    every monomial's rows, and gives the same quotient."""
+    ids, extra = get_variety("malcev"), ["J(a,b,c)"]
+    fewer, F = _inserts(monkeypatch, lambda: build_free_quotient(ids, 3, 7, extra_relations=extra))
+    dims, relations = F.dims(), F.relations_rref
+    degree_rows = freealg._degree_rows
+
+    def every_row(F, d, types=None, keep=None, basis=False):
+        return degree_rows(F, d, types, keep)
+
+    monkeypatch.setattr(freealg, "_degree_rows", every_row)
+    every, R = _inserts(monkeypatch, lambda: build_free_quotient(ids, 3, 7, extra_relations=extra))
+    assert fewer < every
+    assert dims == R.dims() == [witt(3, d) for d in range(1, 8)]
+    assert relations == R.relations_rref
+
+
+WITT_VARIETIES = ["lie", "w", "v", "lam", "alam", "malcev"]
+
+
+@pytest.mark.parametrize("name", WITT_VARIETIES)
+def test_jacobi_on_three_generators_gives_the_witt_dims(name):
+    """With J(a,b,c) adjoined, each of these varieties' free quotient on
+    a, b, c has the free Lie algebra's dims through degree 8: Witt's
+    necklace numbers, from the Moebius formula."""
+    F = build_free_quotient(get_variety(name), 3, 8, extra_relations=["J(a,b,c)"])
+    assert F.dims() == [witt(3, d) for d in range(1, 9)] == [3, 3, 8, 18, 48, 116, 312, 810]
+
+
+def test_jacobi_on_three_generators_leaves_binary_lie_above_witt():
+    """binary-lie with J(a,b,c) is not Lie at degree 4: 21 against Witt's 18."""
+    F = build_free_quotient(get_variety("binary-lie"), 3, 4, extra_relations=["J(a,b,c)"])
+    assert F.dims() == [3, 3, 8, 21]
+    assert witt(3, 4) == 18
 
 
 # --- generator symmetry --------------------------------------------------------
@@ -357,8 +455,9 @@ def test_split_keeps_the_least_code_of_each_orbit():
         types = freealg._Types(F)
         for e in range(1, d + 1):
             types.add(F, e)
-            assert types.codes[e] == [
-                sum(types.base**leaf for leaf in freealg._leaves(m)) for m in F.monomials[e]
+            assert [types.code[m] for m in F.monomials[e]] == [
+                sum(types.base**leaf for leaf in freealg._leaves(F.nested(m)))
+                for m in F.monomials[e]
             ]
             least = orbit_least_codes(sym, types, e)
             reps, moved = sym.split(types, e)
@@ -366,7 +465,7 @@ def test_split_keeps_the_least_code_of_each_orbit():
             assert {code: rep for code, (rep, _perm) in moved.items()} == {
                 code: rep for code, rep in least.items() if rep != code
             }
-            powers = types.codes[1]
+            powers = types.code[:g]
             for code, (rep, perm) in moved.items():
                 t = [rep // p % types.base for p in powers]
                 assert sum(t[i] * powers[perm[i]] for i in range(g)) == code
@@ -438,8 +537,9 @@ def test_rewrite_coefficients_are_int_when_integral():
     G = build_free_quotient(
         ["x*x = 0"], 3, 3, extra_relations=["(a*b)*c + 2*(b*c)*a"]
     )
-    assert G.rewrite[(0, (1, 2))] == {(2, (0, 1)): Fraction(-1, 2)}
-    assert type(G.rewrite[(0, (1, 2))][(2, (0, 1))]) is Fraction
+    rewrite = {G.nested(m): nested(G, image) for m, image in G.rewrite.items()}
+    assert rewrite[(0, (1, 2))] == {(2, (0, 1)): Fraction(-1, 2)}
+    assert type(rewrite[(0, (1, 2))][(2, (0, 1))]) is Fraction
 
 
 # --- evaluation --------------------------------------------------------------
@@ -449,9 +549,9 @@ def test_evaluate_plain_product():
     F = build_free_quotient(["x*x = 0"], 3, 2)
     val = evaluate_word(F, "a*b")
     assert val.degree == 2
-    assert val.coords == {(0, 1): 1}
+    assert nested(F, val.coords) == {(0, 1): 1}
     anti = evaluate_word(F, "b*a")
-    assert anti.coords == {(0, 1): -1}
+    assert nested(F, anti.coords) == {(0, 1): -1}
 
 
 def test_evaluate_known_zero_in_v():
@@ -508,7 +608,9 @@ def test_quotient_product_antisymmetry():
 
 def test_quotient_product_truncates_past_max_degree():
     F = build_free_quotient(["x*x = 0"], 3, 3)
-    d, v = F.product(2, {(0, 1): Fraction(1)}, 2, {(0, 2): Fraction(1)})
+    ab, ac = (evaluate_word(F, word).coords for word in ("a*b", "a*c"))
+    assert ab and ac
+    d, v = F.product(2, ab, 2, ac)
     assert d == 4 and v == {}
 
 
@@ -611,23 +713,25 @@ def _subst(tree, env):
     return (_subst(tree[1], env), _subst(tree[2], env))
 
 
-def oracle_rows(F, d, types=None, keep=None):
+def oracle_rows(F, d, types=None, keep=None, basis=False):
     """(text, row) pairs of degree d: every raw polarized term substituted
     and canonicalized from its leaves, rows described as they are printed.
-    Every type's rows are made; `types` and `keep` are accepted and ignored."""
+    Every type's rows are made; `types`, `keep` and `basis` are accepted
+    and ignored."""
+    ids = {F.nested(m): m for m in F.monomials[d]}
     for idf in F.identities:
         variables, terms = raw_polarized_terms(idf)
         k = len(variables)
         if k > d:
             continue
         for combo in _assignments(F.monomials, k, d):
-            env = dict(zip(variables, combo))
+            env = {v: F.nested(m) for v, m in zip(variables, combo)}
             frow = {}
             for coef, tree in terms:
                 res = canonicalize(_subst(tree, env))
                 if res is None:
                     continue
-                c = F.col[d][res[1]]
+                c = ids[res[1]]
                 frow[c] = frow.get(c, 0) + coef * res[0]
             assign = ", ".join(
                 f"{v} = {F.label(m)}" for v, m in zip(variables, combo)
@@ -638,9 +742,9 @@ def oracle_rows(F, d, types=None, keep=None):
             for m in F.monomials[d - e]:
                 row = {}
                 for c, v in r.items():
-                    res = canonicalize((F.monomials[e][c], m))
+                    res = canonicalize((F.nested(c), F.nested(m)))
                     if res is not None:
-                        c2 = F.col[d][res[1]]
+                        c2 = ids[res[1]]
                         row[c2] = row.get(c2, 0) + v * res[0]
                 yield f"R{e}[{idx}] * {F.label(m)}", {
                     c: v for c, v in row.items() if v
@@ -652,7 +756,7 @@ def oracle_rows(F, d, types=None, keep=None):
             for coef, term in _flatten(tree):
                 res = canonicalize(_subst(term, generator))
                 if res is not None:
-                    c = F.col[d][res[1]]
+                    c = ids[res[1]]
                     frow[c] = frow.get(c, 0) + coef * res[0]
             yield f"adjoined: {text}", _int_row(frow)
 
@@ -723,12 +827,18 @@ def test_degree_rows_match_raw_term_oracle(source, g, d, extra):
         assert all(type(v) is int for _, row in got for v in row.values())
 
 
-def _rank_bounds_hold(ranks, lower):
-    return all(
-        ranks[q] >= (ranks[p][0], ranks[p][1] + s)
-        for q, bounds in enumerate(lower)
-        for p, s in bounds
-    )
+def _bounds_hold(combo, lower):
+    return all(combo[q] >= combo[p] + s for q, bounds in enumerate(lower) for p, s in bounds)
+
+
+def _id_ranges(by):
+    """Per degree, the ids a quotient gives the monomials `by[d]`: ranks in
+    the order of degree, then position."""
+    out, start = [], 0
+    for mons in by:
+        out.append(range(start, start + len(mons)))
+        start += len(mons)
+    return out
 
 
 ASSIGNMENT_BOUNDS = [
@@ -755,18 +865,14 @@ ASSIGNMENT_BOUNDS = [
 def test_pruned_assignments_filter_the_full_enumeration(lower):
     k = len(lower)
     for g in (1, 2, 3):
-        monomials = enumerate_monomials(g, 6)
-        rank = {m: (e, i) for e, lst in enumerate(monomials) for i, m in enumerate(lst)}
+        monomials = _id_ranges(enumerate_monomials(g, 6))
         for d in range(0, 7):
             full = list(_assignments(monomials, k, d))
             assert len(full) == len(set(full))
-            want = [
-                combo for combo in full
-                if _rank_bounds_hold([rank[m] for m in combo], lower)
-            ]
+            want = [combo for combo in full if _bounds_hold(combo, lower)]
             assert list(_assignments(monomials, k, d, lower)) == want
-    assert list(_assignments(enumerate_monomials(2, 3), 0, 0)) == [()]
-    assert list(_assignments(enumerate_monomials(2, 3), 0, 2)) == []
+    assert list(_assignments(_id_ranges(enumerate_monomials(2, 3)), 0, 0)) == [()]
+    assert list(_assignments(_id_ranges(enumerate_monomials(2, 3)), 0, 2)) == []
 
 
 def test_identity_without_variables_adds_no_rows():
@@ -960,8 +1066,11 @@ def _relabel_spy(monkeypatch):
 
 
 def _column_types(F, d):
-    """The type code of each monomial of degree d, in column order."""
-    return [sum((F.max_degree + 1) ** leaf for leaf in freealg._leaves(m)) for m in F.monomials[d]]
+    """{monomial id: its type code}, for the monomials of degree d."""
+    return {
+        m: sum((F.max_degree + 1) ** leaf for leaf in freealg._leaves(F.nested(m)))
+        for m in F.monomials[d]
+    }
 
 
 def _type_code(word, g, cap):
@@ -1071,7 +1180,7 @@ def test_failing_pending_type_reports_what_self_check_reports(monkeypatch):
     def faulty(self):
         reduce_full(self)
         for p in sorted(self.rows):
-            if codes[p] == target and len(self.rows[p]) > 1:
+            if codes.get(p) == target and len(self.rows[p]) > 1:
                 del self.rows[p][max(self.rows[p])]
                 return
 
@@ -1165,7 +1274,7 @@ def test_restricted_build_equals_the_full_build_on_its_types(name, g, d, word, e
     outside = []
     for e in range(1, d + 1):
         for m in R.monomials[e]:
-            if _within(m, counts):
+            if _within(R.nested(m), counts):
                 assert expand_evaluate(F, F.label(m)).coords == R.rewrite[m]
             else:
                 outside.append(m)
@@ -1208,7 +1317,7 @@ def test_restricted_build_covering_every_type_charges_the_full_count(name, g, ca
     adjoined word whose row is empty (a*a, (ab)(ab)) is charged by its
     letters' type."""
     F = build_free_quotient(get_variety(name), g, cap, extra_relations=extra)
-    words = [F.label(ms[0]) for ms in _types_of(F.monomials[cap]).values()]
+    words = [F.label(ms[0]) for ms in _types_of(F, F.monomials[cap]).values()]
     total = 0
     for d in range(1, cap + 1):
         total += _row_count(F, d)
@@ -1227,11 +1336,11 @@ def test_restricted_build_covering_every_type_charges_the_full_count(name, g, ca
     assert G.dims() == F.dims()
 
 
-def _types_of(mons):
-    """{sorted leaves: the monomials of that type}, in order."""
+def _types_of(F, mons):
+    """{sorted leaves: the monomial ids of that type}, in order."""
     out = {}
     for m in mons:
-        out.setdefault(tuple(sorted(freealg._leaves(m))), []).append(m)
+        out.setdefault(tuple(sorted(freealg._leaves(F.nested(m)))), []).append(m)
     return out
 
 
@@ -1337,7 +1446,7 @@ def test_failure_is_kept_when_naming_its_row_exceeds_the_budget(monkeypatch):
     def faulty(self):
         reduce_full(self)
         for p in sorted(self.rows):
-            if codes[p] == target and len(self.rows[p]) > 1:
+            if codes.get(p) == target and len(self.rows[p]) > 1:
                 del self.rows[p][max(self.rows[p])]
                 return
 
