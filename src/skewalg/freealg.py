@@ -32,7 +32,8 @@ degree d - e.  The rows still span the ideal.  A monomial m off the basis is
 rw(m) plus an element of the lower ideal, so an instance at m is one at
 rw(m)'s basis monomials plus lower multiples; and R_e * m is R_e * rw(m)
 plus R_e times lower relations, which the multiples R_{d-e} * (every
-monomial of degree e) give.  The build checks the rows it generates;
+monomial of degree e) give.  The build inserts every nonzero row it
+generates into elimination and checks it, duplicates too;
 `FreeQuotient.self_check` and `relation_combination` read every row.  The
 relation budget still counts every unpruned instance and multiple
 (`_row_count`).
@@ -41,8 +42,8 @@ Every relation row has one type, its multidegree in the generators, so each
 degree's echelon is block-diagonal by type.  A quotient keeps one table of
 the blocks it has not made, keyed by (degree, type code), and makes a block
 (its rows, rewrites and reduced rows) when something first reads it.  Rows
-are generated, deduped, eliminated and checked only for one representative
-type per orbit of the generator permutations that map the relation set to
+are generated, eliminated and checked only for one representative type
+per orbit of the generator permutations that map the relation set to
 itself (`_Symmetry`): every permutation for identities, and with adjoined
 words those that map the set of words to itself up to scalars.  The
 representative is the orbit's least type code.  Each other type gets the
@@ -82,7 +83,7 @@ from .identities import (  # noqa: F401  (canonicalize, parse_word: re-exported)
     sort_key,
     term_poly,
 )
-from .linalg import Echelon, _content, _row_normalize, _scale_to_int, add_scaled
+from .linalg import Echelon, _content, _scale_to_int, add_scaled
 
 DEFAULT_RELATION_BUDGET = 5_000_000
 
@@ -144,11 +145,6 @@ def monomials_of_degree(by, d):
     return out
 
 
-def _dedupe_key(row):
-    """A nonzero integer row up to a positive or negative scalar."""
-    return frozenset(_row_normalize(row).items())
-
-
 # --- the quotient ------------------------------------------------------------
 
 
@@ -199,7 +195,6 @@ class FreeQuotient:
         self._partial = {}  # degree -> its rows a restricted build charged
         self.extra = []
         self._word_rows = []
-        self._pair_cache = {}
         self.add_degree()
 
     @property
@@ -245,19 +240,16 @@ class FreeQuotient:
         self._types.add(self, d)
 
     def adjoin(self, word):
-        """Add a word (text or AST) to the relations as a row of its degree,
-        and return the row: `word_poly` scaled to integers."""
-        tree = parse_word(word) if isinstance(word, str) else word
+        """Add a word, given as text, to the relations as a row of its
+        degree, and return the row: `word_poly` scaled to integers."""
+        tree = parse_word(word)
         deg = _ast_degree(tree)
         if deg > self.max_degree:
             raise ValueError(
                 f"adjoined relation has degree {deg} above the cap {self.max_degree}"
             )
         row = _scale_to_int(self.word_poly(tree))  # names an unknown generator now
-        # a word given as a tree is not parsed, so its type is checked here
-        if len({tuple(sorted(_leaves(m))) for m in row}) > 1:
-            raise ValueError("word is not homogeneous")
-        self.extra.append((deg, word if isinstance(word, str) else "<word>", tree))
+        self.extra.append((deg, word, tree))
         self._word_rows.append(row)
         return row
 
@@ -311,10 +303,13 @@ class FreeQuotient:
         first, unchecked (its rows are among those checked), and raise the
         failure naming its first failing row, kept so that every later read
         raises it again.  `failure`, a block's failed check, is kept when
-        there is none or making the rest exceeds the budget."""
+        there is none or making the rest exceeds the budget.  A failure
+        kept before is raised again instead, by `_complete` of the degrees
+        below d."""
         try:
             for e in range(1, d + 1):
                 _fill(self, e)
+            self._complete(d - 1)
             failure = _check_rows(self, d, _degree_rows(self, d)) or failure
         finally:
             self._failure = failure or self._failure
@@ -334,32 +329,21 @@ class FreeQuotient:
             for d in range(1, (self.max_degree if top is None else top) + 1):
                 self._settle(d)
 
-    def _pair_product(self, m1, m2):
-        """Rewrite image of the product of two monomial ids."""
-        cached = self._pair_cache.get((m1, m2))
-        if cached is None:
-            res = _cmul(self._times, m1, m2)
-            if res is None:
-                cached = {}
-            else:
-                sign, mono = res
-                cached = {
-                    bm: sign * bc for bm, bc in self._rewritten(mono).items()
-                }
-            self._pair_cache[(m1, m2)] = cached
-        return cached
-
     def product(self, d1, v1, d2, v2):
-        """Multiply homogeneous coordinate dicts; degrees past the cap give 0."""
+        """Multiply homogeneous coordinate dicts; degrees past the cap give 0.
+        Each pair of monomials reads the rewrite of its canonical product."""
         d = d1 + d2
         if d > self.max_degree:
             return d, {}
         out = {}
         for m1, c1 in v1.items():
             for m2, c2 in v2.items():
-                f = c1 * c2
+                res = _cmul(self._times, m1, m2)
+                if res is None:
+                    continue
+                f = c1 * c2 * res[0]
                 # inline, not add_scaled: runs per pair of monomials
-                for bm, bc in self._pair_product(m1, m2).items():
+                for bm, bc in self._rewritten(res[1]).items():
                     nv = out.get(bm, 0) + f * bc
                     if nv:
                         out[bm] = nv
@@ -516,7 +500,7 @@ def _term_code(F, term):
     return sum(F._types.base**i for i in _leaves(_leaf_tree(term, F._index)))
 
 
-def _degree_rows(F, d, types=None, keep=None, basis=False):
+def _degree_rows(F, d, keep=None, basis=False):
     """Relation rows of degree d, keyed by monomial id, in a fixed
     deterministic order.
 
@@ -533,21 +517,20 @@ def _degree_rows(F, d, types=None, keep=None, basis=False):
     outside the made blocks' pivots (the basis once the degree is made),
     and so is m in R_e[index] * m when e > d - e.
 
-    With `types` (a `_Types`) and `keep`, a set of type codes, only the rows
-    of those types are made: an instance's type is the sum of its values'
-    types, a multiple's the sum of its factors'.  The multiples read the
-    lower degrees' made rows; without `types`, every lower block is made
-    first, so that R_e[index] indexes the whole rref.
+    With `keep`, a set of type codes, only the rows of those types are
+    made: an instance's type (`F._types`) is the sum of its values' types,
+    a multiple's the sum of its factors'.  The multiples read the lower
+    degrees' made rows; R_e[index] indexes the whole rref of degree e once
+    every block of it is made, which a caller that names rows by it does
+    first.
     """
-    if types is None:
-        F._complete(d - 1)
     times = F._times
     values = F.monomials[:d + 1]
     if basis:
         values[1:d] = [_outside_pivots(F, e) for e in range(1, d)]
     code = groups = full = None
     if keep is not None:
-        code, full = types.code, types.groups
+        code, full = F._types.code, F._types.groups
         groups = full if not basis else [*(_grouped(v, code) for v in values[:d]), full[d]]
     for idf, comp in zip(F.identities, F.components):
         k = len(comp.variables)
@@ -607,7 +590,7 @@ def _degree_rows(F, d, types=None, keep=None, basis=False):
     for (deg, text, _tree), poly in zip(F.extra, F._word_rows):
         if deg == d:
             row = {F._id(m): c for m, c in poly.items()}
-            if keep is None or row and types.code[next(iter(row))] in keep:
+            if keep is None or row and F._types.code[next(iter(row))] in keep:
                 yield (text,), row
 
 
@@ -842,9 +825,10 @@ def build_free_quotient(
     Every build charges the relation budget for a degree before it
     enumerates the degree's monomials and generates its rows, with their
     unpruned count (`_row_count`), from every monomial.  The rows it
-    generates come from the lower quotient bases; they, deduplicated, and
-    the relabelled rows of moved types are checked against the rewrite map
-    when their block is made (module docstring).
+    generates come from the lower quotient bases; every nonzero one, and
+    every relabelled row of a moved type, is inserted into elimination and
+    checked against the rewrite map when its block is made (module
+    docstring).
 
     With `restrict_to`, a list of words (texts or ASTs), the build is
     word-restricted: it makes only the blocks whose types are at most a
@@ -906,8 +890,9 @@ def _open(F, d):
 
 def _fill(F, d, codes=None):
     """Make the waiting blocks of degree d of the types `codes` (every type
-    by default) and of their representatives, unchecked; return their rows
-    to check: the distinct generated rows, then the relabelled ones."""
+    by default) and of their representatives, unchecked, from one echelon
+    of all their rows; return those rows to check, in stream order: every
+    nonzero generated row, then the relabelled ones."""
     table, types = F._table, F._types
     if codes is None and d in F._partial:
         # every block of a degree that a restricted build charged in part,
@@ -918,40 +903,34 @@ def _fill(F, d, codes=None):
     moved = {c: table[d, c] for c in codes if table[d, c]}
     reps = {c for c in codes if not table[d, c]}
     reps.update(rep for rep, _perm in moved.values() if (d, rep) in table)
-    rows = []
+    if not reps and not moved:
+        return []
+    rows, ech, independent = [], Echelon(), F._independent[d]
     if reps:
-        ech, kept, independent = Echelon(), {}, F._independent[d]
         # every type at once is made unfiltered
         keep = None if len(reps) == len(types.groups[d]) else reps
-        for source, row in _degree_rows(F, d, types, keep, basis=True):
-            if not row:
-                continue
-            key = _dedupe_key(row)
-            if key not in kept:
-                kept[key] = source, row
+        for source, row in _degree_rows(F, d, keep, basis=True):
+            if row:
+                rows.append((source, row))
                 if ech.insert(row) is not None and F._sym:  # kept to relabel
                     code = types.code[next(iter(row))]
                     independent.setdefault(code, []).append((source, row))
-        _record(F, d, ech, reps)
-        rows = list(kept.values())
     if moved:
-        relabelled = list(_relabelled(F, d, moved, F._independent[d], F._memos))
-        ech = Echelon()
-        for _source, row in relabelled:
+        for source, row in _relabelled(F, d, moved):
+            rows.append((source, row))
             ech.insert(row)
-        _record(F, d, ech, moved)
-        rows += relabelled
+    _record(F, d, ech, reps | moved.keys())
     return rows
 
 
-def _relabelled(F, d, moved, independent, memos):
+def _relabelled(F, d, moved):
     """(source, row) for the rows of every type in `moved` ({type:
     (representative, perm)}): the images under perm of the representative's
-    rows in `independent`, `source` naming the row relabelled. `memos` keeps
-    per permutation the images of monomials."""
+    independent rows (`F._independent[d]`), `source` naming the row
+    relabelled.  `F._memos` keeps per permutation the images of monomials."""
     for rep, perm in moved.values():
-        memo = memos.setdefault(perm, {})
-        for source, row in independent.get(rep, ()):
+        memo = F._memos.setdefault(perm, {})
+        for source, row in F._independent[d].get(rep, ()):
             image = {}
             for m, v in row.items():
                 sign, m = memo.get(m) or _relabel(F, m, perm, memo)
@@ -1052,11 +1031,10 @@ def relation_combination(F: FreeQuotient, word):
     v = {F._id(m): c for m, c in F.word_poly(tree).items()}
     # only rows of the word's type are made (and kept): a row of another type
     # shares no monomial with the word, so it never meets the pivots that express it
-    types = F._types
-    want = {types.code[next(iter(v))]} if v else None
+    want = {F._types.code[next(iter(v))]} if v else None
     originals = []
     ech = Echelon()
-    for source, row in _degree_rows(F, d, types, want) if v else ():
+    for source, row in _degree_rows(F, d, want) if v else ():
         if row:
             ech.insert(row, {len(originals): 1})
             originals.append((source, row))

@@ -49,7 +49,6 @@ from skewalg.formats import (
 from skewalg.freealg import (
     FreeQuotient,
     _ast_degree,
-    _dedupe_key,
     _degree_rows,
     _describe,
     _record,
@@ -230,6 +229,11 @@ def jacobi_on_quotient_basis(F: FreeQuotient):
                 if coords:
                     witnesses.append(tuple(F.label(flat[p][1]) for p in (i, j, k)))
     return witnesses
+
+
+def _dedupe_key(row):
+    """A nonzero integer row up to a positive or negative scalar."""
+    return frozenset(_row_normalize(row).items())
 
 
 def reference_free_quotient(identities, generators, max_degree, extra_relations=()):

@@ -19,7 +19,6 @@ from skewalg.freealg import (
     RelationBudgetExceeded,
     _assignments,
     _degree_rows,
-    _dedupe_key,
     _describe,
     _generator_symmetry,
     _row_count,
@@ -47,6 +46,7 @@ from skewalg.linalg import Echelon, _scale_to_int
 from skewalg.moufang import value_text
 
 from oracles import (
+    _dedupe_key,
     certificate_over_all_rows,
     orbit_least_codes,
     raw_polarized_terms,
@@ -340,8 +340,8 @@ def test_rows_from_the_lower_bases_are_fewer(monkeypatch):
     dims, relations = F.dims(), F.relations_rref
     degree_rows = freealg._degree_rows
 
-    def every_row(F, d, types=None, keep=None, basis=False):
-        return degree_rows(F, d, types, keep)
+    def every_row(F, d, keep=None, basis=False):
+        return degree_rows(F, d, keep)
 
     monkeypatch.setattr(freealg, "_degree_rows", every_row)
     every, R = _inserts(monkeypatch, lambda: build_free_quotient(ids, 3, 7, extra_relations=extra))
@@ -713,11 +713,11 @@ def _subst(tree, env):
     return (_subst(tree[1], env), _subst(tree[2], env))
 
 
-def oracle_rows(F, d, types=None, keep=None, basis=False):
+def oracle_rows(F, d, keep=None, basis=False):
     """(text, row) pairs of degree d: every raw polarized term substituted
     and canonicalized from its leaves, rows described as they are printed.
-    Every type's rows are made; `types`, `keep` and `basis` are accepted
-    and ignored."""
+    Every type's rows are made; `keep` and `basis` are accepted and
+    ignored."""
     ids = {F.nested(m): m for m in F.monomials[d]}
     for idf in F.identities:
         variables, terms = raw_polarized_terms(idf)
@@ -1057,9 +1057,9 @@ def _relabel_spy(monkeypatch):
     seen = []
     relabelled = freealg._relabelled
 
-    def spy(F, d, moved, independent, memos):
+    def spy(F, d, moved):
         seen.append((d, sorted(moved)))
-        return relabelled(F, d, moved, independent, memos)
+        return relabelled(F, d, moved)
 
     monkeypatch.setattr(freealg, "_relabelled", spy)
     return seen
@@ -1169,13 +1169,19 @@ def test_failing_pending_type_reports_what_self_check_reports(monkeypatch):
     """A fault in the elimination of a pending type fails the word that
     reads it with the text that `self_check` then gives: the first failing
     row of the whole degree. Every later read raises it again, also of a
-    rewrite that the failed elimination wrote, and so it does after
-    `self_check` meets the fault. (The fault is one dropped entry of the
-    first reduced row of the word's type, whichever elimination makes it.)"""
+    rewrite that the failed elimination wrote and of a product read before
+    the fault, and so it does after `self_check` meets the fault. (The fault
+    is one dropped entry of the first reduced row of the word's type,
+    whichever elimination makes it.)"""
     word = "J(b,c,d)*(c*d)"
     F = build_free_quotient(get_variety("w"), 4, 5)
     codes, target = _column_types(F, 5), _type_code(word, 4, 5)
     reduce_full = Echelon.reduce_full
+
+    def a_times_b():
+        return F.product(1, {0: 1}, 1, {1: 1})
+
+    assert a_times_b() == (2, {F.monomials[2][0]: 1})
 
     def faulty(self):
         reduce_full(self)
@@ -1192,6 +1198,7 @@ def test_failing_pending_type_reports_what_self_check_reports(monkeypatch):
     for read in [
         lambda: evaluate_word(F, word),
         lambda: expand_evaluate(F, word),
+        a_times_b,
         lambda: F.basis,
         lambda: F.rewrite,
         F.self_check,
