@@ -18,12 +18,17 @@ canonical polynomial form of `identities`: a compiled `Component` per
 identity, and `word_poly` for a word, which the adjoined rows, the symmetry
 test on the words, `expand_evaluate` and `relation_combination` all read.
 
-Substitution instances are generated once per orbit of the identity's
-symmetries: copies of a polarized variable take sorted values and a skew
-pair of variables strictly increasing ones (`Component.lower`).  Every
-other instance is +1 or -1 times the lexicographically first member of its
-orbit, which comes earlier in the same stream, or zero, so the pruning
-changes neither the row space nor the first occurrence of any row.
+Substitution instances are generated once per class of tuples of the same
+values whose rows agree up to a scalar.  `Component.lower` bounds the
+orbits of the identity's symmetries: copies of a polarized variable take
+sorted values and a skew pair of variables strictly increasing ones.  The
+identity's rank-pattern table (`Component.pattern_table`, for at most six
+polarized variables) keeps, of the ways the values of a tuple can
+coincide, only those whose specialization is nonzero and no rational
+multiple of a lexicographically smaller one's.  Every other instance is
+zero or a multiple of an instance at the same values that comes earlier in
+the same stream, so the pruning changes neither the row space nor the
+first occurrence of any row.
 
 A build generates fewer rows still, from the lower quotient bases (as in
 Albert's practice): a substitution value of degree e < d is a basis monomial
@@ -185,6 +190,7 @@ class FreeQuotient:
         # per degree: made blocks' reduced rows {pivot: row}, the rref and basis
         # once every block is made, representatives' independent rows by type
         self._made, self._rref, self._basis, self._independent = [{}], [[]], [()], [{}]
+        self._basis_groups = {}  # per degree whose basis is closed, it by type
         # (degree, type) -> None (generates its rows) or (representative, perm)
         self._table = {}
         self._types = _Types(self)
@@ -382,7 +388,7 @@ def _ast_degree(tree):
     return degs.pop()
 
 
-def _assignments(values, k, d, lower=None, code=None, groups=None, keep=None):
+def _assignments(values, k, d, lower=None, code=None, groups=None, keep=None, table=None):
     """k-tuples of monomial ids of total degree d in lexicographic order,
     the values of degree e drawn in order from `values[e]`, an increasing
     sequence of ids (every monomial of degree e, or a basis).
@@ -397,48 +403,121 @@ def _assignments(values, k, d, lower=None, code=None, groups=None, keep=None):
     lexicographically first tuple is kept, and every dropped row is +1 or
     -1 times a row yielded before it, or zero.
 
+    With `table`, the component's rank-pattern table
+    (`Component.pattern_table`, whose patterns `lower` admits), each value
+    takes only the slots the table keeps after the rank pattern of the
+    values before it, so every tuple whose row is zero or a multiple of an
+    earlier tuple's with the same values is dropped too, and a prefix with
+    no kept completion is never formed.
+
     With `keep`, a set of type codes, `code` (per id, its type code) and
     `groups` (per degree, {type code: the ids of `values` of that type}),
     only the tuples whose types add up to a code in `keep` are yielded: the
     last value is drawn from the values of the types that complete the
     others into `keep`. The tuples of each type keep their order.
+
+    The last position is filled in its parent's loop, from lists
+    (`_slot_pieces`), so a prefix costs no generator of its own.
     """
     if k == 0:
         if d == 0:
             yield ()
         return
-    state = (values, lower or ((),) * k, code, groups, keep, [None] * k)
-    yield from _fill_assignments(state, 0, d, 0)
+    # the last position's spans of each (degree, type code before it) are kept
+    state = (values, lower or ((),) * k, code, groups, keep, [None] * k, {})
+    if k == 1:
+        for _slot, piece in _slot_pieces(state, 0, _last_spans(state, d, 0), table, ()):
+            yield from ((m,) for m in piece)
+    else:
+        yield from _fill_assignments(state, 0, d, 0, table, ())
 
 
-def _fill_assignments(state, q, left, part):
-    """`_assignments` from position q on, with `left` degree still to place
-    and `part` the type code of the values before q."""
-    values, bounds, code, groups, keep, combo = state
-    k = len(combo)
-    lo = max([combo[p] + s for p, s in bounds[q]], default=0)
-    last = q == k - 1
-    hi = min(left - (k - 1 - q), len(values) - 1)
-    for e in range(left if last else 1, hi + 1):
-        if last and keep is not None:
-            group = groups[e]
-            span = [m for t in keep for m in group.get(t - part, ()) if m >= lo]
+def _fill_assignments(state, q, left, part, node, u):
+    """`_assignments` from position q < k - 1 on, with `left` degree still
+    to place, `part` the type code of the values before q, `node` the
+    pattern table's node for their rank pattern (None: `lower` alone) and
+    `u` their distinct values, in order."""
+    values, _bounds, code, _groups, keep, combo, _memo = state
+    parent = q == len(combo) - 2
+    hi = min(left - (len(combo) - 1 - q), len(values) - 1)
+    for e in range(1, hi + 1):
+        for slot, piece in _slot_pieces(state, q, (values[e],), node, u):
+            child = node and node[slot]
+            # in a gap (an even slot), m is a new distinct value, at u[j]
+            j = None if node is None or slot & 1 else slot >> 1
+            for m in piece:
+                combo[q] = m
+                sub = part if keep is None else part + code[m]
+                if not parent:
+                    v = u if j is None else u[:j] + (m,) + u[j:]
+                    yield from _fill_assignments(state, q + 1, left - e, sub, child, v)
+                    continue
+                spans = _last_spans(state, left - e, sub)
+                if not spans:
+                    continue
+                v = u if j is None else u[:j] + (m,) + u[j:]
+                for _slot, lasts in _slot_pieces(state, -1, spans, child, v):
+                    for last in lasts:
+                        combo[-1] = last
+                        yield tuple(combo)
+
+
+def _last_spans(state, e, part):
+    """The increasing sequences the last value is drawn from, in order:
+    the values of degree e, or with `keep` those of each type that
+    completes `part` into `keep`; kept per (e, part)."""
+    values, _bounds, _code, groups, keep, _combo, memo = state
+    spans = memo.get((e, part))
+    if spans is None:
+        if e >= len(values):
+            spans = []
+        elif keep is None:
+            spans = [values[e]]
         else:
-            vals = values[e]
-            span = vals[bisect_left(vals, lo):]
-        for m in span:
-            combo[q] = m
-            if last:
-                yield tuple(combo)
-            else:
-                yield from _fill_assignments(
-                    state, q + 1, left - e, part if keep is None else part + code[m]
-                )
+            group = groups[e]
+            spans = [group[t - part] for t in keep if t - part in group]
+        memo[e, part] = spans
+    return spans
+
+
+def _slot_pieces(state, q, spans, node, u):
+    """(slot, values) for the values of the increasing sequences `spans`
+    that position q may take, in order.  With a pattern-table `node`, the
+    slots are its keys (`identities._pattern_table`) among the distinct
+    values `u` before q; without one, every value at least the bounds of
+    `lower` makes one piece."""
+    if node is None:
+        _values, bounds, _code, _groups, _keep, combo, _memo = state
+        lo = max([combo[p] + s for p, s in bounds[q]], default=0)
+        return [(None, vals[bisect_left(vals, lo):]) for vals in spans]
+    out = []
+    for vals in spans:
+        if not vals:
+            continue
+        ja, jb = bisect_left(u, vals[0]), bisect_right(u, vals[-1])
+        if ja == jb:  # every value falls between u[ja - 1] and u[ja]
+            if 2 * ja in node:
+                out.append((2 * ja, vals))
+            continue
+        for slot in node:
+            j = slot >> 1
+            if j < ja or j > jb:
+                continue
+            if slot & 1:  # the value u[j] itself
+                a = bisect_left(vals, u[j])
+                if a < len(vals) and vals[a] == u[j]:
+                    out.append((slot, (u[j],)))
+            else:  # the values strictly between u[j - 1] and u[j]
+                a = bisect_right(vals, u[j - 1]) if j else 0
+                b = bisect_left(vals, u[j]) if j < len(u) else len(vals)
+                if a < b:
+                    out.append((slot, vals[a:b]))
+    return out
 
 
 def _row_count(F, d, keep=None):
-    """How many rows `_degree_rows(F, d)` would yield without the orbit
-    pruning, of every type or of the types a restriction `keep` keeps, with
+    """How many rows `_degree_rows(F, d)` would yield without pruning any
+    instance (`_assignments`), of every type or of the types a restriction `keep` keeps, with
     monomials or not: every k-tuple of total degree d for each identity
     with k variables, each R_e row times each monomial of degree d - e, and
     the adjoined words of degree d.  The lower degrees' rows are made, and
@@ -507,9 +586,10 @@ def _degree_rows(F, d, keep=None, basis=False):
     Yields (source, row) pairs; `source` is (identity, component, assignment),
     (e, index, monomial) for R_e[index] * monomial, or (text,) for an
     adjoined word, and `_describe` renders it. Substitution instances come
-    from the compiled canonical polynomial, which is exact because the free
-    quotient is anticommutative, one per orbit of its symmetries
-    (`_assignments`). An identity whose polynomial is empty (x*x = 0)
+    from the compiled canonical polynomial (`Component.substitute`), which
+    is exact because the free quotient is anticommutative, one per class of
+    tuples whose rows agree up to a scalar that `Component.lower` and the
+    rank-pattern table tell apart (`_assignments`). An identity whose polynomial is empty (x*x = 0)
     yields none; `_row_count` still charges its instances.
 
     With `basis`, the rows are those a build generates (module docstring):
@@ -531,36 +611,14 @@ def _degree_rows(F, d, keep=None, basis=False):
     code = groups = full = None
     if keep is not None:
         code, full = F._types.code, F._types.groups
-        groups = full if not basis else [*(_grouped(v, code) for v in values[:d]), full[d]]
+        groups = full if not basis else [*(_basis_groups(F, e) for e in range(d)), full[d]]
     for idf, comp in zip(F.identities, F.components):
         k = len(comp.variables)
         if k > d or not comp.poly:
             continue
-        for combo in _assignments(values, k, d, comp.lower, code, groups, keep):
-            # the compiled straight-line program (`Component.compile`): each
-            # proper subproduct once, as (sign, id) or None
-            vals = [(1, m) for m in combo]
-            for l, r, _leaves in comp._nodes:
-                a, b = vals[l], vals[r]
-                res = a and b and _cmul(times, a[1], b[1])
-                vals.append(res and (a[0] * b[0] * res[0], res[1]))
-            row = {}
-            # inline, not add_scaled: runs per term of every relation row
-            for l, r, coef in comp._roots:
-                a = vals[l]
-                if r is not None and a:
-                    b = vals[r]
-                    res = b and _cmul(times, a[1], b[1])
-                    a = res and (a[0] * b[0] * res[0], res[1])
-                if not a:
-                    continue
-                c = a[1]
-                nv = row.get(c, 0) + coef * a[0]
-                if nv:
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-            yield (idf, comp, combo), _scale_to_int(row)
+        table = comp.pattern_table()
+        for combo in _assignments(values, k, d, comp.lower, code, groups, keep, table):
+            yield (idf, comp, combo), _scale_to_int(comp.substitute(combo, times))
     for e in range(1, d):
         f = d - e
         upper, by_type = (values[f], groups) if e > f else (F.monomials[f], full)
@@ -601,6 +659,17 @@ def _outside_pivots(F, e):
         return F._basis[e]
     made = F._made[e]
     return [m for m in F.monomials[e] if m not in made]
+
+
+def _basis_groups(F, e):
+    """`_outside_pivots(F, e)` by type, {type code: ids}; kept on the
+    quotient once degree e's basis is closed, since it no longer changes."""
+    groups = F._basis_groups.get(e)
+    if groups is None:
+        groups = _grouped(_outside_pivots(F, e), F._types.code)
+        if F._basis[e] is not None:
+            F._basis_groups[e] = groups
+    return groups
 
 
 def _grouped(ids, code):

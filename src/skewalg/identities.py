@@ -40,14 +40,17 @@ lexicographically first failing tuple of the search.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from functools import partial
+from itertools import count, permutations, product
 from math import comb, factorial, prod
 from operator import itemgetter
 
 from .algebra import Algebra, Element
-from .linalg import add_scaled, parse_scalar
+from .linalg import _row_normalize, _scale_to_int, add_scaled, parse_scalar
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 
@@ -340,12 +343,18 @@ class Component:
     names the polynomial up to the variables' labels; `lower[q]` lists the
     (p, d) with p < q for which only basis tuples with idx[q] >= idx[p] + d
     are enumerated (d = 0 between copies of one polarized variable, d = 1
-    for a skew pair); and the straight-line program `evaluate_on_basis` runs.
+    for a skew pair); and the straight-line program `evaluate_on_basis` and
+    `substitute` run.
+
+    Free builds also read `pattern_table()`, which prunes substitution
+    instances by every way the values of a tuple can coincide; it is built
+    on first use and kept with the component, never by `compile()` or an
+    identity check.
     """
 
     __slots__ = (
         "variables", "groups", "origin_vars",
-        "poly", "key", "lower", "_nodes", "_roots", "_join",
+        "poly", "key", "lower", "_nodes", "_roots", "_join", "_patterns",
     )
 
     def __init__(self, variables, groups, origin_vars, poly):
@@ -353,6 +362,7 @@ class Component:
         self.groups = tuple(tuple(g) for g in groups)
         self.origin_vars = tuple(origin_vars)
         self.poly = poly
+        self._patterns = None  # (pattern_table(),) once built
 
     def compile(self):
         sizes = tuple(len(g) for g in self.groups)
@@ -398,6 +408,119 @@ class Component:
                 elif k in out:
                     del out[k]
         return out
+
+    def substitute(self, values, times):
+        """`poly` with variable q set to the monomial of id values[q], in a
+        free anticommutative algebra whose product table `times` gives the
+        id times[a][b] of the canonical product of ids a < b: {monomial id:
+        coefficient}, each proper subproduct multiplied once."""
+        # products inline: runs per product of every relation row
+        ids, signs = list(values), [1] * len(values)  # a zero product's id is None
+        for l, r, _leaves in self._nodes:
+            a, b = ids[l], ids[r]
+            if a is None or b is None or a == b:
+                ids.append(None)
+                signs.append(0)
+            elif a < b:
+                ids.append(times[a][b])
+                signs.append(signs[l] * signs[r])
+            else:
+                ids.append(times[b][a])
+                signs.append(-signs[l] * signs[r])
+        row = {}
+        # inline, not add_scaled: runs per term of every relation row
+        for l, r, coef in self._roots:
+            c = ids[l]
+            if c is None:
+                continue
+            f = coef * signs[l]
+            if r is not None:
+                b = ids[r]
+                if b is None or b == c:
+                    continue
+                f *= signs[r]
+                if c < b:
+                    c = times[c][b]
+                else:
+                    c, f = times[b][c], -f
+            nv = row.get(c, 0) + f
+            if nv:
+                row[c] = nv
+            elif c in row:
+                del row[c]
+        return row
+
+    def pattern_table(self):
+        """The rank-pattern table of free builds (`_pattern_table`), built
+        on first use; None past `_MAX_PATTERN_VARIABLES` variables."""
+        if self._patterns is None:
+            k = len(self.variables)
+            self._patterns = (_pattern_table(self) if k <= _MAX_PATTERN_VARIABLES else None,)
+        return self._patterns[0]
+
+
+# rank-pattern tables are built only up to this many polarized variables
+# (4,683 patterns); past it an identity's instances keep `lower` pruning alone
+_MAX_PATTERN_VARIABLES = 6
+
+
+def _pattern_table(comp):
+    """The rank patterns of a compiled component's instances that free
+    builds generate, as a trie of slots.
+
+    The rank pattern of a k-tuple lists each value's rank among the
+    tuple's distinct values: (a, b, a, c) has (0, 1, 0, 2).  A pattern
+    stands for `poly` specialized with variable q set to the symbol
+    pattern[q]; the instance at any values with that pattern is the
+    specialization at their distinct values u_0 < u_1 < ....  Of the
+    patterns `lower` admits, in lexicographic order, one is kept when its
+    specialization is nonzero and no rational multiple of an earlier kept
+    one's.  A dropped pattern's tuple gives zero or a multiple of the row
+    of the tuple with the same values in a kept pattern, which is
+    lexicographically smaller, of the same type and drawn from the same
+    value sets, so it comes earlier in every stream that yields both.
+
+    Position q's value lies in slot 2j when it falls between u_{j-1} and
+    u_j, the distinct values before q in order (j = len(u): above them
+    all), and in slot 2j + 1 when it equals u_j.  The trie maps the slot of
+    position 0 to a node for position 1, and so on; the last position's
+    slots map to None.  Every node lists its slots in increasing order and
+    has a kept pattern below it.
+    """
+    k = len(comp.variables)
+    # every canonical product of the symbols gets the next id, past the symbols'
+    times = defaultdict(partial(defaultdict, count(k).__next__))
+    seen, paths = set(), []
+    for pattern in _basis_tuples(k, comp.lower):
+        if len(set(pattern)) <= max(pattern):
+            continue  # not a rank pattern: a rank below its greatest is missing
+        row = comp.substitute(pattern, times)
+        if not row:
+            continue
+        key = frozenset(_row_normalize(_scale_to_int(row)).items())
+        if key not in seen:
+            seen.add(key)
+            paths.append(_slot_path(pattern))
+    trie = {}
+    for path in sorted(paths):
+        node = trie
+        for slot in path[:-1]:
+            node = node.setdefault(slot, {})
+        node[path[-1]] = None
+    return trie
+
+
+def _slot_path(pattern):
+    """The slot of each position of a rank pattern (`_pattern_table`)."""
+    path, u = [], []
+    for x in pattern:
+        j = bisect_left(u, x)
+        if j < len(u) and u[j] == x:
+            path.append(2 * j + 1)
+        else:
+            path.append(2 * j)
+            u.insert(j, x)
+    return tuple(path)
 
 
 def _slot(m, k, slots, nodes):

@@ -4,7 +4,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 from pathlib import Path
 from string import ascii_lowercase
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewalg import freealg
+from skewalg import freealg, identities
 from skewalg.freealg import (
     CONJECTURE_WORD,
     RelationBudgetExceeded,
@@ -34,6 +34,7 @@ from skewalg.freealg import (
 from skewalg.catalog import get_catalog
 from skewalg.cli import main
 from skewalg.identities import (
+    Component,
     _compiled,
     _flatten,
     builtin_varieties,
@@ -1046,6 +1047,232 @@ def test_relation_combination_matches_oracle_rows(monkeypatch):
     want = [(c, text) for c, text, _row in relation_combination(F, CONJECTURE_WORD)]
     assert got == want
     assert len(got) == 3
+
+
+# --- rank-pattern tables ---------------------------------------------------------
+
+
+def _rank_patterns(k):
+    """Every rank pattern of length k, in lexicographic order."""
+    return [p for p in product(range(k), repeat=k) if set(p) == set(range(max(p) + 1))]
+
+
+def _rank_pattern(combo):
+    distinct = sorted(set(combo))
+    return tuple(map(distinct.index, combo))
+
+
+def _kept_patterns(table):
+    """The rank patterns a pattern table keeps, read off its slot paths:
+    slot 2j puts a new distinct value at position j among those before
+    it, slot 2j + 1 repeats the one at position j."""
+    out = []
+
+    def walk(node, path):
+        assert node and list(node) == sorted(node)
+        for slot, child in node.items():
+            if child is None:
+                out.append(path + (slot,))
+            else:
+                walk(child, path + (slot,))
+
+    walk(table, ())
+    patterns = []
+    for path in out:
+        order, picks = [], []
+        for slot in path:
+            if slot & 1:
+                picks.append(order[slot >> 1])
+            else:
+                order.insert(slot >> 1, len(picks))
+                picks.append(len(picks))
+        patterns.append(tuple(map(order.index, picks)))
+    return patterns
+
+
+def _specialized(idf, pattern):
+    """idf's raw polarized terms with variable q set to the free generator
+    pattern[q], canonicalized and collected, zeros dropped."""
+    variables, terms = raw_polarized_terms(idf)
+    env = dict(zip(variables, pattern))
+    out = {}
+    for coef, tree in terms:
+        res = canonicalize(_subst(tree, env))
+        if res is not None:
+            out[res[1]] = out.get(res[1], 0) + Fraction(coef) * res[0]
+    return {m: c for m, c in out.items() if c}
+
+
+def _up_to_scalar(row):
+    lead = row[min(row, key=sort_key)]
+    return frozenset((m, c / lead) for m, c in row.items())
+
+
+def _check_pattern_table(idf):
+    """The table of idf keeps, of every rank pattern, exactly the least
+    member of each class of patterns whose specializations on distinct
+    free generators are nonzero rational multiples of each other; a
+    pattern with a zero specialization is never kept, and `lower` admits
+    every kept one."""
+    comp = _compiled(idf)
+    assert comp.variables == raw_polarized_terms(idf)[0]
+    kept = _kept_patterns(comp.pattern_table()) if comp.poly else []
+    classes = {}
+    for pattern in _rank_patterns(len(comp.variables)):
+        row = _specialized(idf, pattern)
+        if row:
+            classes.setdefault(_up_to_scalar(row), []).append(pattern)
+        else:
+            assert pattern not in kept
+    # members in lexicographic order: a dropped one follows its class's kept one
+    assert sorted(kept) == sorted(members[0] for members in classes.values())
+    assert all(_bounds_hold(pattern, comp.lower) for pattern in kept)
+
+
+PATTERN_TEXTS = list(dict.fromkeys(
+    [idf.text for idfs in builtin_varieties().values() for idf in idfs]
+    + [source for source, _g, _d, _e in ROW_CASES if source not in builtin_varieties()]
+))
+
+
+@pytest.mark.parametrize("text", PATTERN_TEXTS)
+def test_pattern_table_keeps_the_least_pattern_of_each_class(text):
+    _check_pattern_table(parse_identity(text))
+
+
+@st.composite
+def identity_texts(draw):
+    """A homogeneous identity of one to five letter occurrences: up to
+    three terms, each a bracketing of an arrangement of the same letters."""
+    letters = draw(st.lists(st.sampled_from("xyzt"), min_size=1, max_size=5))
+
+    def bracketed(leaves):
+        if len(leaves) == 1:
+            return leaves[0]
+        i = draw(st.integers(1, len(leaves) - 1))
+        return f"({bracketed(leaves[:i])}*{bracketed(leaves[i:])})"
+
+    terms = []
+    for i in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["+", "-"]))
+        coef = draw(st.sampled_from(["", "2*", "1/2*", "3*"]))
+        leaves = draw(st.permutations(letters))
+        terms.append(f"{sign if i else sign.strip('+')} {coef}{bracketed(leaves)}")
+    return " ".join(terms) + " = 0"
+
+
+@settings(max_examples=60, deadline=None)
+@given(identity_texts())
+def test_pattern_table_keeps_the_least_pattern_of_random_identities(text):
+    _check_pattern_table(parse_identity(text))
+
+
+@pytest.mark.parametrize("text", PATTERN_TEXTS)
+def test_pattern_table_filters_the_lower_enumeration(text):
+    """`_assignments` with the table yields, in the same order, the tuples
+    of the `lower`-pruned enumeration whose rank pattern the table keeps:
+    of every type or of a kept set of types, from every monomial or from a
+    thinned increasing subset of each degree."""
+    comp = _compiled(parse_identity(text))
+    k, table = len(comp.variables), comp.pattern_table()
+    kept = set(_kept_patterns(table)) if comp.poly else set()
+    F = freealg.FreeQuotient([], "abc", 6)
+    for _ in range(5):
+        F.add_degree()
+    # per id, its type code (base 7, the cap plus one)
+    code = [sum(7**leaf for leaf in freealg._leaves(F.nested(m))) for m in range(F.monomials[-1].stop)]
+    for values in (F.monomials, [r[::2] if e % 2 else r for e, r in enumerate(F.monomials)]):
+        groups = [freealg._grouped(v, code) for v in values]
+        for d in range(k, 7):
+            for keep in (None, set(sorted({code[m] for m in F.monomials[d]})[::2])):
+                args = (values, k, d, comp.lower, code, groups, keep)
+                want = [c for c in _assignments(*args) if _rank_pattern(c) in kept]
+                assert list(_assignments(*args, table)) == want
+
+
+def test_identities_past_six_variables_keep_lower_pruning():
+    """An identity of seven polarized variables builds no table, and its
+    `lower`-pruned rows first occur where the raw-term oracle's do; one of
+    six builds a table."""
+    assert _compiled(parse_identity("((x*y)*(z*u))*(v*w) = 0")).pattern_table() is not None
+    idf = parse_identity("((x*y)*(z*u))*((v*w)*s) = 0")
+    assert _compiled(idf).pattern_table() is None
+    F = build_free_quotient([idf], 2, 7)
+    for d in range(1, 8):
+        got = [(_describe(F, src), row) for src, row in _degree_rows(F, d)]
+        assert _first_occurrences(got) == _first_occurrences(oracle_rows(F, d))
+    F.self_check()
+
+
+def _instance_and_dependent_counts(monkeypatch, build):
+    """(instance rows generated, dependent inserts) of `build()` and its
+    dims, with the quotient."""
+    counts = Counter()
+    degree_rows, insert = freealg._degree_rows, Echelon.insert
+
+    def rows(F, d, *args, **kwargs):
+        for source, row in degree_rows(F, d, *args, **kwargs):
+            counts["instance"] += len(source) == 3 and not isinstance(source[0], int)
+            yield source, row
+
+    def dependent(self, row, tags=None):
+        hit = insert(self, row, tags)
+        counts["dependent"] += hit is None
+        return hit
+
+    with monkeypatch.context() as spied:
+        spied.setattr(freealg, "_degree_rows", rows)
+        spied.setattr(Echelon, "insert", dependent)
+        F = build()
+        F.dims()
+    return (counts["instance"], counts["dependent"]), F
+
+
+@pytest.mark.parametrize(
+    "name, table, lower_only",
+    [
+        ("v", (191, 130), (337, 247)),
+        ("binary-lie", (58, 9), (191, 124)),
+        ("lie", (57, 9), (57, 9)),
+        ("w", (111, 48), (111, 48)),
+    ],
+)
+def test_pattern_table_prunes_instance_rows(monkeypatch, name, table, lower_only):
+    """A 3 6 build generates fewer instance rows and hands elimination
+    fewer dependent rows with the table than with `lower` alone, except
+    where the table keeps every admitted pattern (lie, w); its dims and
+    relations rref are those of a reference built from every `lower`-pruned
+    row."""
+    ids = get_variety(name)
+    counts, F = _instance_and_dependent_counts(monkeypatch, lambda: build_free_quotient(ids, 3, 6))
+    assert counts == table
+    with monkeypatch.context() as untabled:
+        untabled.setattr(Component, "pattern_table", lambda comp: None)
+        assert _instance_and_dependent_counts(
+            monkeypatch, lambda: build_free_quotient(ids, 3, 6)
+        )[0] == lower_only
+        R = reference_free_quotient(ids, 3, 6)
+    assert F.dims() == [len(b) for b in R.basis[1:]]
+    assert F.relations_rref == R.relations_rref
+
+
+def test_pattern_table_is_built_once_per_compiled_identity(monkeypatch):
+    """Two builds build the table of each identity that makes rows once;
+    compiling and checking identities build none."""
+    built = []
+    pattern_table = identities._pattern_table
+    monkeypatch.setattr(identities, "_COMPILED", {})
+    monkeypatch.setattr(
+        identities, "_pattern_table", lambda comp: built.append(comp) or pattern_table(comp)
+    )
+    A = get_catalog("sl2").algebra
+    for idfs in builtin_varieties().values():
+        for idf in idfs:
+            check_identity(A, idf)
+    assert built == []
+    for _ in range(2):
+        build_free_quotient(get_variety("v"), 3, 5).self_check()
+    assert built == [_compiled(get_variety("v")[1])]
 
 
 # --- pending types -------------------------------------------------------------
