@@ -15,12 +15,18 @@ behind `subalgebra_generated` and `ideal_generated` multiply on the twin,
 with subspace rows scaled to integers first, and return subspaces of A.
 `Algebra.jacobians()`, `mul_coords` and `restrict` stay on A.
 
-The Jacobian table (`Algebra.iter_jacobians`, collected by
-`Algebra.jacobians`) is summed over the nonzero structure constants only,
-one block of triples with least index a at a time, in lexicographic key
-order; the Lie checks and the identity J(x,y,z) = 0 (`identities`) read it
-and stop at its first entry. `mul_sparse` is the one kernel for products of
-vectors. `Algebra.support()` maps each basis index i to the j with
+Every product reads one product index per algebra, built once and cached
+(`Algebra.product_index`): index[i][j] = (s, row) with e_i*e_j = s*row, both
+orders of a stored pair on its one stored row. `add_basis_product`, which
+adds f * e_i*y to a sum, is the one product kernel: `mul_sparse` runs it once
+per term of its left factor, and the identity searches (`identities`) run it
+on basis indices and add every root product of an evaluation straight into
+its sum. The Jacobian table (`Algebra.iter_jacobians`, collected by
+`Algebra.jacobians`) reads the index and is summed over the nonzero
+structure constants only, one block of triples with least index a at a
+time, in lexicographic key order; the Lie checks and the identity
+J(x,y,z) = 0 (`identities`) read it and stop at its first entry.
+`Algebra.support()`, the index's keys, maps each basis index i to the j with
 e_i*e_j != 0; the twin has the same support. The series and the identity
 searches use it to skip, in their own order, every pair or tuple whose
 products are all zero.
@@ -49,7 +55,7 @@ class Algebra:
 
     __slots__ = (
         "name", "dim", "basis_names", "denominator",
-        "_rows", "_jacobians", "_twin", "_support", "_product_space",
+        "_rows", "_index", "_jacobians", "_twin", "_support", "_product_space",
     )
 
     def __init__(self, name, basis_names, products):
@@ -81,6 +87,7 @@ class Algebra:
             if row:
                 rows[key] = row
         self._rows = rows
+        self._index = None
         self._jacobians = None
         # the lcm of the structure constants' denominators
         self.denominator = denominator
@@ -105,14 +112,22 @@ class Algebra:
 
     def support(self):
         """nbr[i] = {j : e_i*e_j != 0} for every basis index i, as a tuple
-        of frozensets; built once and cached."""
+        of frozensets: the keys of `product_index`; built once and cached."""
         if self._support is None:
-            nbr = [set() for _ in range(self.dim)]
-            for i, j in self._rows:
-                nbr[i].add(j)
-                nbr[j].add(i)
-            self._support = tuple(map(frozenset, nbr))
+            self._support = tuple(map(frozenset, self.product_index()))
         return self._support
+
+    def product_index(self):
+        """index[i][j] = (s, row) with e_i*e_j = s*row for every ordered
+        pair with a nonzero product; both orders of a stored pair point at
+        its one stored row, with s = 1 and -1. Built once and cached."""
+        if self._index is None:
+            index = tuple({} for _ in range(self.dim))
+            for (i, j), row in self._rows.items():
+                index[i][j] = (1, row)
+                index[j][i] = (-1, row)
+            self._index = index
+        return self._index
 
     def c(self, i, j, k):
         """Structure constant: coefficient of e_k in e_i * e_j."""
@@ -146,24 +161,13 @@ class Algebra:
         return tuple(prod.get(k, 0) for k in range(self.dim))
 
     def mul_sparse(self, xs, ys):
-        """Product on sparse {index: coeff} vectors; much faster near the basis."""
+        """Product on sparse {index: coeff} vectors; much faster near the
+        basis. Zeros are dropped once, after the last term."""
         out = {}
-        rows = self._rows
-        for i, xi in xs.items():
-            for j, yj in ys.items():
-                if i == j:
-                    continue
-                key, f = ((i, j), xi * yj) if i < j else ((j, i), -(xi * yj))
-                row = rows.get(key)
-                if row:
-                    # inline, not add_scaled: the innermost loop of every product
-                    for k, ck in row.items():
-                        v = out.get(k, 0) + f * ck
-                        if v:
-                            out[k] = v
-                        elif k in out:
-                            del out[k]
-        return out
+        index = self.product_index()
+        for i, x in xs.items():
+            add_basis_product(out, x, index[i], ys)
+        return {k: v for k, v in out.items() if v}
 
     def iter_jacobians(self):
         """Yield the nonzero ((a, b, c), {k: coeff}), a < b < c, of
@@ -180,24 +184,20 @@ class Algebra:
         block of its least index, so a block is complete when it is yielded.
         """
         n = self.dim
-        # full[k][z] = (s, row) with e_k e_z = s * row, both orders of every
-        # stored pair on the one stored row; holding[k]: the stored pairs
-        # (b, c) whose product has an e_k term
-        full = [{} for _ in range(n)]
+        index = self.product_index()
+        # holding[k]: the stored pairs (b, c) whose product has an e_k term
         holding = [[] for _ in range(n)]
         for (b, c), row in self._rows.items():
-            full[b][c] = (1, row)
-            full[c][b] = (-1, row)
             for k, v in row.items():
                 holding[k].append((b, c, v))
         for a in range(n):
             block = {}
-            for y, (_, ay) in full[a].items():
+            for y, (_, ay) in index[a].items():
                 # y > a: ay is the stored row of the pair (a, y) itself
                 if y < a:
                     continue
                 for k, v in ay.items():
-                    for z, (sz, kz) in full[k].items():
+                    for z, (sz, kz) in index[k].items():
                         if z > y:
                             key, f = (a, y, z), v * sz
                         elif a < z < y:
@@ -209,7 +209,7 @@ class Algebra:
                             jac = block[key] = {}
                         for m, w in kz.items():
                             jac[m] = jac.get(m, 0) + f * w
-            for k, (sk, ak) in full[a].items():
+            for k, (sk, ak) in index[a].items():
                 for b, c, v in holding[k]:
                     if b > a:
                         jac = block.get((a, b, c))
@@ -238,6 +238,19 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.name!r}, dim={self.dim})"
+
+
+def add_basis_product(out, f, near, ys):
+    """out += f * (e_i * ys) for a sparse vector ys, where near = index[i]
+    of `Algebra.product_index`: the one product kernel. Entries that cancel
+    stay in out as zeros, for the caller to drop once."""
+    for j, y in ys.items():
+        hit = near.get(j)
+        if hit:
+            s, row = hit
+            g = s * f * y
+            for k, c in row.items():
+                out[k] = out.get(k, 0) + g * c
 
 
 class Element:

@@ -1,7 +1,7 @@
 """Command-line interface; the only user-facing surface.
 
-Exit status: 0 success, 1 property or check failure or an exhausted
-budget, 2 usage or parse error. Reports go to stdout, error messages to
+Exit status: 0 success, 1 property or check failure, an exhausted budget
+or an expansion past its cap, 2 usage or parse error. Reports go to stdout, error messages to
 stderr.
 """
 
@@ -37,6 +37,7 @@ from .freealg import (
 )
 from .identities import (
     BudgetExceeded,
+    ExpansionExceeded,
     check_identity,
     classify,
     get_variety,
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (_UsageError, RelationBudgetExceeded, BudgetExceeded) as exc:
+    except (_UsageError, RelationBudgetExceeded, BudgetExceeded, ExpansionExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1
 

@@ -24,6 +24,15 @@ kept. `term_poly` does the same for a word over any leaf numbering; `freealg`
 reads words through it (`FreeQuotient.word_poly`). The compiled `Component`
 is the only form an identity is evaluated in.
 
+No text expands past MAX_EXPANSION terms. The parser counts the terms
+`_flatten` will make, bottom-up (a product multiplies its factors' counts,
+a sum adds its terms', and J(t1,t2,t3) is three products), and
+`parse_identity` and `parse_word` check that count before distributing;
+`polarize` checks its placements (the flattened terms times the product of
+m! over the variables) before making one. Past the cap they raise
+`ExpansionExceeded`, which the CLI reports, with the count and the cap, in
+exit status 1, as it does the evaluation budget.
+
 A failing check reports the lexicographically first failing basis tuple.
 When every polarized group of copies sits on one basis vector (a collapsed
 witness), the assignment names the identity's own variables and the value is
@@ -32,7 +41,11 @@ m_i! over the groups, since polarization sums m! copies of each term and at
 such a tuple all of them are equal. Otherwise the assignment names the
 copies and the value is the compiled value itself. The search itself runs on
 the algebra's integral twin (`Algebra.integral_twin`), in int arithmetic, and
-the value found there is scaled back to the algebra. J(x,y,z) = 0 is not
+the value found there is scaled back to the algebra. It multiplies basis
+indices through the twin's product index (`Algebra.product_index`), adds
+each root product of an evaluation straight into its sum, and forms the
+subproducts that do not involve the last variable once per prefix
+(`Component.prefix_values`), not once per tuple. J(x,y,z) = 0 is not
 searched but read off the twin's Jacobian table (`Algebra.iter_jacobians`),
 whose keys a < b < c run in lexicographic order, so its first entry is the
 lexicographically first failing tuple of the search.
@@ -49,16 +62,27 @@ from itertools import count, permutations, product
 from math import comb, factorial, prod
 from operator import itemgetter
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, add_basis_product
 from .linalg import _row_normalize, _scale_to_int, add_scaled, parse_scalar
 
 DEFAULT_EVAL_BUDGET = 10_000_000
+# the most terms an identity or a word may expand to, counted before any is
+# made: the flattened terms of its text, and for an identity its polarized
+# placements. 8! = 40,320 placements, eight copies of one variable, fit;
+# nine copies (9! = 362,880) and J nested ten deep (3^10 = 59,049 flattened
+# terms) do not.
+MAX_EXPANSION = 50_000
 
 
 class IdentityParseError(ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class ExpansionExceeded(RuntimeError):
+    def __init__(self, what):
+        super().__init__(f"{what}, cap is {MAX_EXPANSION}")
 
 
 class BudgetExceeded(RuntimeError):
@@ -127,6 +151,8 @@ class _Parser:
         self.i = 0
         self.depth = 0  # groups, '(' or 'J(', open at the cursor
         self.height = 0  # levels of the tree parsed last
+        self.terms = 0  # terms `_flatten` makes of the tree parsed last
+        self.variables = {}  # the variables read so far, in order, as keys
 
     def fits(self, height):
         """Record the last tree's height; raise if it and the open groups pass the cap."""
@@ -175,19 +201,24 @@ class _Parser:
                 self.expect("(")
             self.depth += 1
             self.fits(1)  # a run of '(' ends here, before it recurses deeper
-            args, height = [], 0
+            # J(t1,t2,t3) is a sum of three products of its arguments
+            args, height, terms = [], 0, 1 if ch == "(" else 3
             for sep in ")" if ch == "(" else ",,)":
                 args.append(self.expr())
                 height = max(height, self.height)
+                terms *= self.terms
                 self.expect(sep)
             self.depth -= 1
             if ch == "(":
                 return args[0]
             self.fits(height + 3)
+            self.terms = terms
             return _jac(*args)
         if ch.isalpha() and ch.islower():
             self.i += 1
             self.fits(1)
+            self.terms = 1
+            self.variables[ch] = None
             return ("var", ch)
         self.error("expected a variable, 'J(', or '('")
 
@@ -205,17 +236,20 @@ class _Parser:
                     self.error("constant terms are not allowed", pos)
                 return coef, None
         tree = self.factor()
+        terms = self.terms
         self.ws()
         while self.peek() == "*":
             self.i += 1
             left = self.height
             tree = ("prod", tree, self.factor())
+            terms *= self.terms
             self.fits(max(left, self.height) + 1)
             self.ws()
+        self.terms = terms
         return coef, tree
 
     def expr(self):
-        items, height, first = [], 0, True
+        items, height, terms, first = [], 0, 0, True
         while True:
             self.ws()
             sign = 1
@@ -229,20 +263,30 @@ class _Parser:
             if tree is not None:
                 items.append((sign * coef, tree))
                 height = max(height, self.height)
+                terms += self.terms
         self.fits(height + 1)
+        self.terms = terms
         return ("sum", tuple(items))
 
     def identity(self):
         lhs = self.expr()
+        terms = self.terms
         self.expect("=")
         rhs = self.expr()
         self.end()
+        self.terms += terms
         return lhs, rhs
 
     def end(self):
         self.ws()
         if self.i != len(self.text):
             self.error("unexpected trailing input")
+
+    def bounded(self, kind):
+        """Raise ExpansionExceeded when the text parsed expands to more than
+        MAX_EXPANSION terms, before any of them is made."""
+        if self.terms > MAX_EXPANSION:
+            raise ExpansionExceeded(f"{kind} expands to {self.terms} terms")
 
 
 def _flatten(tree):
@@ -261,20 +305,6 @@ def _flatten(tree):
         for c2, t2 in _flatten(t):
             out.append((c * c2, t2))
     return out
-
-
-def _collect_vars(tree, seen, order):
-    kind = tree[0]
-    if kind == "var":
-        if tree[1] not in seen:
-            seen.add(tree[1])
-            order.append(tree[1])
-    elif kind == "prod":
-        _collect_vars(tree[1], seen, order)
-        _collect_vars(tree[2], seen, order)
-    else:
-        for _, t in tree[1]:
-            _collect_vars(t, seen, order)
 
 
 def _term_profile(tree, acc):
@@ -313,13 +343,13 @@ def _homogeneous_profile(terms, kind):
 
 
 def parse_identity(text: str) -> IdentityDef:
+    """The identity a text states, its variables in the order they are
+    first read."""
     p = _Parser(text)
     lhs, rhs = p.identity()
-    seen, order = set(), []
-    _collect_vars(lhs, seen, order)
-    _collect_vars(rhs, seen, order)
+    p.bounded("identity")
     profile = _homogeneous_profile(_flatten(lhs) + _flatten(rhs), "identity")
-    return IdentityDef(text, tuple(order), lhs, rhs, profile)
+    return IdentityDef(text, tuple(p.variables), lhs, rhs, profile)
 
 
 def parse_word(text: str):
@@ -330,6 +360,7 @@ def parse_word(text: str):
     p = _Parser(text)
     tree = p.expr()
     p.end()
+    p.bounded("word")
     _homogeneous_profile(_flatten(tree), "word")
     return tree
 
@@ -354,7 +385,7 @@ class Component:
 
     __slots__ = (
         "variables", "groups", "origin_vars",
-        "poly", "key", "lower", "_nodes", "_roots", "_join", "_patterns",
+        "poly", "key", "lower", "_nodes", "_roots", "_prefix", "_join", "_patterns",
     )
 
     def __init__(self, variables, groups, origin_vars, poly):
@@ -371,43 +402,74 @@ class Component:
         self.lower = _lower_bounds(sizes, self.poly)
         # straight-line program: proper subproducts get a slot after the k
         # variable slots and a memo keyed by their leaves' indices; each
-        # monomial is one root product (l, r, coef) over those slots, or
-        # (variable, None, coef) in a degree-1 identity
+        # monomial is one root product (l, r, coef, shape) over those slots,
+        # or (variable, None, coef, None) in a degree-1 identity. The
+        # subproducts that avoid the last variable take the first slots: a
+        # search forms them once per prefix (`prefix_values`)
         k = len(self.variables)
         slots, nodes = {}, []
-        self._roots = tuple(
+        roots = [
             (m, None, c)
             if isinstance(m, int)
             else (_slot(m[0], k, slots, nodes)[0], _slot(m[1], k, slots, nodes)[0], c)
             for m, c in self.poly.items()
+        ]
+        order = sorted(range(len(nodes)), key=lambda t: k - 1 in nodes[t][2])
+        moved = list(range(k)) + [0] * len(nodes)
+        for at, t in enumerate(order, k):
+            moved[k + t] = at
+        self._nodes = tuple(
+            (moved[l], moved[r], (l >= k) + (r >= k), itemgetter(*leaves))
+            for l, r, leaves in map(nodes.__getitem__, order)
         )
-        self._nodes = tuple(nodes)
+        self._roots = tuple(
+            (l, None, c, None) if r is None else (moved[l], moved[r], c, (l >= k) + (r >= k))
+            for l, r, c in roots
+        )
+        self._prefix = sum(k - 1 not in leaves for _, _, leaves in nodes)
         self._join = _join_rules(self.poly, k - 1)
 
-    def evaluate_on_basis(self, A: Algebra, idx, memo):
+    def prefix_values(self, A, idx, memo):
+        """The values of the slots that do not involve the last variable,
+        with variable q set to basis vector idx[q] (idx is a prefix or a
+        whole tuple; its last variable is not read): a basis index per
+        variable and a sparse vector per subproduct, with None for the last
+        variable. A search forms them once per prefix and hands them to
+        `evaluate_on_basis` for every last value; `memo` is that of
+        `evaluate_on_basis`."""
+        vals = [*idx[: len(self.variables) - 1], None]
+        _subproducts(A.product_index(), self._nodes[: self._prefix], memo, idx, vals)
+        return vals
+
+    def evaluate_on_basis(self, A: Algebra, idx, memo, vals=None):
         """Sparse value of `poly` with variable q set to basis vector idx[q].
 
         `memo` holds one dict per subproduct slot, kept across the tuples of
         one search, so a subproduct is multiplied once per leaf assignment.
+        `vals`, when given, is `prefix_values(A, idx, memo)`, formed once
+        for every tuple that shares the prefix; the slots the last variable
+        fills are written over. Products are read off the product index
+        (`Algebra.product_index`), and each root product goes straight into
+        the sum, whose zeros are dropped once at the end.
         """
-        mul = A.mul_sparse
-        vals = [{i: 1} for i in idx]
-        for (l, r, leaves), cache in zip(self._nodes, memo):
-            key = leaves(idx)
-            v = cache.get(key)
-            if v is None:
-                v = cache[key] = mul(vals[l], vals[r])
-            vals.append(v)
+        index = A.product_index()
+        if vals is None:
+            vals = self.prefix_values(A, idx, memo)
+        p = self._prefix
+        k = len(self.variables)
+        vals[k - 1] = idx[-1]
+        del vals[k + p :]
+        _subproducts(index, self._nodes[p:], memo[p:], idx, vals)
         out = {}
-        # inline, not add_scaled: runs per monomial of every evaluation
-        for l, r, coef in self._roots:
-            for k, x in (vals[l] if r is None else mul(vals[l], vals[r])).items():
-                v = out.get(k, 0) + coef * x
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        return out
+        for a, b, f, shape in self._roots:
+            if shape == _VAR_SUB:
+                # inline, not _add_product: the commonest root, per evaluation
+                b = vals[b]
+                if b:
+                    add_basis_product(out, f, index[vals[a]], b)
+            else:
+                _add_product(out, index, f, vals[a], None if b is None else vals[b], shape)
+        return {m: c for m, c in out.items() if c}
 
     def substitute(self, values, times):
         """`poly` with variable q set to the monomial of id values[q], in a
@@ -416,7 +478,7 @@ class Component:
         coefficient}, each proper subproduct multiplied once."""
         # products inline: runs per product of every relation row
         ids, signs = list(values), [1] * len(values)  # a zero product's id is None
-        for l, r, _leaves in self._nodes:
+        for l, r, _shape, _leaves in self._nodes:
             a, b = ids[l], ids[r]
             if a is None or b is None or a == b:
                 ids.append(None)
@@ -429,7 +491,7 @@ class Component:
                 signs.append(-signs[l] * signs[r])
         row = {}
         # inline, not add_scaled: runs per term of every relation row
-        for l, r, coef in self._roots:
+        for l, r, coef, _shape in self._roots:
             c = ids[l]
             if c is None:
                 continue
@@ -525,15 +587,67 @@ def _slot_path(pattern):
 
 def _slot(m, k, slots, nodes):
     """(slot, leaves) of the subproduct m in Component's straight-line
-    program, appending the nodes it needs."""
+    program, appending the nodes (l, r, leaves) it needs."""
     if isinstance(m, int):
         return m, (m,)
     hit = slots.get(m)
     if hit is None:
         (l, ll), (r, lr) = _slot(m[0], k, slots, nodes), _slot(m[1], k, slots, nodes)
         hit = slots[m] = (k + len(nodes), ll + lr)
-        nodes.append((l, r, itemgetter(*hit[1])))
+        nodes.append((l, r, hit[1]))
     return hit
+
+
+def _subproducts(index, nodes, memo, idx, vals):
+    """Append to vals the value of each node of Component's straight-line
+    program at the basis tuple idx, from its memo or, once per leaf
+    assignment, as a product of earlier slots."""
+    for (a, b, shape, leaves), cache in zip(nodes, memo):
+        key = leaves(idx)
+        v = cache.get(key)
+        if v is None:
+            v = cache[key] = _product(index, vals[a], vals[b], shape)
+        vals.append(v)
+
+
+# the shape of a product a*b in Component's straight-line program, its count
+# of subproduct factors: a and b variables (basis indices), a a variable and
+# b a subproduct (a sparse vector), or both subproducts. A canonical monomial
+# puts the factor of lower degree on the left (`sort_key`), so no subproduct
+# is multiplied by a variable on its right. A lone variable has shape None.
+_VAR_VAR, _VAR_SUB, _SUB_SUB = range(3)
+
+
+def _add_product(out, index, f, a, b, shape):
+    """out += f * a*b for the values a, b of two slots whose product has
+    `shape` (f * e_a for a lone variable), read off the product index.
+    Entries that cancel stay in out as zeros."""
+    if shape == _VAR_SUB:
+        if b:
+            add_basis_product(out, f, index[a], b)
+    elif shape == _SUB_SUB:
+        if b:
+            for i, x in a.items():
+                add_basis_product(out, f * x, index[i], b)
+    elif shape == _VAR_VAR:
+        hit = index[a].get(b)
+        if hit:
+            add_scaled(out, hit[1], hit[0] * f)
+    else:
+        out[a] = out.get(a, 0) + f
+
+
+def _product(index, a, b, shape):
+    """a*b for the values a, b of two slots, with no zero entry."""
+    if shape == _VAR_VAR:
+        hit = index[a].get(b)
+        if hit is None:
+            return {}
+        s, row = hit
+        return row if s > 0 else {m: -c for m, c in row.items()}
+    out = {}
+    _add_product(out, index, 1, a, b, shape)
+    return {m: c for m, c in out.items() if c}
 
 
 def _join_rules(poly, last):
@@ -631,17 +745,23 @@ def polarize(idf: IdentityDef) -> Component:
     lhs - rhs, once for each way of placing its occurrences on the copies of
     every variable (the per-variable orders taken as `product` over their
     `permutations`), goes as a tree over variable positions straight into
-    `_canonical_poly`, so only the collected polynomial is kept.
+    `_canonical_poly`, so only the collected polynomial is kept. Those
+    placements, the flattened terms times the product of m! over the
+    variables, are counted first and charged against MAX_EXPANSION.
     """
-    groups, variables, orders = [], [], []
-    for v in idf.variables:
-        m = idf.profile.get(v, 0)
-        copies = (v,) if m <= 1 else tuple(f"{v}{i}" for i in range(1, m + 1))
-        start = len(variables)
-        orders.append(list(permutations(range(start, start + len(copies)))))
-        groups.append(copies)
-        variables.extend(copies)
+    groups = [
+        (v,) if m <= 1 else tuple(f"{v}{i}" for i in range(1, m + 1))
+        for v, m in ((v, idf.profile.get(v, 0)) for v in idf.variables)
+    ]
     terms = _flatten(idf.lhs) + [(-c, t) for c, t in _flatten(idf.rhs)]
+    placements = len(terms) * prod(factorial(len(g)) for g in groups)
+    if placements > MAX_EXPANSION:
+        raise ExpansionExceeded(f"polarized identity expands to {placements} terms")
+    orders, start = [], 0
+    for g in groups:
+        orders.append(list(permutations(range(start, start + len(g)))))
+        start += len(g)
+    variables = [c for g in groups for c in g]
 
     def placed():
         for coef, tree in terms:
@@ -719,10 +839,12 @@ def _basis_tuples(n, lower):
             idx[q] = max((idx[p] + d for p, d in lower[q]), default=0)
 
 
-def _joined_tuples(nbr, n, comp):
-    """The tuples of `_basis_tuples(n, comp.lower)` in the same order, less
-    those on which every monomial of `comp.poly` has a zero two-leaf
-    subproduct, read off the support map nbr (`Algebra.support`).
+def _joined_prefixes(nbr, n, comp):
+    """(prefix, lasts) for the tuples of `_basis_tuples(n, comp.lower)` in
+    the same order, each prefix + (i,) for i in lasts, less those on which
+    every monomial of `comp.poly` has a zero two-leaf subproduct, read off
+    the support map nbr (`Algebra.support`). A prefix with no last value is
+    not yielded.
 
     The prefixes (all variables but the last) run as in `_basis_tuples`;
     the last variable runs over the union, for the monomials whose two-leaf
@@ -748,8 +870,8 @@ def _joined_tuples(nbr, n, comp):
                         break
                     reach |= nbr[prefix[partner]]
             lasts = range(lo, n) if reach is None else sorted(i for i in reach if i >= lo)
-        for i in lasts:
-            yield prefix + (i,)
+        if lasts:
+            yield prefix, lasts
 
 
 _JACOBI_TEXT = "J(x,y,z) = 0"
@@ -770,7 +892,7 @@ def _first_failure(A, comp):
     The search runs on A's integral twin D*A (`Algebra.integral_twin`): a
     multilinear form in k variables takes D^(k-1) times its value on A
     there, so it fails on the same tuples. The value returned is the twin's;
-    `_build_witness` divides it back. Only the tuples `_joined_tuples`
+    `_build_witness` divides it back. Only the tuples `_joined_prefixes`
     yields are evaluated: every other one gives zero, so the first failing
     tuple is the same as over all of `_basis_tuples`. J(x,y,z) = 0 itself
     is read off the first entry of the twin's `Algebra.iter_jacobians()`,
@@ -787,14 +909,17 @@ def _first_failure(A, comp):
         (a, b, c), val = first
         return ((a,), (b,), (c,)), val
     memo = [{} for _ in comp._nodes]
-    for idx in _joined_tuples(T.support(), A.dim, comp):
-        val = comp.evaluate_on_basis(T, idx, memo)
-        if val:
-            combo, start = [], 0
-            for g in comp.groups:
-                combo.append(idx[start : start + len(g)])
-                start += len(g)
-            return tuple(combo), val
+    for prefix, lasts in _joined_prefixes(T.support(), A.dim, comp):
+        vals = comp.prefix_values(T, prefix, memo)
+        for i in lasts:
+            idx = prefix + (i,)
+            val = comp.evaluate_on_basis(T, idx, memo, vals)
+            if val:
+                combo, start = [], 0
+                for g in comp.groups:
+                    combo.append(idx[start : start + len(g)])
+                    start += len(g)
+                return tuple(combo), val
     return None
 
 

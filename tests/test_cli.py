@@ -105,10 +105,10 @@ def test_invariants_report(paper_file, capsys):
 
 def test_invariants_and_classify_multiply_on_the_integral_twin(tmp_path, capsys, monkeypatch):
     """On an algebra with non-integral constants (lcm of denominators 12),
-    `invariants` and `classify` read only its integral twin: every product
-    and every direct table read sees an all-int table, and every product
-    int operands. The algebra's own Jacobian table keeps the unscaled
-    values."""
+    `invariants` and `classify` read only its integral twin: every product,
+    every direct table read and every product index read sees an all-int
+    table, and every product int operands. The algebra's own Jacobian table
+    keeps the unscaled values."""
     half, third = Fraction(1, 2), Fraction(1, 3)
     A = Algebra(
         "halves",
@@ -121,7 +121,7 @@ def test_invariants_and_classify_multiply_on_the_integral_twin(tmp_path, capsys,
     path = tmp_path / "halves.alg"
     path.write_text(emit_algebra(A))
     reads = []
-    mul, pairs = Algebra.mul_sparse, Algebra.table_pairs
+    mul, pairs, index = Algebra.mul_sparse, Algebra.table_pairs, Algebra.product_index
 
     def int_table(A):
         return all(type(v) is int for _, row in pairs(A) for v in row.values())
@@ -135,8 +135,13 @@ def test_invariants_and_classify_multiply_on_the_integral_twin(tmp_path, capsys,
         reads.append(int_table(self))
         return pairs(self)
 
+    def spy_index(self):
+        reads.append(int_table(self))
+        return index(self)
+
     monkeypatch.setattr(Algebra, "mul_sparse", spy_mul)
     monkeypatch.setattr(Algebra, "table_pairs", spy_pairs)
+    monkeypatch.setattr(Algebra, "product_index", spy_index)
     for command in ("invariants", "classify"):
         reads.clear()
         rc, out, _ = run(capsys, command, str(path))
@@ -722,17 +727,70 @@ def _fuzz_argv(rng, tmp_path):
     return ["free", "--identities", str(ids), *free]
 
 
+def _nested_j(depth, letters="xyz"):
+    """J nested depth deep in its first argument: 3^depth flattened terms."""
+    x, y, z = letters
+    tree = x
+    for _ in range(depth):
+        tree = f"J({tree},{y},{z})"
+    return tree
+
+
+def _expansion_argvs(tmp_path):
+    """(argv, exit status, error) for J nested twelve deep and a product of
+    ten copies of one variable, each through check --identity, free --eval
+    and an --identities file. A word is not polarized, so the ten-copy
+    word ends in the quotient's degree check."""
+    alg = tmp_path / "x.alg"
+    alg.write_text(FUZZ_ALGEBRA)
+    nested, copies = _nested_j(12), "*".join("x" * 10)
+    terms = "error: identity expands to 531441 terms, cap is 50000\n"
+    placed = "error: polarized identity expands to 3628800 terms, cap is 50000\n"
+    free = ["--generators", "3", "--max-degree", "4"]
+    cases = [
+        (["check", str(alg), "--identity", f"{nested} = 0"], 1, terms),
+        (["check", str(alg), "--identity", f"{copies} = 0"], 1, placed),
+        (["free", "--variety", "v", *free, "--eval", _nested_j(12, "abc")], 1,
+         "error: word expands to 531441 terms, cap is 50000\n"),
+        (["free", "--variety", "v", *free, "--eval", copies.replace("x", "a")], 2,
+         "error: degree overflow: word degree 10 exceeds max degree 4\n"),
+    ]
+    for n, (text, err) in enumerate(((nested, terms), (copies, placed))):
+        path = tmp_path / f"x{n}.ids"
+        path.write_text(f"x*x = 0\n{text} = 0\n")
+        cases.append((["free", "--identities", str(path), *free], 1, err))
+    return cases
+
+
+def test_expansion_cap_ends_in_its_message_within_a_second(tmp_path, capsys):
+    """Texts past MAX_EXPANSION end in the cap's message and exit 1, in
+    under a second: the count is taken before any term is made (parsing
+    J nested twelve deep once made its 531,441 terms, and ten copies once
+    listed all 10! placements)."""
+    for argv, status, message in _expansion_argvs(tmp_path):
+        start = perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert perf_counter() - start < 1, argv
+        assert (rc, out, err) == (status, "", message), argv
+
+
 def test_no_input_ends_in_a_traceback(tmp_path, capsys):
-    """Mutated files and arguments, drawn from fixed seeds, end in exit
-    status 0, 1 or 2, never in an exception."""
-    outcomes = set()
-    for seed in range(1000):
-        argv = _fuzz_argv(random.Random(seed), tmp_path)
+    """Mutated files and arguments, drawn from fixed seeds, and texts that
+    expand past the cap end in exit status 0, 1 or 2, never in an
+    exception."""
+
+    def status(tag, argv):
         try:
             rc = main(argv)
         except Exception as exc:  # noqa: BLE001 -- the property under test
-            pytest.fail(f"seed {seed}: {argv!r} raised {exc!r}")
+            pytest.fail(f"{tag}: {argv!r} raised {exc!r}")
         capsys.readouterr()
-        assert rc in (0, 1, 2), (seed, argv)
-        outcomes.add(rc)
+        assert rc in (0, 1, 2), (tag, argv)
+        return rc
+
+    outcomes = set()
+    for seed in range(1000):
+        outcomes.add(status(f"seed {seed}", _fuzz_argv(random.Random(seed), tmp_path)))
     assert outcomes == {0, 1, 2}
+    for argv, _, _ in _expansion_argvs(tmp_path):
+        assert status("expansion", argv) in (1, 2)

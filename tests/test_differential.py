@@ -130,6 +130,13 @@ CUSTOM = (
     "J(x,y,z)*(x*y) = 0",
     "1/2*J(x,y,z*t) = (x*y)*(z*t)",
     "J(x,y,z*t) = 0",
+    # with the texts above, one per product shape the evaluator reads off the
+    # product index: a lone variable, variable * variable, variable *
+    # subproduct written on either side, subproduct * subproduct, and a
+    # repeated variable
+    "x*y = 0",
+    "x*(y*z) = 0",
+    "x*(x*y) = 0",
 )
 TEXTS = tuple(
     dict.fromkeys(
@@ -813,9 +820,9 @@ def test_j_check_evaluates_only_tuples_with_a_nonzero_product(monkeypatch):
     real = Component.evaluate_on_basis
     real_mul = Algebra.mul_sparse
 
-    def spy(self, B, idx, memo):
+    def spy(self, B, idx, memo, vals=None):
         evaluated.append(idx)
-        return real(self, B, idx, memo)
+        return real(self, B, idx, memo, vals)
 
     def spy_mul(self, xs, ys):
         products.append((xs, ys))
@@ -858,6 +865,62 @@ def test_j_check_from_the_table_matches_the_search_over_all_tuples():
     # both verdicts, and witnesses on non-integral algebras
     assert {check_identity(A, idf).holds for A in algebras} == {True, False}
     assert any(A.denominator > 1 and not check_identity(A, idf).holds for A in algebras)
+
+
+def test_search_forms_prefix_subproducts_once_per_prefix(monkeypatch):
+    """The search for J(x,y,z*u) = 0, which holds on a benchmark member, calls
+    `evaluate_on_basis` once per evaluated tuple, in lexicographic order, and
+    `prefix_values` once per prefix, just before that prefix's tuples: each
+    subproduct that avoids the last variable (x*y) is formed once per
+    prefix, and every evaluation reads the values formed for its prefix."""
+    A = workloads._member(20)
+    comp = _compiled(parse_identity("J(x,y,z*u) = 0"))
+    events = []
+    real_prefix, real_eval = Component.prefix_values, Component.evaluate_on_basis
+
+    def spy_prefix(self, B, idx, memo):
+        vals = real_prefix(self, B, idx, memo)
+        events.append(("prefix", tuple(idx), vals))
+        return vals
+
+    def spy_eval(self, B, idx, memo, vals=None):
+        events.append(("eval", idx, vals))
+        return real_eval(self, B, idx, memo, vals)
+
+    monkeypatch.setattr(Component, "prefix_values", spy_prefix)
+    monkeypatch.setattr(Component, "evaluate_on_basis", spy_eval)
+    assert _first_failure(A, comp) is None
+    evaluated = [idx for kind, idx, _ in events if kind == "eval"]
+    prefixes = [idx for kind, idx, _ in events if kind == "prefix"]
+    assert evaluated == sorted(set(evaluated))
+    assert prefixes == list(dict.fromkeys(idx[:-1] for idx in evaluated))
+    assert len(prefixes) < len(evaluated)
+    current = None
+    for kind, idx, vals in events:
+        if kind == "prefix":
+            current = idx, vals
+        else:
+            assert idx[:-1] == current[0] and vals is current[1]
+    monkeypatch.undo()
+    assert first_failure_over_all_tuples(A, comp) is None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(algebras())
+def test_product_index_matches_structure_constants(A):
+    """index[i][j] is e_i*e_j, as `Algebra.c` reads it, on every ordered
+    pair of A and of its integral twin; both orders of a pair share the one
+    stored row, and the support is read off the index."""
+    for B in (A, A.integral_twin()):
+        index = B.product_index()
+        for i in range(B.dim):
+            for j in range(B.dim):
+                want = {k: B.c(i, j, k) for k in range(B.dim) if B.c(i, j, k)}
+                hit = index[i].get(j)
+                assert ({} if hit is None else {k: hit[0] * c for k, c in hit[1].items()}) == want
+                if hit is not None:
+                    assert index[j][i][1] is hit[1] and index[j][i][0] == -hit[0]
+            assert B.support()[i] == frozenset(index[i])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -15,6 +15,7 @@ from skewalg.formats import emit_algebra, parse_algebra_file
 from skewalg.freealg import FreeQuotient, parse_word
 from skewalg.identities import (
     BudgetExceeded,
+    ExpansionExceeded,
     IdentityParseError,
     _flatten,
     builtin_varieties,
@@ -534,6 +535,26 @@ def test_polarized_poly_is_the_raw_terms_collected(text):
     index = {v: i for i, v in enumerate(variables)}
     want = _collect((c, _leaves_at(t, index)) for c, t in terms)
     assert list(comp.poly.items()) == list(want.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(identity_texts())
+def test_expansion_counts_are_the_terms_made(text):
+    """The counts charged against MAX_EXPANSION before any term is made: the
+    parser's, bottom-up, is the flattened terms of both sides, and
+    `polarize`'s the raw polarized terms (`oracles.raw_polarized_terms`),
+    so a cap one below it trips and the count itself passes."""
+    idf = parse_identity(text)
+    p = identities._Parser(text)
+    p.identity()
+    assert p.terms == len(_flatten(idf.lhs)) + len(_flatten(idf.rhs))
+    placements = len(raw_polarized_terms(idf)[1])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(identities, "MAX_EXPANSION", placements - 1)
+        with pytest.raises(ExpansionExceeded, match=f"expands to {placements} terms,"):
+            polarize(idf)
+        m.setattr(identities, "MAX_EXPANSION", placements)
+        polarize(idf)
 
 
 @settings(max_examples=80, deadline=None)
