@@ -91,6 +91,15 @@ def _parse_basis_names(num, text):
     return names
 
 
+def _on_line(num, call, *args):
+    """call(*args), with a ValueError raised again as one whose message
+    starts with `line {num}: `."""
+    try:
+        return call(*args)
+    except ValueError as e:
+        raise ValueError(f"line {num}: {e}") from None
+
+
 def _header_line(lines, pos, key):
     if pos >= len(lines):
         after = lines[-1][0] + 1 if lines else 1
@@ -138,10 +147,7 @@ def _parse_algebra_lines(lines):
                 f"line {num}: duplicate product pair {parts[0]}*{parts[1]}"
             )
         seen.add(key)
-        try:
-            combo = _parse_terms(rhs.strip(), index)
-        except ValueError as e:
-            raise ValueError(f"line {num}: {e}") from None
+        combo = _on_line(num, _parse_terms, rhs.strip(), index)
         if combo:
             products[(i, j)] = combo
     return Algebra(name, names, products)
@@ -224,10 +230,7 @@ def parse_construction_file(text) -> ConstructionData:
                 if lhs in rows_seen:
                     raise ValueError(f"line {lnum}: duplicate row for {lhs!r}")
                 rows_seen.add(lhs)
-                try:
-                    vec = parse_element(rhs.strip(), L.basis_names)
-                except ValueError as e:
-                    raise ValueError(f"line {lnum}: {e}") from None
+                vec = _on_line(lnum, parse_element, rhs.strip(), L.basis_names)
                 psi[p_index[pname]][l_index[lhs]] = list(vec)
         elif name == "lambda":
             for lnum, line in lines:
@@ -250,19 +253,13 @@ def parse_construction_file(text) -> ConstructionData:
                     raise ValueError(
                         f"line {lnum}: duplicate lambda pair {parts[0]}*{parts[1]}"
                     )
-                try:
-                    vec = parse_element(rhs.strip(), L.basis_names)
-                except ValueError as e:
-                    raise ValueError(f"line {lnum}: {e}") from None
+                vec = _on_line(lnum, parse_element, rhs.strip(), L.basis_names)
                 if i > j:
                     vec = tuple(-x for x in vec)
                 lam[key] = vec
         elif name == "L0":
             for lnum, line in lines:
-                try:
-                    L0.append(parse_element(line, L.basis_names))
-                except ValueError as e:
-                    raise ValueError(f"line {lnum}: {e}") from None
+                L0.append(_on_line(lnum, parse_element, line, L.basis_names))
         else:
             raise ValueError(f"line {num}: unknown section [{name}]")
     return ConstructionData(L=L, p_names=p_names, psi=psi, lam=lam, L0=L0)
@@ -291,13 +288,7 @@ def emit_construction(data: ConstructionData) -> str:
 
 def parse_identities_file(text):
     """One identity per line, in the identity grammar."""
-    out = []
-    for num, line in _meaningful_lines(text):
-        try:
-            out.append(parse_identity(line))
-        except ValueError as e:
-            raise ValueError(f"line {num}: {e}") from None
-    return out
+    return [_on_line(num, parse_identity, line) for num, line in _meaningful_lines(text)]
 
 
 def parse_assignments(text, names):

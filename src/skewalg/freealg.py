@@ -46,15 +46,16 @@ relation budget still counts every unpruned instance and multiple
 Every relation row has one type, its multidegree in the generators, so each
 degree's echelon is block-diagonal by type.  A quotient keeps one table of
 the blocks it has not made, keyed by (degree, type code), and makes a block
-(its rows, rewrites and reduced rows) when something first reads it.  Rows
-are generated, eliminated and checked only for one representative type
-per orbit of the generator permutations that map the relation set to
-itself (`_Symmetry`): every permutation for identities, and with adjoined
-words those that map the set of words to itself up to scalars.  The
-representative is the orbit's least type code.  Each other type gets the
-relabelled images of its representative's independent generated rows.  The
-final elimination returns the unique rref, so the quotient is the same as
-from every row.
+(its rows, then its rewrites) when something first reads it.  A pivot's
+rewrite is the one copy of its reduced row, which `relations_rref` and the
+multiples derive where they read it (`_relation_row`).  Rows are generated,
+eliminated and checked only for one representative type per orbit of the
+generator permutations that map the relation set to itself (`_Symmetry`):
+every permutation for identities, and with adjoined words those that map
+the set of words to itself up to scalars.  The representative is the
+orbit's least type code.  Each other type gets the relabelled images of its
+representative's independent generated rows.  The final elimination
+returns the unique rref, so the quotient is the same as from every row.
 
 A full build makes every representative block degree by degree, and each
 degree in full before the next degree's multiples read it, so only the top
@@ -186,10 +187,10 @@ class FreeQuotient:
         # per id, its factors' ids (a generator: its index), and for each id
         # that can be a left factor, {right factor's id: the product's id}
         self._factors, self._times = [], []
-        self._rewrite = {}
-        # per degree: made blocks' reduced rows {pivot: row}, the rref and basis
-        # once every block is made, representatives' independent rows by type
-        self._made, self._rref, self._basis, self._independent = [{}], [[]], [()], [{}]
+        self._rewrite = {}  # made blocks' rewrites, their relation rows' one copy
+        # per degree: made blocks' pivots, the basis once every block is made,
+        # representatives' independent generated rows by type
+        self._made, self._basis, self._independent = [set()], [()], [{}]
         self._basis_groups = {}  # per degree whose basis is closed, it by type
         # (degree, type) -> None (generates its rows) or (representative, perm)
         self._table = {}
@@ -218,9 +219,9 @@ class FreeQuotient:
     @property
     def relations_rref(self):
         """Per degree, the reduced relation rows (primitive integer rows
-        keyed by monomial id) in pivot order."""
+        keyed by monomial id) in pivot order, a copy made on each read."""
         self._complete()
-        return self._rref
+        return [[_relation_row(self, p) for p in sorted(made)] for made in self._made]
 
     def add_degree(self, empty=False):
         """Enumerate, number and type the monomials of the next degree (none
@@ -240,8 +241,8 @@ class FreeQuotient:
                 times[l][r] = m
         if 2 * d <= self.max_degree:  # a left factor has at most half the cap
             self._times.extend({} for _ in mons)
-        for records, new in ((self._made, {}), (self._rref, None), (self._basis, None)):
-            records.append(new)
+        self._made.append(set())
+        self._basis.append(None)
         self._independent.append({})
         self._types.add(self, d)
 
@@ -264,7 +265,7 @@ class FreeQuotient:
         representative's rank. A word-restricted quotient is completed first."""
         if self._keep is not None:
             self._complete()
-        ranks = [len(rows) for rows in self._made]
+        ranks = [len(made) for made in self._made]
         for (d, _code), (rep, _perm) in self._table.items():
             ranks[d] += len(self._independent[d].get(rep, ()))
         return [len(self.monomials[d]) - ranks[d] for d in range(1, self.max_degree + 1)]
@@ -600,9 +601,9 @@ def _degree_rows(F, d, keep=None, basis=False):
     With `keep`, a set of type codes, only the rows of those types are
     made: an instance's type (`F._types`) is the sum of its values' types,
     a multiple's the sum of its factors'.  The multiples read the lower
-    degrees' made rows; R_e[index] indexes the whole rref of degree e once
-    every block of it is made, which a caller that names rows by it does
-    first.
+    degrees' made rows, derived in pivot order (`_relation_row`); R_e[index]
+    indexes the whole rref of degree e once every block of it is made,
+    which a caller that names rows by it does first.
     """
     times = F._times
     values = F.monomials[:d + 1]
@@ -622,12 +623,13 @@ def _degree_rows(F, d, keep=None, basis=False):
     for e in range(1, d):
         f = d - e
         upper, by_type = (values[f], groups) if e > f else (F.monomials[f], full)
-        made = F._rref[e] or [F._made[e][p] for p in sorted(F._made[e])]
-        for idx, r in enumerate(made):
+        for idx, p in enumerate(sorted(F._made[e])):
             mons = upper
             if keep is not None:
-                t = code[next(iter(r))]
-                mons = [m for c in keep for m in by_type[f].get(c - t, ())]
+                mons = [m for c in keep for m in by_type[f].get(c - code[p], ())]
+            if not mons:
+                continue
+            r = _relation_row(F, p)
             # distinct monomials of r give distinct products with m, so the
             # row's entries are r's, signed: R_e's monomials precede degree
             # f's when e < f and follow them when e > f
@@ -680,6 +682,20 @@ def _grouped(ids, code):
     return groups
 
 
+def _scaled(image):
+    """(D, D times a rewrite `image`), D the lcm of its entries' denominators."""
+    den = lcm(*(x.denominator for x in image.values()))
+    return den, {m: x.numerator * (den // x.denominator) for m, x in image.items()}
+
+
+def _relation_row(F, lead):
+    """The reduced relation row of pivot `lead`, primitive with a positive
+    lead, from its rewrite: a primitive row r with lead entry l rewrites
+    `lead` to -r/l off the lead, whose denominators' lcm is exactly l."""
+    den, image = _scaled(F._rewrite[lead])
+    return {lead: den, **{m: -v for m, v in image.items()}}
+
+
 def _check_rows(F, d, rows):
     """The failure message naming the first (source, row) pair of degree d
     that does not vanish under the rewrite map, or None.
@@ -696,14 +712,7 @@ def _check_rows(F, d, rows):
         scale = 1
         # inline, not add_scaled: runs per entry of every checked row
         for c, v in row.items():
-            hit = scaled.get(c)
-            if hit is None:
-                r = rewrite[c]
-                den = lcm(*(x.denominator for x in r.values()))
-                hit = scaled[c] = den, {
-                    m: x.numerator * (den // x.denominator) for m, x in r.items()
-                }
-            den, r = hit
+            den, r = scaled.get(c) or scaled.setdefault(c, _scaled(rewrite[c]))
             if scale % den:
                 grow = den // gcd(scale, den)
                 scale *= grow
@@ -1010,8 +1019,8 @@ def _relabelled(F, d, moved):
 def _record(F, d, ech, codes=None):
     """Make the blocks of degree d of the types `codes` (every type by
     default) from the echelon of all their rows: write their rewrites, from
-    its rref, and reduced rows, and take them off the table.  The degree's
-    last block closes its relations rref and basis."""
+    its rref, and pivots, and take them off the table.  The degree's last
+    block closes its basis."""
     groups, rewrite, made = F._types.groups[d], F._rewrite, F._made[d]
     reduced, pivots = ech.rref()
     for code in groups if codes is None else codes:
@@ -1019,9 +1028,8 @@ def _record(F, d, ech, codes=None):
         F._table.pop((d, code), None)
     for lead, row in zip(pivots, reduced):
         rewrite[lead] = {c: -v for c, v in row.items() if c != lead}
-    made.update(ech.rows)
+    made.update(pivots)
     if not any((d, code) in F._table for code in groups):
-        F._rref[d] = [made[c] for c in sorted(made)]
         F._basis[d] = tuple(m for m in F.monomials[d] if m not in made)
         F._independent[d] = {}
 

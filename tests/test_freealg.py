@@ -1599,6 +1599,59 @@ _WHOLE_READS = {
 }
 
 
+def test_relations_rref_hands_out_copies():
+    """Clearing the rows a `relations_rref` read returns changes nothing in
+    the quotient: the certificate, which reads the lower degrees' relation
+    rows for its multiples, and the next read are those of a fresh build."""
+    F, G = (build_free_quotient(get_variety("v"), 3, 6) for _ in range(2))
+    for rows in F.relations_rref:
+        for row in rows:
+            row.clear()
+    combination = relation_combination(F, CONJECTURE_WORD)
+    assert len(combination) == 3
+    assert combination == relation_combination(G, CONJECTURE_WORD)
+    assert F.relations_rref == G.relations_rref
+
+
+def _row_store_cases():
+    """(variety, generators, cap, adjoined words, restriction) for
+    `test_relation_rows_are_the_rewrites`."""
+    jacobian = {2: "J(a,b,a*b)", 3: "J(a,b,c)"}
+    for name in ("lie", "w", "v", "malcev"):
+        for g, cap in ((2, 6), (3, 5), (3, 6)):
+            yield pytest.param(name, g, cap, [], None, id=f"{name}-{g}-{cap}")
+            yield pytest.param(name, g, cap, [jacobian[g]], None, id=f"{name}-{g}-{cap}-J")
+    for extra, tag in (([], ""), (["J(a,b,c)"], "-J")):  # leads above 1
+        yield pytest.param("binary-lie", 3, 6, extra, None, id=f"binary-lie-3-6{tag}")
+    yield pytest.param("w", 3, 6, [], [CONJECTURE_WORD], id="w-3-6-restricted")
+
+
+@pytest.mark.parametrize("name, g, cap, extra, restrict", _row_store_cases())
+def test_relation_rows_are_the_rewrites(name, g, cap, extra, restrict):
+    """Read through public names only, each relation row of a degree is
+    primitive with a positive lead, its lead's rewrite is minus the row over
+    its lead, off the lead, and the leads increase, take no other row's
+    entries and, with the basis, part the degree's monomials. A
+    word-restricted quotient is completed by the `relations_rref` read.
+    Only binary-lie's rows here have leads above 1, so a rewrite's
+    denominators matter."""
+    F = build_free_quotient(get_variety(name), g, cap, extra_relations=extra, restrict_to=restrict)
+    rows = F.relations_rref
+    rewrite, basis, dims = F.rewrite, F.basis, F.dims()
+    assert len(rows) == cap + 1 and rows[0] == []
+    for d in range(1, cap + 1):
+        leads = [min(row) for row in rows[d]]
+        assert leads == sorted(set(leads))
+        assert sorted([*leads, *basis[d]]) == list(F.monomials[d])
+        assert len(rows[d]) == len(F.monomials[d]) - dims[d - 1]
+        for lead, row in zip(leads, rows[d]):
+            assert all(type(v) is int for v in row.values())
+            assert row[lead] > 0 and gcd(*row.values()) == 1
+            assert not set(leads) & row.keys() - {lead}
+            assert rewrite[lead] == {m: Fraction(-v, row[lead]) for m, v in row.items() if m != lead}
+    assert any(row[min(row)] > 1 for part in rows for row in part) == (name == "binary-lie")
+
+
 def _restricted_charge(monkeypatch, words):
     """The rows a word-restricted w 3 6 build charges, degree by degree:
     its `_row_count`s."""

@@ -111,7 +111,7 @@ def test_only_freealg_names_the_quotients_pending_state():
     through its public names, which make the blocks they read; only
     `freealg` reaches past them."""
     internals = _quotient_internals()
-    assert {"_table", "_made", "_rewrite", "_basis", "_rref", "_keep"} <= internals
+    assert {"_table", "_made", "_rewrite", "_basis", "_independent", "_keep"} <= internals
     paths = [
         *(path for path in SRC.glob("*.py") if path.name != "freealg.py"),
         *PERFBENCH.glob("*.py"),
