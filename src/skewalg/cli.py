@@ -150,12 +150,7 @@ def cmd_check(args) -> int:
             rep.add(idf.text, "holds")
         else:
             failed = True
-            detail = (
-                f"FAILS (witness {result.witness.describe()})"
-                if result.witness is not None
-                else "FAILS"
-            )
-            rep.add(idf.text, detail)
+            rep.add(idf.text, f"FAILS (witness {result.witness.describe()})")
     _emit(rep)
     return 1 if failed else 0
 

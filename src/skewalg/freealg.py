@@ -17,6 +17,8 @@ the substitution step.  Identities and words reach the quotient in the one
 canonical polynomial form of `identities`: a compiled `Component` per
 identity, and `word_poly` for a word, which the adjoined rows, the symmetry
 test on the words, `expand_evaluate` and `relation_combination` all read.
+`conjecture_certificate` certifies any word in any quotient with both
+evaluation routes and, for a zero value, its relation combination.
 
 Substitution instances are generated once per class of tuples of the same
 values whose rows agree up to a scalar.  `Component.lower` bounds the
@@ -83,7 +85,6 @@ from .identities import (  # noqa: F401  (canonicalize, parse_word: re-exported)
     _flatten,
     _leaf_tree,
     canonicalize,
-    get_variety,
     parse_identity,
     parse_word,
     sort_key,
@@ -92,9 +93,6 @@ from .identities import (  # noqa: F401  (canonicalize, parse_word: re-exported)
 from .linalg import Echelon, _content, _scale_to_int, add_scaled
 
 DEFAULT_RELATION_BUDGET = 5_000_000
-
-CONJECTURE_WORD = "J(a,b,(a*b)*(a*c))"
-SANITY_WORD = "J(a,b,a*c)"
 
 
 class RelationBudgetExceeded(RuntimeError):
@@ -1133,39 +1131,14 @@ def relation_combination(F: FreeQuotient, word):
     ]
 
 
-@dataclass
-class ConjectureCertificate:
-    """CONJECTURE_WORD's value in `quotient`, with SANITY_WORD's value;
-    `word` is CONJECTURE_WORD as parsed once, for other quotients to read."""
+def conjecture_certificate(F: FreeQuotient, word):
+    """Certify a word's value in F: (value, routes_agree, combination).
 
-    value: WordValue
-    sanity: WordValue
-    verdict: str
-    routes_agree: bool
-    zero_combination: list | None
-    quotient: FreeQuotient
-    word: tuple
-
-
-def conjecture_certificate(budget=DEFAULT_RELATION_BUDGET) -> ConjectureCertificate:
-    """Evaluate the degree-6 test word in the truncated free algebra of v on
-    the generators a, b, c.
-
-    The verdict reports what the computation found; neither outcome is
-    asserted as ground truth.
+    `value` is the word's value through products (`evaluate_word`),
+    `routes_agree` whether full expansion (`expand_evaluate`) gives the same,
+    and `combination` the word over F's relation rows
+    (`relation_combination`) when the value is zero, else None.
     """
-    F = build_free_quotient(get_variety("v"), 3, 6, budget=budget)
-    word = parse_word(CONJECTURE_WORD)
-    via_products = evaluate_word(F, word)
-    via_expansion = expand_evaluate(F, word)
-    verdict = "zero" if via_products.is_zero() else "nonzero"
-    combination = relation_combination(F, word) if verdict == "zero" else None
-    return ConjectureCertificate(
-        value=via_products,
-        sanity=evaluate_word(F, SANITY_WORD),
-        verdict=verdict,
-        routes_agree=via_products == via_expansion,
-        zero_combination=combination,
-        quotient=F,
-        word=word,
-    )
+    value = evaluate_word(F, word)
+    agree = value == expand_evaluate(F, word)
+    return value, agree, relation_combination(F, word) if value.is_zero() else None

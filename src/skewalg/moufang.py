@@ -1,10 +1,10 @@
-"""Moufang-theorem analog on concrete algebras and the conjecture driver.
+"""Moufang-theorem analog on concrete algebras and the conjecture preset.
 
 The checker asks, for a triple with vanishing Jacobian, whether the
-subalgebra it generates is a Lie algebra.  The conjecture driver evaluates
-the degree-6 test word J(a,b,(a*b)*(a*c)) in the truncated free algebra of
-the variety v and reports the outcome with a certificate; the verdict is
-reported, never asserted, since the underlying question is open.
+subalgebra it generates is a Lie algebra.  The `conjecture` preset fixes
+the word J(a,b,(a*b)*(a*c)), the free v-algebra on a, b, c at degree 6 and
+the report; `freealg.conjecture_certificate` certifies the word.  The verdict
+is reported, never asserted, since the underlying question is open.
 """
 
 from dataclasses import dataclass
@@ -19,18 +19,19 @@ from .algebra import (
     subalgebra_generated,
 )
 from .freealg import (
-    CONJECTURE_WORD,
     DEFAULT_RELATION_BUDGET,
-    SANITY_WORD,
     FreeQuotient,
     WordValue,
     build_free_quotient,
     conjecture_certificate,
     evaluate_word,
 )
-from .identities import Classification, get_variety
+from .identities import Classification, get_variety, parse_word
 from .linalg import _scale_to_int, _sparse, add_scaled, format_scalar, render_terms
 from .reports import Report, classification_items
+
+CONJECTURE_WORD = "J(a,b,(a*b)*(a*c))"
+SANITY_WORD = "J(a,b,a*c)"
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,13 @@ def value_text(F: FreeQuotient, value: WordValue):
 
 
 def run_conjecture(variant_generators=False, budget=DEFAULT_RELATION_BUDGET) -> Report:
-    """Full conjecture run: certificate, sanity lines, and contrast status."""
-    cert = conjecture_certificate(budget=budget)
-    F = cert.quotient
+    """The conjecture preset: CONJECTURE_WORD certified in free v on a, b, c
+    at degree 6, with SANITY_WORD's value and the free-w contrast."""
+    F = build_free_quotient(get_variety("v"), 3, 6, budget=budget)
+    word = parse_word(CONJECTURE_WORD)
+    value, routes_agree, combination = conjecture_certificate(F, word)
+    verdict = "zero" if value.is_zero() else "nonzero"
+    sanity = evaluate_word(F, SANITY_WORD)
     command = "conjecture --variant-generators" if variant_generators else "conjecture"
     rep = Report(command)
     rep.add_section("free algebra")
@@ -158,41 +163,41 @@ def run_conjecture(variant_generators=False, budget=DEFAULT_RELATION_BUDGET) -> 
     rep.add("dims", ", ".join(f"{d}: {n}" for d, n in enumerate(F.dims(), start=1)))
     rep.add_section("word")
     rep.add("text", CONJECTURE_WORD)
-    rep.add("degree", cert.value.degree)
-    rep.add("value", value_text(F, cert.value))
-    rep.add("verdict", cert.verdict)
-    rep.add("routes agree", "yes" if cert.routes_agree else "NO")
+    rep.add("degree", value.degree)
+    rep.add("value", value_text(F, value))
+    rep.add("verdict", verdict)
+    rep.add("routes agree", "yes" if routes_agree else "NO")
     rep.add_section("sanity")
-    rep.add(SANITY_WORD, value_text(F, cert.sanity))
+    rep.add(SANITY_WORD, value_text(F, sanity))
     # the contrast reads one word, so only the types below it are made
     Fw = build_free_quotient(
-        get_variety("w"), 3, F.max_degree, budget=budget, restrict_to=[cert.word]
+        get_variety("w"), 3, F.max_degree, budget=budget, restrict_to=[word]
     )
     rep.add(
         f"{CONJECTURE_WORD} in free w",
-        value_text(Fw, evaluate_word(Fw, cert.word)),
+        value_text(Fw, evaluate_word(Fw, word)),
     )
     rep.add_section("certificate")
-    if cert.verdict == "zero":
+    if verdict == "zero":
         rep.add("status", "zero value; combination over degree-6 relation rows below")
-        rep.add("rows", len(cert.zero_combination))
-        for idx, (coef, desc, _row) in enumerate(cert.zero_combination, start=1):
+        rep.add("rows", len(combination))
+        for idx, (coef, desc, _row) in enumerate(combination, start=1):
             rep.add(idx, f"{format_scalar(coef)} * {desc}")
     else:
         rep.add("status", "nonzero value; coordinates below")
-        for m in sorted(cert.value.coords):
-            rep.add(F.label(m), format_scalar(cert.value.coords[m]))
+        for m in sorted(value.coords):
+            rep.add(F.label(m), format_scalar(value.coords[m]))
     if variant_generators:
         # J(x1,x2,(x1*x2)*x3) at x1 = a, x2 = b, x3 = a*c is the word itself,
         # so its value is the certificate's and agrees by construction
         rep.add_section("variant a, b, a*c")
         rep.add("atoms", "x1 = a, x2 = b, x3 = a*c")
         rep.add("word over atoms", "J(x1,x2,(x1*x2)*x3)")
-        rep.add("value", value_text(F, cert.value))
-        rep.add("verdict", cert.verdict)
+        rep.add("value", value_text(F, value))
+        rep.add("verdict", verdict)
         rep.add("agrees with primary framing", "yes")
     rep.add_section("contrast")
-    if cert.verdict == "zero":
+    if verdict == "zero":
         rep.add(
             "status",
             "skipped (word value is zero; no failing triple arises from this run)",
@@ -201,8 +206,8 @@ def run_conjecture(variant_generators=False, budget=DEFAULT_RELATION_BUDGET) -> 
         rep.add("status", "witness triple inside the truncated free algebra")
         rep.add("algebra", f"free v quotient, generators a, b, c, max degree {F.max_degree}")
         rep.add("x1 = a, x2 = b, x3", "a*c")
-        rep.add("J(x1,x2,x3)", value_text(F, cert.sanity))
-        rep.add("J(a,b,(a*b)*(a*c)) in the generated subalgebra", value_text(F, cert.value))
+        rep.add("J(x1,x2,x3)", value_text(F, sanity))
+        rep.add("J(a,b,(a*b)*(a*c)) in the generated subalgebra", value_text(F, value))
         rep.add(
             "conclusion",
             "FAILS (hypothesis holds while Jacobi fails on the generated subalgebra)",

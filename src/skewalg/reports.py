@@ -24,8 +24,6 @@ def classification_items(classification):
     for v in classification.verdicts:
         if v.member:
             items.append((v.variety, "holds"))
-        elif v.witness is None:
-            items.append((v.variety, f"FAILS ({v.failed_identity})"))
         else:
             items.append(
                 (

@@ -407,6 +407,14 @@ ERROR_CASES = {
         ["free", "--variety", "lie", "--generators", "27", "--max-degree", "2"], 2,
         "generator count must be between 1 and 26",
     ),
+    "free-degree-cap": (
+        ["free", "--variety", "lie", "--generators", "3", "--max-degree", "0"], 2,
+        "need g >= 1 and max_degree >= 1",
+    ),
+    "free-extra-relation-degree": (
+        ["free", "--variety", "lie", *FREE_3_2, "--extra-relation", "J(a,b,c)*a"], 2,
+        "adjoined relation has degree 4 above the cap 2",
+    ),
     "free-eval": (
         ["free", "--variety", "v", *FREE_3_2, "--eval", "J(a,b,a*c)"], 2,
         "degree overflow: word degree 4 exceeds max degree 2",

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from skewalg import freealg, identities
 from skewalg.freealg import (
-    CONJECTURE_WORD,
     RelationBudgetExceeded,
     _assignments,
     _degree_rows,
@@ -24,6 +23,7 @@ from skewalg.freealg import (
     _row_count,
     build_free_quotient,
     canonicalize,
+    conjecture_certificate,
     evaluate_word,
     expand_evaluate,
     mono_label,
@@ -44,7 +44,7 @@ from skewalg.identities import (
     sort_key,
 )
 from skewalg.linalg import Echelon, _scale_to_int
-from skewalg.moufang import value_text
+from skewalg.moufang import CONJECTURE_WORD, value_text
 
 from oracles import (
     _dedupe_key,
@@ -1047,6 +1047,34 @@ def test_relation_combination_matches_oracle_rows(monkeypatch):
     want = [(c, text) for c, text, _row in relation_combination(F, CONJECTURE_WORD)]
     assert got == want
     assert len(got) == 3
+
+
+def test_conjecture_certificate_of_a_nonzero_word():
+    """Under anticommutativity alone the conjecture's word survives: the
+    routes agree on its nonzero value and there is no combination."""
+    F = build_free_quotient(["x*x = 0"], 3, 6)
+    value, routes_agree, combination = conjecture_certificate(F, CONJECTURE_WORD)
+    assert not value.is_zero() and value.degree == 6
+    assert value == evaluate_word(F, CONJECTURE_WORD)
+    assert routes_agree
+    assert combination is None
+
+
+def test_conjecture_certificate_of_a_zero_word():
+    """J(a,b,c) vanishes in free lie: the certificate's combination is the
+    word's relation combination and sums to the word's expansion."""
+    F = build_free_quotient(get_variety("lie"), 3, 3)
+    value, routes_agree, combination = conjecture_certificate(F, "J(a,b,c)")
+    assert value.is_zero() and value.degree == 3
+    assert routes_agree
+    assert combination == relation_combination(F, "J(a,b,c)")
+    total = Counter()
+    for coef, _desc, row in combination:
+        for mono, c in row.items():
+            total[mono] += coef * c
+    want = F.word_poly(parse_word("J(a,b,c)"))
+    assert {m: c for m, c in total.items() if c} == {m: c for m, c in want.items() if c}
+    assert want
 
 
 # --- rank-pattern tables ---------------------------------------------------------

@@ -1,8 +1,8 @@
 """Static checks on src/skewalg: the runtime is stdlib-only (every module
 imports only the standard library and skewalg itself), it defines no
-function that only tests call, only `linalg` names its dense adapters, and
+function that only tests call, only `linalg` names its dense adapters,
 only `freealg` names a free quotient's table of waiting blocks or its
-storage."""
+storage, and only `moufang` names the conjecture's words."""
 
 import ast
 import sys
@@ -48,6 +48,14 @@ def _names(tree, strings=False):
             yield from node.value.split(".")
 
 
+def _imported_names(tree):
+    """The names that the import statements of a syntax tree bring in."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name
+
+
 def test_every_function_has_a_caller_outside_tests():
     """Each non-dunder function or method under src/skewalg is named in
     src/ outside its own definition, or in perfbench/."""
@@ -80,13 +88,18 @@ def test_only_linalg_names_the_dense_adapters():
         if path.name == "linalg.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        imported = (
-            alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
-        )
-        assert DENSE_ADAPTERS.isdisjoint(chain(_names(tree), imported)), path.name
+        assert DENSE_ADAPTERS.isdisjoint(chain(_names(tree), _imported_names(tree))), path.name
+
+
+def test_only_moufang_names_the_conjecture_words():
+    """The conjecture preset's words are fixed in one module; `freealg`
+    certifies whatever word it is handed."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "moufang.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = set(chain(_names(tree, strings=True), _imported_names(tree)))
+        assert names.isdisjoint({"CONJECTURE_WORD", "SANITY_WORD"}), path.name
 
 
 def _quotient_internals():

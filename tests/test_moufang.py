@@ -4,19 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from skewalg import freealg
+from skewalg import freealg, moufang
 from skewalg.algebra import jacobian, subalgebra_generated
 from skewalg.catalog import get_catalog
 from skewalg.construction import random_w_algebra
 from skewalg.freealg import (
-    CONJECTURE_WORD,
-    SANITY_WORD,
     RelationBudgetExceeded,
     build_free_quotient,
     evaluate_word,
 )
 from skewalg.identities import classify, get_variety
 from skewalg.moufang import (
+    CONJECTURE_WORD,
+    SANITY_WORD,
     moufang_check,
     render_moufang,
     run_conjecture,
@@ -197,6 +197,7 @@ def test_run_conjecture_parses_each_word_once(monkeypatch):
         return parse(text)
 
     monkeypatch.setattr(freealg, "parse_word", spy)
+    monkeypatch.setattr(moufang, "parse_word", spy)
     run_conjecture(variant_generators=True)
     assert Counter(parsed) == {CONJECTURE_WORD: 1, SANITY_WORD: 1}
 
