@@ -15,21 +15,22 @@ behind `subalgebra_generated` and `ideal_generated` multiply on the twin,
 with subspace rows scaled to integers first, and return subspaces of A.
 `Algebra.jacobians()`, `mul_coords` and `restrict` stay on A.
 
-Every product reads one product index per algebra, built once and cached
-(`Algebra.product_index`): index[i][j] = (s, row) with e_i*e_j = s*row, both
-orders of a stored pair on its one stored row. `add_basis_product`, which
-adds f * e_i*y to a sum, is the one product kernel: `mul_sparse` runs it once
-per term of its left factor, and the identity searches (`identities`) run it
-on basis indices and add every root product of an evaluation straight into
-its sum. The Jacobian table (`Algebra.iter_jacobians`, collected by
-`Algebra.jacobians`) reads the index and is summed over the nonzero
+An algebra keeps its products in one signed table, built with it
+(`Algebra.product_index`): index[i][j] = {k: c} is e_i*e_j itself, so
+index[j][i] is its negation, and a zero product has no entry. The i < j
+entries (`table_pairs`), the structure constants (`c`) and the twin are
+read off it, and its keys are the support: the j with e_i*e_j != 0 for each
+i, the same on the twin. `add_basis_product`, which adds f * e_i*y to a
+sum, is the one product kernel: `mul_sparse` runs it once per term of its
+left factor, and the identity searches (`identities`) run it on basis
+indices and add every root product of an evaluation straight into its sum.
+The Jacobian table (`Algebra.iter_jacobians`, collected by
+`Algebra.jacobians`) reads the table and is summed over the nonzero
 structure constants only, one block of triples with least index a at a
 time, in lexicographic key order; the Lie checks and the identity
-J(x,y,z) = 0 (`identities`) read it and stop at its first entry.
-`Algebra.support()`, the index's keys, maps each basis index i to the j with
-e_i*e_j != 0; the twin has the same support. The series and the identity
-searches use it to skip, in their own order, every pair or tuple whose
-products are all zero.
+J(x,y,z) = 0 (`identities`) read it and stop at its first entry. `center`
+reads the table, and the series and the identity searches use its keys to
+skip, in their own order, every pair or tuple whose products are all zero.
 
 Every `Subspace` is an `Echelon`: `_span` and `_closure` fill one through
 `Echelon.extend`, the one bounded insert loop, and the subspace keeps the
@@ -51,18 +52,19 @@ from .linalg import Echelon, _sparse, render_terms, sparse_kernel
 
 
 class Algebra:
-    """Structure-constant algebra; products stored sparsely per (i<j) pair."""
+    """Structure-constant algebra; products stored sparsely, one signed row
+    per ordered pair with a nonzero product."""
 
     __slots__ = (
         "name", "dim", "basis_names", "denominator",
-        "_rows", "_index", "_jacobians", "_twin", "_support", "_product_space",
+        "_index", "_jacobians", "_twin", "_product_space",
     )
 
     def __init__(self, name, basis_names, products):
         self.name = name
         self.basis_names = tuple(basis_names)
         self.dim = len(self.basis_names)
-        rows = {}
+        index = tuple({} for _ in range(self.dim))
         seen = set()
         denominator = 1
         for (i, j), combo in products.items():
@@ -74,7 +76,7 @@ class Algebra:
             if key in seen:
                 raise ValueError(f"duplicate product pair for basis ({key[0]},{key[1]})")
             seen.add(key)
-            row = {}
+            row, neg = {}, {}
             for k, v in combo.items():
                 if not 0 <= k < self.dim:
                     raise ValueError(f"coefficient index {k} out of range")
@@ -83,16 +85,16 @@ class Algebra:
                         v = v.numerator
                     else:
                         denominator = lcm(denominator, v.denominator)
-                    row[k] = v if i < j else -v
+                    row[k] = v
+                    neg[k] = -v
             if row:
-                rows[key] = row
-        self._rows = rows
-        self._index = None
+                index[i][j] = row
+                index[j][i] = neg
+        self._index = index
         self._jacobians = None
         # the lcm of the structure constants' denominators
         self.denominator = denominator
         self._twin = None
-        self._support = None
         self._product_space = None
 
     def integral_twin(self):
@@ -106,42 +108,33 @@ class Algebra:
             self._twin = Algebra(
                 self.name,
                 self.basis_names,
-                {key: {k: v * D for k, v in row.items()} for key, row in self._rows.items()},
+                {
+                    (i, j): {k: v.numerator * (D // v.denominator) for k, v in row.items()}
+                    for i, near in enumerate(self._index)
+                    for j, row in near.items()
+                    if i < j
+                },
             )
         return self._twin
 
-    def support(self):
-        """nbr[i] = {j : e_i*e_j != 0} for every basis index i, as a tuple
-        of frozensets: the keys of `product_index`; built once and cached."""
-        if self._support is None:
-            self._support = tuple(map(frozenset, self.product_index()))
-        return self._support
-
     def product_index(self):
-        """index[i][j] = (s, row) with e_i*e_j = s*row for every ordered
-        pair with a nonzero product; both orders of a stored pair point at
-        its one stored row, with s = 1 and -1. Built once and cached."""
-        if self._index is None:
-            index = tuple({} for _ in range(self.dim))
-            for (i, j), row in self._rows.items():
-                index[i][j] = (1, row)
-                index[j][i] = (-1, row)
-            self._index = index
+        """The product table: index[i][j] = {k: c} is e_i*e_j for every
+        ordered pair with a nonzero product, so index[j][i] is its negation
+        and the keys of index[i] are the j with e_i*e_j != 0. Shared, not
+        copied: read it, never write it."""
         return self._index
 
     def c(self, i, j, k):
         """Structure constant: coefficient of e_k in e_i * e_j."""
-        if i == j:
-            return 0
-        key, sign = ((i, j), 1) if i < j else ((j, i), -1)
-        row = self._rows.get(key)
-        if not row:
-            return 0
-        return sign * row.get(k, 0)
+        row = self._index[i].get(j)
+        return row.get(k, 0) if row else 0
 
     def table_pairs(self):
-        """Iterate ((i, j), {k: c}) over the stored i<j pairs with nonzero rows."""
-        return self._rows.items()
+        """Iterate ((i, j), {k: c}) over the pairs i < j with a nonzero
+        product, read off the product index."""
+        return (
+            ((i, j), row) for i, near in enumerate(self._index) for j, row in near.items() if i < j
+        )
 
     def element(self, coords):
         coords = tuple(coords)
@@ -177,31 +170,30 @@ class Algebra:
         J(e_a, e_b, e_c) = (e_a e_b) e_c + (e_b e_c) e_a + (e_c e_a) e_b,
         and every term is read off the nonzero structure constants, so a
         zero product costs nothing. Block a takes the terms (e_a e_y) e_z
-        for every stored pair (a, y): into J(a, y, z) when z > y and as
+        for every nonzero e_a e_y, y > a: into J(a, y, z) when z > y and as
         -J(a, z, y) when a < z < y; and the terms (e_b e_c) e_a for every
-        e_k in the support of e_a and every stored pair (b, c), b > a, whose
-        product has an e_k term. Every term of J(e_a, e_b, e_c) lands in the
+        e_k in the support of e_a and every nonzero e_b e_c, a < b < c, with
+        an e_k term. Every term of J(e_a, e_b, e_c) lands in the
         block of its least index, so a block is complete when it is yielded.
         """
         n = self.dim
         index = self.product_index()
-        # holding[k]: the stored pairs (b, c) whose product has an e_k term
+        # holding[k]: the pairs (b, c), b < c, whose product has an e_k term
         holding = [[] for _ in range(n)]
-        for (b, c), row in self._rows.items():
+        for (b, c), row in self.table_pairs():
             for k, v in row.items():
                 holding[k].append((b, c, v))
         for a in range(n):
             block = {}
-            for y, (_, ay) in index[a].items():
-                # y > a: ay is the stored row of the pair (a, y) itself
+            for y, ay in index[a].items():
                 if y < a:
                     continue
                 for k, v in ay.items():
-                    for z, (sz, kz) in index[k].items():
+                    for z, kz in index[k].items():
                         if z > y:
-                            key, f = (a, y, z), v * sz
+                            key, f = (a, y, z), v
                         elif a < z < y:
-                            key, f = (a, z, y), -v * sz
+                            key, f = (a, z, y), -v
                         else:
                             continue
                         jac = block.get(key)
@@ -209,16 +201,15 @@ class Algebra:
                             jac = block[key] = {}
                         for m, w in kz.items():
                             jac[m] = jac.get(m, 0) + f * w
-            for k, (sk, ak) in index[a].items():
+            for k, ak in index[a].items():
                 for b, c, v in holding[k]:
                     if b > a:
                         jac = block.get((a, b, c))
                         if jac is None:
                             jac = block[(a, b, c)] = {}
                         # the term v * (e_k e_a) = -v * (e_a e_k)
-                        f = -v * sk
                         for m, w in ak.items():
-                            jac[m] = jac.get(m, 0) + f * w
+                            jac[m] = jac.get(m, 0) - v * w
             for key in sorted(block):
                 jac = {m: w for m, w in block[key].items() if w}
                 if jac:
@@ -245,10 +236,9 @@ def add_basis_product(out, f, near, ys):
     of `Algebra.product_index`: the one product kernel. Entries that cancel
     stay in out as zeros, for the caller to drop once."""
     for j, y in ys.items():
-        hit = near.get(j)
-        if hit:
-            s, row = hit
-            g = s * f * y
+        row = near.get(j)
+        if row:
+            g = f * y
             for k, c in row.items():
                 out[k] = out.get(k, 0) + g * c
 
@@ -508,7 +498,7 @@ def _products(A, S, T):
     the pairs whose supports meet a nonzero basis product (the others
     multiply to zero)."""
     twin = A.integral_twin()
-    mul, nbr = twin.mul_sparse, twin.support()
+    mul, nbr = twin.mul_sparse, twin.product_index()
     rs = S.int_rows()
     # reach[i]: the basis indices some coordinate of rs[i] multiplies to nonzero
     reach = [frozenset().union(*(nbr[k] for k in r)) for r in rs]

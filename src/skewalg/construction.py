@@ -103,17 +103,18 @@ def _is_derivation(L, M):
     D with matrix M (row j = image of e_j). Both sides are linear in the
     product and in D, so the rule is checked on the integral twin with M
     scaled to integers."""
-    T = L.integral_twin()
-    table = dict(T.table_pairs())
+    index = L.integral_twin().product_index()
     s = lcm(*(x.denominator for row in M for x in row))
     rows = [{c: int(x * s) for c, x in enumerate(row) if x} for row in M]
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            lhs = {}
-            for m, c in table.get((i, j), {}).items():
+            lhs, rhs = {}, {}
+            for m, c in index[i].get(j, {}).items():
                 add_scaled(lhs, rows[m], c)
-            rhs = T.mul_sparse(rows[i], {j: 1})
-            add_scaled(rhs, T.mul_sparse({i: 1}, rows[j]))
+            for m, x in rows[i].items():
+                add_scaled(rhs, index[m].get(j, {}), x)
+            for m, x in rows[j].items():
+                add_scaled(rhs, index[i].get(m, {}), x)
             if lhs != rhs:
                 return False
     return True
@@ -136,20 +137,20 @@ def derivations(A: Algebra) -> list:
     the product scales each of them and leaves the derivations alone.
     """
     n = A.dim
-    T = A.integral_twin()
-    # units[a][b] = e_a e_b on the twin
-    units = [[T.mul_sparse({a: 1}, {b: 1}) for b in range(n)] for a in range(n)]
+    index = A.integral_twin().product_index()
     cons = []
     for i in range(n):
         for j in range(i + 1, n):
             rows = [{} for _ in range(n)]
-            for m, v in units[i][j].items():
+            for m, v in index[i].get(j, {}).items():
                 for k in range(n):
                     rows[k][m * n + k] = v
-            for m in range(n):
-                for k, v in units[m][j].items():
-                    add_scaled(rows[k], {i * n + m: -v})
-                for k, v in units[i][m].items():
+            # D(e_i) e_j and e_i D(e_j), over the supports of e_j and e_i
+            for m, row in index[j].items():
+                for k, v in row.items():
+                    add_scaled(rows[k], {i * n + m: v})
+            for m, row in index[i].items():
+                for k, v in row.items():
                     add_scaled(rows[k], {j * n + m: -v})
             cons.extend(rows)
     basis = []

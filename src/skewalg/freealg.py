@@ -468,9 +468,7 @@ def _last_spans(state, e, part):
     values, _bounds, _code, groups, keep, _combo, memo = state
     spans = memo.get((e, part))
     if spans is None:
-        if e >= len(values):
-            spans = []
-        elif keep is None:
+        if keep is None:
             spans = [values[e]]
         else:
             group = groups[e]

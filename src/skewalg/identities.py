@@ -42,8 +42,9 @@ such a tuple all of them are equal. Otherwise the assignment names the
 copies and the value is the compiled value itself. The search itself runs on
 the algebra's integral twin (`Algebra.integral_twin`), in int arithmetic, and
 the value found there is scaled back to the algebra. It multiplies basis
-indices through the twin's product index (`Algebra.product_index`), adds
-each root product of an evaluation straight into its sum, and forms the
+indices through the twin's signed product table (`Algebra.product_index`;
+its keys, the support, let the search skip zero products), adds each
+root product of an evaluation straight into its sum, and forms the
 subproducts that do not involve the last variable once per prefix
 (`Component.prefix_values`), not once per tuple. J(x,y,z) = 0 is not
 searched but read off the twin's Jacobian table (`Algebra.iter_jacobians`),
@@ -441,20 +442,18 @@ class Component:
         _subproducts(A.product_index(), self._nodes[: self._prefix], memo, idx, vals)
         return vals
 
-    def evaluate_on_basis(self, A: Algebra, idx, memo, vals=None):
+    def evaluate_on_basis(self, A: Algebra, idx, memo, vals):
         """Sparse value of `poly` with variable q set to basis vector idx[q].
 
         `memo` holds one dict per subproduct slot, kept across the tuples of
         one search, so a subproduct is multiplied once per leaf assignment.
-        `vals`, when given, is `prefix_values(A, idx, memo)`, formed once
-        for every tuple that shares the prefix; the slots the last variable
-        fills are written over. Products are read off the product index
+        `vals` is `prefix_values(A, idx, memo)`, formed once for every tuple
+        that shares the prefix; the slots the last variable fills are
+        written over. Products are read off the product index
         (`Algebra.product_index`), and each root product goes straight into
         the sum, whose zeros are dropped once at the end.
         """
         index = A.product_index()
-        if vals is None:
-            vals = self.prefix_values(A, idx, memo)
         p = self._prefix
         k = len(self.variables)
         vals[k - 1] = idx[-1]
@@ -630,21 +629,18 @@ def _add_product(out, index, f, a, b, shape):
             for i, x in a.items():
                 add_basis_product(out, f * x, index[i], b)
     elif shape == _VAR_VAR:
-        hit = index[a].get(b)
-        if hit:
-            add_scaled(out, hit[1], hit[0] * f)
+        row = index[a].get(b)
+        if row:
+            add_scaled(out, row, f)
     else:
         out[a] = out.get(a, 0) + f
 
 
 def _product(index, a, b, shape):
-    """a*b for the values a, b of two slots, with no zero entry."""
+    """a*b for the values a, b of two slots, with no zero entry; for two
+    variables, the product index's own row, to be read only."""
     if shape == _VAR_VAR:
-        hit = index[a].get(b)
-        if hit is None:
-            return {}
-        s, row = hit
-        return row if s > 0 else {m: -c for m, c in row.items()}
+        return index[a].get(b, {})
     out = {}
     _add_product(out, index, 1, a, b, shape)
     return {m: c for m, c in out.items() if c}
@@ -843,8 +839,8 @@ def _joined_prefixes(nbr, n, comp):
     """(prefix, lasts) for the tuples of `_basis_tuples(n, comp.lower)` in
     the same order, each prefix + (i,) for i in lasts, less those on which
     every monomial of `comp.poly` has a zero two-leaf subproduct, read off
-    the support map nbr (`Algebra.support`). A prefix with no last value is
-    not yielded.
+    the support map nbr, the keys of `Algebra.product_index()`. A prefix
+    with no last value is not yielded.
 
     The prefixes (all variables but the last) run as in `_basis_tuples`;
     the last variable runs over the union, for the monomials whose two-leaf
@@ -868,7 +864,7 @@ def _joined_prefixes(nbr, n, comp):
                     if partner is None:
                         reach = None
                         break
-                    reach |= nbr[prefix[partner]]
+                    reach.update(nbr[prefix[partner]])
             lasts = range(lo, n) if reach is None else sorted(i for i in reach if i >= lo)
         if lasts:
             yield prefix, lasts
@@ -909,7 +905,7 @@ def _first_failure(A, comp):
         (a, b, c), val = first
         return ((a,), (b,), (c,)), val
     memo = [{} for _ in comp._nodes]
-    for prefix, lasts in _joined_prefixes(T.support(), A.dim, comp):
+    for prefix, lasts in _joined_prefixes(T.product_index(), A.dim, comp):
         vals = comp.prefix_values(T, prefix, memo)
         for i in lasts:
             idx = prefix + (i,)

@@ -121,20 +121,7 @@ def _row_normalize(row):
 
 def _combine(row, fb, other, fa):
     """fb * row - fa * other, sparse."""
-    out = {c: v * fb for c, v in row.items()}
-    return _subtract(out, other, fa)
-
-
-def _subtract(row, other, f):
-    """row -= f * other on sparse rows, in place; returns row."""
-    # inline, not add_scaled: one call per elimination step costs time everywhere
-    for c, v in other.items():
-        nv = row.get(c, 0) - f * v
-        if nv:
-            row[c] = nv
-        elif c in row:
-            del row[c]
-    return row
+    return add_scaled({c: v * fb for c, v in row.items()}, other, -fa)
 
 
 class Echelon:
@@ -171,7 +158,7 @@ class Echelon:
             if fb != 1:
                 for c in row:
                     row[c] *= fb
-            _subtract(row, piv, fa)
+            add_scaled(row, piv, -fa)
             if tags is not None:
                 tags = _combine(tags, fb, self.tags[lead], fa)
         return None
@@ -211,7 +198,7 @@ class Echelon:
             out = {c: v * scale for c, v in row.items()}
             for c in hits:
                 piv = rows[c]
-                _subtract(out, piv, scale * row[c] // piv[c])
+                add_scaled(out, piv, -(scale * row[c] // piv[c]))
             rows[p] = _row_normalize(out)
 
     def rref(self):

@@ -325,13 +325,19 @@ def reference_null_triples(A: Algebra, x1, x2) -> Subspace:
 
 def first_failure_over_all_tuples(A: Algebra, comp):
     """`identities._first_failure` evaluating every tuple of `_basis_tuples`:
-    (per-group index picks, value on the integral twin), or None."""
+    (per-group index picks, value on the integral twin), or None. The
+    subproducts that avoid the last variable are formed once per prefix
+    (`Component.prefix_values`), as the search forms them."""
     if not comp.poly:
         return None
     T = A.integral_twin()
     memo = [{} for _ in comp._nodes]
+    prefix = vals = None
     for idx in _basis_tuples(A.dim, comp.lower):
-        val = comp.evaluate_on_basis(T, idx, memo)
+        if idx[:-1] != prefix:
+            prefix = idx[:-1]
+            vals = comp.prefix_values(T, prefix, memo)
+        val = comp.evaluate_on_basis(T, idx, memo, vals)
         if val:
             combo, start = [], 0
             for g in comp.groups:

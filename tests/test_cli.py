@@ -352,6 +352,20 @@ def test_construct_names_first_failing_triple_of_non_lie_base(tmp_path, capsys):
     assert err == "error: base algebra is not Lie: J(a,b,d) != 0\n"
 
 
+def test_construct_reads_a_swapped_lambda_pair_negated(tmp_path, capsys):
+    """A [lambda] line written q*p = a is lambda(p, q) = -a: it constructs
+    the algebra that p*q = -a does."""
+    head = "[P]\nbasis: p q\n[L]\nname: k\ndim: 1\nbasis: a\n[lambda]\n"
+    outs = []
+    for name, line in (("swapped", "q*p = a"), ("ordered", "p*q = -a")):
+        path = tmp_path / f"{name}.cons"
+        path.write_text(f"{head}{line}\n[L0]\n")
+        rc, out, err = run(capsys, "construct", str(path))
+        assert (rc, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1] == "name: ext(k)\ndim: 3\nbasis: p q a\np*q = -a\n"
+
+
 def test_construct_parse_error_is_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.cons"
     path.write_text("basis: p\n")
@@ -370,6 +384,16 @@ ERROR_INPUTS = {
     ),
     "deep.ids": "x*x = 0\n" + "(" * 400 + "x*y" + ")" * 400 + " = 0\n",
     "chain.ids": "*".join(["x"] * 1500) + " = 0\n",
+    "empty.alg": "",
+    "short.alg": "name: X\n",
+    "dup-psi.cons": (
+        "[P]\nbasis: p\n[L]\nname: k\ndim: 2\nbasis: a b\n[psi p]\na -> b\na -> b\n"
+        "[lambda]\n[L0]\n"
+    ),
+    "self-lambda.cons": "[P]\nbasis: p q\n[L]\nname: k\ndim: 1\nbasis: a\n[lambda]\np*p = a\n",
+    "dup-lambda.cons": (
+        "[P]\nbasis: p q\n[L]\nname: k\ndim: 1\nbasis: a\n[lambda]\np*q = a\nq*p = a\n"
+    ),
 }
 FREE_3_2 = ["--generators", "3", "--max-degree", "2"]
 UNKNOWN_VARIETY = "unknown variety 'zorp'; available: lie, malcev, binary-lie, w, v, lam, alam"
@@ -391,12 +415,29 @@ ERROR_CASES = {
         ["check", "{dir}/L.alg", "--identity", "x* = 0"], 2,
         "expected a variable, 'J(', or '(' (at position 3)",
     ),
+    "check-identity-open-fraction": (
+        ["check", "{dir}/L.alg", "--identity", "1/ * x*y = 0"], 2,
+        "expected digits after '/' (at position 2)",
+    ),
+    "algebra-empty": (["classify", "{dir}/empty.alg"], 2, "{dir}/empty.alg: line 1: expected 'name:'"),
+    "algebra-no-dim": (["classify", "{dir}/short.alg"], 2, "{dir}/short.alg: line 2: expected 'dim:'"),
     "moufang-elements": (
         ["moufang", "{dir}/L.alg", "--elements", "x1 = a; x2 = b; x3 = zz"], 2,
         "col 2: unknown basis name 'zz'",
     ),
     "construct-parse": (
         ["construct", "{dir}/bad.cons"], 2, "{dir}/bad.cons: line 1: expected a section header",
+    ),
+    "construct-duplicate-psi-row": (
+        ["construct", "{dir}/dup-psi.cons"], 2, "{dir}/dup-psi.cons: line 9: duplicate row for 'a'",
+    ),
+    "construct-lambda-self-pair": (
+        ["construct", "{dir}/self-lambda.cons"], 2,
+        "{dir}/self-lambda.cons: line 8: lambda of a pair with itself",
+    ),
+    "construct-duplicate-lambda-pair": (
+        ["construct", "{dir}/dup-lambda.cons"], 2,
+        "{dir}/dup-lambda.cons: line 9: duplicate lambda pair q*p",
     ),
     "free-identities": (
         ["free", "--identities", "{dir}/bad.ids", *FREE_3_2], 2,

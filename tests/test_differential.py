@@ -820,7 +820,7 @@ def test_j_check_evaluates_only_tuples_with_a_nonzero_product(monkeypatch):
     real = Component.evaluate_on_basis
     real_mul = Algebra.mul_sparse
 
-    def spy(self, B, idx, memo, vals=None):
+    def spy(self, B, idx, memo, vals):
         evaluated.append(idx)
         return real(self, B, idx, memo, vals)
 
@@ -883,7 +883,7 @@ def test_search_forms_prefix_subproducts_once_per_prefix(monkeypatch):
         events.append(("prefix", tuple(idx), vals))
         return vals
 
-    def spy_eval(self, B, idx, memo, vals=None):
+    def spy_eval(self, B, idx, memo, vals):
         events.append(("eval", idx, vals))
         return real_eval(self, B, idx, memo, vals)
 
@@ -909,18 +909,17 @@ def test_search_forms_prefix_subproducts_once_per_prefix(monkeypatch):
 @given(algebras())
 def test_product_index_matches_structure_constants(A):
     """index[i][j] is e_i*e_j, as `Algebra.c` reads it, on every ordered
-    pair of A and of its integral twin; both orders of a pair share the one
-    stored row, and the support is read off the index."""
+    pair of A and of its integral twin; index[j][i] is its negation, and a
+    zero product has no entry."""
     for B in (A, A.integral_twin()):
         index = B.product_index()
         for i in range(B.dim):
             for j in range(B.dim):
                 want = {k: B.c(i, j, k) for k in range(B.dim) if B.c(i, j, k)}
-                hit = index[i].get(j)
-                assert ({} if hit is None else {k: hit[0] * c for k, c in hit[1].items()}) == want
-                if hit is not None:
-                    assert index[j][i][1] is hit[1] and index[j][i][0] == -hit[0]
-            assert B.support()[i] == frozenset(index[i])
+                row = index[i].get(j)
+                assert ({} if row is None else row) == want
+                if row is not None:
+                    assert row and index[j][i] == {k: -c for k, c in row.items()}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
