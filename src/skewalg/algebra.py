@@ -27,8 +27,11 @@ indices and add every root product of an evaluation straight into its sum.
 The Jacobian table (`Algebra.iter_jacobians`, collected by
 `Algebra.jacobians`) reads the table and is summed over the nonzero
 structure constants only, one block of triples with least index a at a
-time, in lexicographic key order; the Lie checks and the identity
-J(x,y,z) = 0 (`identities`) read it and stop at its first entry. `center`
+time (`Algebra.iter_jacobian_blocks`), in lexicographic key order; the Lie
+checks and the identity J(x,y,z) = 0 (`identities`) read it and stop at its
+first entry. `products_in_lie_center`, which decides J(x,y,z*u) = 0, reads
+it block by block and stops at the first block that puts a product outside
+the Lie center, so where that identity fails the rest is never formed. `center`
 reads the table, and the series and the identity searches use its keys to
 skip, in their own order, every pair or tuple whose products are all zero.
 
@@ -48,7 +51,7 @@ from __future__ import annotations
 from itertools import chain
 from math import lcm
 
-from .linalg import Echelon, _sparse, render_terms, sparse_kernel
+from .linalg import Echelon, _sparse, add_scaled, render_terms, sparse_kernel
 
 
 class Algebra:
@@ -162,10 +165,11 @@ class Algebra:
             add_basis_product(out, x, index[i], ys)
         return {k: v for k, v in out.items() if v}
 
-    def iter_jacobians(self):
-        """Yield the nonzero ((a, b, c), {k: coeff}), a < b < c, of
-        `jacobians()` in lexicographic key order, one block of triples with
-        least index a at a time.
+    def iter_jacobian_blocks(self):
+        """Yield, for a = 0, ..., dim - 1, block a of the Jacobian table: an
+        iterator over the nonzero ((a, b, c), {k: coeff}), a < b < c, of
+        `jacobians()` with least index a, in key order (empty when there
+        are none).
 
         J(e_a, e_b, e_c) = (e_a e_b) e_c + (e_b e_c) e_a + (e_c e_a) e_b,
         and every term is read off the nonzero structure constants, so a
@@ -174,7 +178,8 @@ class Algebra:
         -J(a, z, y) when a < z < y; and the terms (e_b e_c) e_a for every
         e_k in the support of e_a and every nonzero e_b e_c, a < b < c, with
         an e_k term. Every term of J(e_a, e_b, e_c) lands in the
-        block of its least index, so a block is complete when it is yielded.
+        block of its least index, so a block is complete when it is yielded,
+        and no later block is formed before it is asked for.
         """
         n = self.dim
         index = self.product_index()
@@ -210,10 +215,13 @@ class Algebra:
                         # the term v * (e_k e_a) = -v * (e_a e_k)
                         for m, w in ak.items():
                             jac[m] = jac.get(m, 0) - v * w
-            for key in sorted(block):
-                jac = {m: w for m, w in block[key].items() if w}
-                if jac:
-                    yield key, jac
+            yield _nonzero_entries(block)
+
+    def iter_jacobians(self):
+        """Iterate the nonzero ((a, b, c), {k: coeff}), a < b < c, of
+        `jacobians()` in lexicographic key order, one block of
+        `iter_jacobian_blocks()` at a time."""
+        return chain.from_iterable(self.iter_jacobian_blocks())
 
     def jacobians(self):
         """Nonzero J(e_a, e_b, e_c) for a < b < c, as {(a, b, c): {k: coeff}}
@@ -229,6 +237,15 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.name!r}, dim={self.dim})"
+
+
+def _nonzero_entries(block):
+    """The entries of a summed Jacobian block, {key: {k: coeff}}, in key
+    order, without zero coefficients or zero values."""
+    for key in sorted(block):
+        jac = {m: w for m, w in block[key].items() if w}
+        if jac:
+            yield key, jac
 
 
 def add_basis_product(out, f, near, ys):
@@ -485,6 +502,43 @@ def lie_center(A: Algebra) -> Subspace:
             cons.setdefault((a, c, k), {})[b] = -v
             cons.setdefault((a, b, k), {})[c] = v
     return _kernel_space(A, cons.values())
+
+
+def products_in_lie_center(A: Algebra) -> bool:
+    """Whether A*A lies in the Lie center: J(p, e_b, e_c) = 0 for every
+    nonzero basis product p and every pair b < c. By the structure theorem
+    this decides J(x,y,z*u) = 0 (`identities`).
+
+    J(p, e_b, e_c) = sum_k p_k J(e_k, e_b, e_c), and J(e_k, e_b, e_c) lies
+    in block min(k, b) <= b of the twin's table (`iter_jacobian_blocks`),
+    so the pairs (b, c) are complete, and are checked, once block b has
+    been read. A nonzero value ends the read there: no later block is
+    formed."""
+    T = A.integral_twin()
+    n = T.dim
+    # holders[k]: (r, p_k) for the r-th nonzero basis product p with an e_k term
+    holders = [[] for _ in range(n)]
+    for r, (_, row) in enumerate(T.table_pairs()):
+        for k, v in row.items():
+            holders[k].append((r, v))
+    # terms[b][c]: the (k, s, jac) with J(e_k, e_b, e_c) = s * jac, for the
+    # k some product has a term in
+    terms = [{} for _ in range(n)]
+    for b, block in enumerate(T.iter_jacobian_blocks()):
+        for (a, y, z), jac in block:
+            # J is alternating: J(e_a, e_y, e_z) = -J(e_y, e_a, e_z) = J(e_z, e_a, e_y)
+            for k, p, q, s in ((a, y, z, 1), (y, a, z, -1), (z, a, y, 1)):
+                if holders[k]:
+                    terms[p].setdefault(q, []).append((k, s, jac))
+        for pair_terms in terms[b].values():
+            values = {}
+            for k, s, jac in pair_terms:
+                for r, v in holders[k]:
+                    add_scaled(values.setdefault(r, {}), jac, s * v)
+            if any(values.values()):
+                return False
+        terms[b] = None
+    return True
 
 
 def jacobian_ideal(A: Algebra) -> Subspace:

@@ -46,10 +46,18 @@ indices through the twin's signed product table (`Algebra.product_index`;
 its keys, the support, let the search skip zero products), adds each
 root product of an evaluation straight into its sum, and forms the
 subproducts that do not involve the last variable once per prefix
-(`Component.prefix_values`), not once per tuple. J(x,y,z) = 0 is not
-searched but read off the twin's Jacobian table (`Algebra.iter_jacobians`),
-whose keys a < b < c run in lexicographic order, so its first entry is the
-lexicographically first failing tuple of the search.
+(`Component.prefix_values`), not once per tuple.
+
+Two identities are decided by a theorem instead, matched by compiled key,
+so that any renaming of their variables is decided the same way, and each
+returns what the search would. J(x,y,z) = 0 is read off the twin's Jacobian
+table (`Algebra.iter_jacobians`), whose keys a < b < c run in lexicographic
+order, so its first entry is the lexicographically first failing tuple.
+J(x,y,z*u) = 0, which w and (as J(x,y,z*t) = 0) lam share, holds exactly
+when the product space lies in the Lie center, which
+`algebra.products_in_lie_center` decides block by block off the table; the
+search runs only to name the witness where it fails. The budget is checked
+before either route.
 """
 
 from __future__ import annotations
@@ -59,11 +67,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count, permutations, product
+from itertools import count, islice, permutations, product
 from math import comb, factorial, prod
 from operator import itemgetter
 
-from .algebra import Algebra, Element, add_basis_product
+from .algebra import Algebra, Element, add_basis_product, products_in_lie_center
 from .linalg import _row_normalize, _scale_to_int, add_scaled, parse_scalar
 
 DEFAULT_EVAL_BUDGET = 10_000_000
@@ -870,42 +878,14 @@ def _joined_prefixes(nbr, n, comp):
             yield prefix, lasts
 
 
-_JACOBI_TEXT = "J(x,y,z) = 0"
-
-
-def _jacobi_key():
-    """The compiled key of J(x,y,z) = 0, the identity `_first_failure`
-    decides from the Jacobian table."""
-    comp = _COMPILED.get(_JACOBI_TEXT)
-    if comp is None:
-        comp = _compiled(parse_identity(_JACOBI_TEXT))
-    return comp.key
-
-
-def _first_failure(A, comp):
-    """(per-group index picks, sparse value) of the first failing tuple, or None.
-
-    The search runs on A's integral twin D*A (`Algebra.integral_twin`): a
-    multilinear form in k variables takes D^(k-1) times its value on A
-    there, so it fails on the same tuples. The value returned is the twin's;
-    `_build_witness` divides it back. Only the tuples `_joined_prefixes`
-    yields are evaluated: every other one gives zero, so the first failing
-    tuple is the same as over all of `_basis_tuples`. J(x,y,z) = 0 itself
-    is read off the first entry of the twin's `Algebra.iter_jacobians()`,
-    whose keys are the triples a < b < c in lexicographic order.
-    """
-    if not comp.poly:
-        return None
-    T = A.integral_twin()
-    if comp.key == _jacobi_key():
-        # the table's first key is the lexicographically first failing triple
-        first = next(T.iter_jacobians(), None)
-        if first is None:
-            return None
-        (a, b, c), val = first
-        return ((a,), (b,), (c,)), val
+def _search(T, comp, prefixes=None):
+    """The tuple search: (per-group index picks, sparse value) of the first
+    failing tuple on the integral twin T, or None, evaluating in order every
+    tuple of `prefixes` (default: all that `_joined_prefixes` yields)."""
+    if prefixes is None:
+        prefixes = _joined_prefixes(T.product_index(), T.dim, comp)
     memo = [{} for _ in comp._nodes]
-    for prefix, lasts in _joined_prefixes(T.product_index(), A.dim, comp):
+    for prefix, lasts in prefixes:
         vals = comp.prefix_values(T, prefix, memo)
         for i in lasts:
             idx = prefix + (i,)
@@ -919,10 +899,69 @@ def _first_failure(A, comp):
     return None
 
 
+def _jacobi_failure(T, comp):
+    """J(x,y,z) = 0 on the twin T, read off the first entry of its Jacobian
+    table, whose keys a < b < c run in lexicographic order: the
+    lexicographically first failing triple of the search."""
+    first = next(T.iter_jacobians(), None)
+    if first is None:
+        return None
+    (a, b, c), val = first
+    return ((a,), (b,), (c,)), val
+
+
+def _jacobi_of_products_failure(T, comp):
+    """J(x,y,z*u) = 0 on the twin T. It holds exactly when the product
+    space lies in the Lie center (`products_in_lie_center`), so the search
+    runs only to name the witness where it fails. The search's first prefix
+    runs before the theorem, since where the identity fails it often holds
+    the witness already; the rest runs only if the theorem says it fails."""
+    prefixes = _joined_prefixes(T.product_index(), T.dim, comp)
+    found = _search(T, comp, islice(prefixes, 1))
+    if found is None and not products_in_lie_center(T):
+        found = _search(T, comp, prefixes)
+    return found
+
+
+_DECIDERS = {}
+
+
+def _deciders():
+    """{compiled key: decider} of the identities decided by a theorem, not
+    by the search, compiled on first use. Keyed by compiled key, so any
+    renaming of one's variables, J(x,y,z*t) = 0 of lam included, is decided
+    the same way."""
+    if not _DECIDERS:
+        for text, decide in (
+            ("J(x,y,z) = 0", _jacobi_failure),
+            ("J(x,y,z*u) = 0", _jacobi_of_products_failure),
+        ):
+            _DECIDERS[_compiled(parse_identity(text)).key] = decide
+    return _DECIDERS
+
+
+def _first_failure(A, comp):
+    """(per-group index picks, sparse value) of the first failing tuple, or None.
+
+    The decision runs on A's integral twin D*A (`Algebra.integral_twin`): a
+    multilinear form in k variables takes D^(k-1) times its value on A
+    there, so it fails on the same tuples. The value returned is the twin's;
+    `_build_witness` divides it back. An identity of `_deciders()` is
+    decided by its theorem, which returns what the search would, and any
+    other by `_search`, which evaluates only the tuples `_joined_prefixes`
+    yields: every other one gives zero, so the first failing tuple is the
+    same as over all of `_basis_tuples`.
+    """
+    if not comp.poly:
+        return None
+    return _deciders().get(comp.key, _search)(A.integral_twin(), comp)
+
+
 def check_identity(
     A: Algebra, idf: IdentityDef, budget=DEFAULT_EVAL_BUDGET, shared=None
 ) -> CheckResult:
-    """Decide idf on A by evaluating its canonical polarized form on basis tuples.
+    """Decide idf on A by evaluating its canonical polarized form on basis
+    tuples, or by its theorem when `_first_failure` has one for it.
 
     Copies of a polarized variable range over sorted index tuples (the form
     is symmetric in them) and a skew pair of variables over strictly
@@ -930,7 +969,9 @@ def check_identity(
     Any failing tuple that breaks these orders maps to a lexicographically
     smaller failing one, so the reported witness is the lexicographically
     first failing assignment. The budget bounds the count of sorted tuples
-    before the skew pruning (`_count_evaluations`).
+    before the skew pruning (`_count_evaluations`); it is checked before
+    any route runs, the theorems included, so the inputs that abort do not
+    depend on the route.
 
     `shared` maps canonical keys to search results on this algebra; classify
     passes one dict per call, so a polynomial several identities share is

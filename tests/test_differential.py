@@ -14,6 +14,12 @@
   rational tables. `J(x,y,z) = 0`, which `check_identity` reads off the
   table's first key, against the search over every tuple and the raw-term
   exhaustive oracle: the same failing triple, value and witness.
+* `J(x,y,z*u) = 0`, lam's `J(x,y,z*t) = 0` and a renaming, which
+  `check_identity` decides by the structure theorem (the product space
+  lies in the Lie center, `products_in_lie_center`, read block by block
+  off the table), against the search over every tuple and the raw-term
+  exhaustive oracle: the same verdict, failing tuple, value and witness.
+  Where the identity fails, `classify` never builds the whole table.
 * The invariants built on the Jacobian table and the engine (`center`,
   `lie_center`, `jacobian_ideal`, the series, `product_space`,
   `subalgebra_generated`) against their `Element`-based definitions over the
@@ -56,7 +62,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewalg import algebra, cli
+from skewalg import algebra, cli, identities
 from skewalg.algebra import (
     Algebra,
     Subspace,
@@ -67,6 +73,7 @@ from skewalg.algebra import (
     lie_center,
     lower_central_series,
     product_space,
+    products_in_lie_center,
     subalgebra_generated,
 )
 from skewalg.catalog import get_catalog, iter_catalog, lie_catalog
@@ -79,6 +86,7 @@ from skewalg.identities import (
     Witness,
     _compiled,
     _first_failure,
+    _search,
     builtin_varieties,
     check_identity,
     classify,
@@ -557,9 +565,12 @@ def test_invariants_match_element_definitions():
         gens = units[: min(2, A.dim)]
         got = subalgebra_generated([A.element(g) for g in gens])
         assert canonical(A, got) == oracle_subalgebra(A, gens), A.name
-        # structure theorem: w holds iff the product space lies in the Lie center
-        in_w = all(check_identity(A, idf).holds for idf in get_variety("w"))
+        # structure theorem: w holds iff the product space lies in the Lie
+        # center; w is decided by the search over every tuple, since
+        # `check_identity` decides it by the theorem
+        in_w = all(first_failure_over_all_tuples(A, _compiled(idf)) is None for idf in get_variety("w"))
         assert in_w == all(LC.contains(r) for r in PS.rows), A.name
+        assert in_w == all(check_identity(A, idf).holds for idf in get_variety("w")), A.name
         verdicts.add(in_w)
     assert verdicts == {True, False}
 
@@ -868,11 +879,12 @@ def test_j_check_from_the_table_matches_the_search_over_all_tuples():
 
 
 def test_search_forms_prefix_subproducts_once_per_prefix(monkeypatch):
-    """The search for J(x,y,z*u) = 0, which holds on a benchmark member, calls
-    `evaluate_on_basis` once per evaluated tuple, in lexicographic order, and
-    `prefix_values` once per prefix, just before that prefix's tuples: each
-    subproduct that avoids the last variable (x*y) is formed once per
-    prefix, and every evaluation reads the values formed for its prefix."""
+    """The tuple search (`_search`) over J(x,y,z*u) = 0, which holds on a
+    benchmark member, calls `evaluate_on_basis` once per evaluated tuple, in
+    lexicographic order, and `prefix_values` once per prefix, just before
+    that prefix's tuples: each subproduct that avoids the last variable
+    (x*y) is formed once per prefix, and every evaluation reads the values
+    formed for its prefix."""
     A = workloads._member(20)
     comp = _compiled(parse_identity("J(x,y,z*u) = 0"))
     events = []
@@ -889,7 +901,7 @@ def test_search_forms_prefix_subproducts_once_per_prefix(monkeypatch):
 
     monkeypatch.setattr(Component, "prefix_values", spy_prefix)
     monkeypatch.setattr(Component, "evaluate_on_basis", spy_eval)
-    assert _first_failure(A, comp) is None
+    assert _search(A.integral_twin(), comp) is None
     evaluated = [idx for kind, idx, _ in events if kind == "eval"]
     prefixes = [idx for kind, idx, _ in events if kind == "prefix"]
     assert evaluated == sorted(set(evaluated))
@@ -903,6 +915,143 @@ def test_search_forms_prefix_subproducts_once_per_prefix(monkeypatch):
             assert idx[:-1] == current[0] and vals is current[1]
     monkeypatch.undo()
     assert first_failure_over_all_tuples(A, comp) is None
+
+
+# --- J(x,y,z*u) = 0 decided by the structure theorem -----------------------
+
+
+@cache
+def spaces_random_algebras():
+    """Every random rational algebra a spaces pass can draw, dims 8 to 16."""
+    fixed = [workloads.random_algebra(*r) for r in workloads.RANDOM_FIXED]
+    return tuple(fixed) + tuple(
+        workloads.random_algebra(8, density, v)
+        for density in workloads.RANDOM_DENSITIES
+        for v in range(workloads.RANDOM_VARIANTS)
+    )
+
+
+# three names of one compiled polynomial: w's identity, lam's, a renaming
+W_TEXTS = ("J(x,y,z*u) = 0", "J(x,y,z*t) = 0", "J(a,b,c*d) = 0")
+# the raw-term oracle evaluates dim**4 tuples with dense products, all of
+# them where the identity holds: it runs there only up to this dim
+RAW_HOLDING_DIM = 15
+
+
+def assert_theorem_matches_the_search(A):
+    """`_first_failure` on each name of J(x,y,z*u) = 0, which the theorem
+    (`products_in_lie_center`) decides, against the search over every tuple:
+    the same failing tuple and value, or None. `check_identity` against the
+    raw-term exhaustive oracle: the same verdict and witness. Returns
+    whether the identity holds."""
+    comp = _compiled(parse_identity(W_TEXTS[0]))
+    want = first_failure_over_all_tuples(A, comp)
+    holds = want is None
+    assert products_in_lie_center(A) == holds, A.name
+    for text in W_TEXTS:
+        idf = parse_identity(text)
+        assert _compiled(idf).key == comp.key
+        assert _first_failure(A, _compiled(idf)) == want, (A.name, text)
+        got = summary(check_identity(A, idf))
+        if holds:
+            assert got == (True, None), (A.name, text)
+        else:
+            assert got == summary(exhaustive_check(A, idf)), (A.name, text)
+    if holds and A.dim <= RAW_HOLDING_DIM:
+        assert exhaustive_check(A, parse_identity(W_TEXTS[0])).holds, A.name
+    return holds
+
+
+def test_theorem_matches_the_search_on_catalog_and_members():
+    """The catalog (Lie algebras, whose Jacobian table is empty, abelian
+    ones, dims 1 and 2) and the benchmark's 21 members, which lie in w."""
+    algebras = [e.algebra for e in iter_catalog()]
+    algebras += [workloads._member(s) for s in workloads.MEMBERS]
+    assert {1, 2} <= {A.dim for A in algebras}
+    assert any(A.dim > 1 and not any(A.product_index()) for A in algebras)  # abelian
+    verdicts = {assert_theorem_matches_the_search(A) for A in algebras}
+    assert verdicts == {True, False}
+
+
+def test_theorem_matches_the_search_on_spaces_and_rational_algebras():
+    """The spaces quotients (dims 14 to 36), the spaces random algebras and
+    other random rational ones, an abelian algebra, and scaled copies c*A of
+    algebras where the identity holds and where it fails."""
+    algebras = list(spaces_quotients())
+    algebras += spaces_random_algebras()
+    algebras += [seeded_rational_algebra(s) for s in range(18)]
+    algebras.append(Algebra("abelian4", [f"e{i}" for i in range(4)], {}))
+    bases = [get_catalog("free-anti-2-4").algebra, workloads._member(20), seeded_rational_algebra(4)]
+    algebras += [scaled(A, c) for A in bases for c in SCALES]
+    verdicts = {}
+    for A in algebras:
+        verdicts.setdefault(assert_theorem_matches_the_search(A), []).append(A.name)
+    assert set(verdicts) == {True, False}
+    # both verdicts on scaled copies
+    assert {v for v, names in verdicts.items() if any("*" in n for n in names)} == {True, False}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(algebras(), sparse_tables()))
+def test_theorem_matches_the_search_on_random_tables(A):
+    assert_theorem_matches_the_search(A)
+
+
+def test_theorem_decides_a_holding_identity_without_the_search(monkeypatch):
+    """On a member where J(x,y,z*u) = 0 holds, lam's J(x,y,z*t) = 0 and
+    the renaming J(a,b,c*d) = 0 are decided by `products_in_lie_center`:
+    the search evaluates the tuples of its first prefix only. The same
+    polynomial with its variables read in another order,
+    J(z*u,x,y) = 0, has another compiled key and is searched."""
+    A = workloads._member(20)
+    decided, evaluated = [], []
+    real_theorem, real_eval = identities.products_in_lie_center, Component.evaluate_on_basis
+
+    def spy_theorem(B):
+        decided.append(B)
+        return real_theorem(B)
+
+    def spy_eval(self, B, idx, memo, vals):
+        evaluated.append(idx)
+        return real_eval(self, B, idx, memo, vals)
+
+    monkeypatch.setattr(identities, "products_in_lie_center", spy_theorem)
+    monkeypatch.setattr(Component, "evaluate_on_basis", spy_eval)
+    for text in W_TEXTS[1:]:
+        decided.clear()
+        evaluated.clear()
+        assert check_identity(A, parse_identity(text)).holds
+        assert decided == [A.integral_twin()], text
+        assert len({idx[:-1] for idx in evaluated}) == 1, text
+    decided.clear()
+    evaluated.clear()
+    assert check_identity(A, parse_identity("J(z*u,x,y) = 0")).holds
+    assert decided == []
+    assert len({idx[:-1] for idx in evaluated}) > 1
+
+
+def test_classify_reads_no_whole_jacobian_table_where_w_fails(monkeypatch):
+    """`classify` on the spaces workload's random algebras, none of them in
+    w: `Algebra.jacobians()`, the whole table, is never built. The Lie check
+    forms block 0, and the theorem, where the search's first prefix finds
+    no witness, forms block 0 again and stops there."""
+    formed, whole = [], []
+    real_blocks = Algebra.iter_jacobian_blocks
+
+    def spy_blocks(self):
+        for block in real_blocks(self):
+            formed.append(self.name)
+            yield block
+
+    monkeypatch.setattr(Algebra, "iter_jacobian_blocks", spy_blocks)
+    monkeypatch.setattr(Algebra, "jacobians", lambda self: whole.append(self.name))
+    counts = set()
+    for A in spaces_random_algebras():
+        formed.clear()
+        assert not member(classify(A), "w"), A.name
+        counts.add(len(formed))
+    assert counts == {1, 2}
+    assert whole == []
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
